@@ -199,7 +199,7 @@ int Run(int argc, char** argv) {
     pool_visible[i] = cell->visible_io_seconds;
     std::printf("  %-10d %12.1f %15.1f %12lld %10lld\n", kPoolThreads[i],
                 cell->total_seconds, cell->visible_io_seconds,
-                static_cast<long long>(cell->gbo.coalesced_reads),
+                static_cast<long long>(cell->coalesced_reads),
                 static_cast<long long>(cell->gbo.queue_depth_high_water));
     std::string prefix = StrCat("pool_t", kPoolThreads[i]);
     json.Add(StrCat(prefix, "_total_s"), cell->total_seconds);

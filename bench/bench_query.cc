@@ -42,7 +42,6 @@
 #include "core/query.h"
 #include "core/server.h"
 #include "core/session.h"
-#include "core/stats.h"
 #include "mesh/dataset_spec.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
@@ -116,9 +115,13 @@ struct PathResult {
   int64_t bytes = 0;
   LatencyRecorder plan_ms;   // query path: BuildSnapshotQuery + Submit
   LatencyRecorder step_ms;   // time until the whole window is ready
-  int64_t units_requested = 0;  // query path: planner expansion total
-  int64_t dedup_hits = 0;       // query path: resident + in-flight
-  GboStats stats;
+  // Query path, summed over every ticket.
+  int64_t units_requested = 0;  // planner expansion total
+  int64_t dedup_hits = 0;       // resident + in-flight
+  int64_t batches_issued = 0;   // per-file batch loads dispatched
+  int64_t bytes_saved = 0;      // payload bytes dedup avoided
+  int64_t pushdowns = 0;        // push-down results taken
+  int64_t derived_values = 0;   // values in those results
 };
 
 // Unit-at-a-time baseline: one unit per snapshot, per-dataset reads, the
@@ -159,7 +162,6 @@ bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
   DiskStats disk = runtime->env()->stats();
   out->reads = disk.reads;
   out->bytes = disk.bytes_read;
-  out->stats = db.stats();
   return true;
 }
 
@@ -168,7 +170,7 @@ bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
 // the derived field pushed down as each unit lands.
 bool RunQueryPath(PlatformRuntime* runtime,
                   const mesh::SnapshotDataset& ds, const Flags& flags,
-                  PathResult* out, int64_t* derived_values) {
+                  PathResult* out) {
   Gbo db(DbOptions());
   if (!workloads::DefineBlockSchema(&db).ok()) return false;
   QueryPlanner planner(&db);
@@ -204,9 +206,11 @@ bool RunQueryPath(PlatformRuntime* runtime,
       return false;
     }
     out->plan_ms.Record(plan_time.ElapsedSeconds() * 1e3);
-    out->units_requested += (*ticket)->plan().units_requested;
-    out->dedup_hits +=
-        (*ticket)->plan().dedup_resident + (*ticket)->plan().dedup_in_flight;
+    const QueryPlanStats plan = (*ticket)->plan();
+    out->units_requested += plan.units_requested;
+    out->dedup_hits += plan.dedup_resident + plan.dedup_in_flight;
+    out->batches_issued += plan.batches_issued;
+    out->bytes_saved += plan.bytes_saved;
     Stopwatch step;
     Status wait = (*ticket)->WaitAll();
     if (!wait.ok()) {
@@ -215,7 +219,8 @@ bool RunQueryPath(PlatformRuntime* runtime,
     }
     out->step_ms.Record(step.ElapsedSeconds() * 1e3);
     for (const DerivedResult& derived : (*ticket)->TakeDerived()) {
-      *derived_values += static_cast<int64_t>(derived.values.size());
+      ++out->pushdowns;
+      out->derived_values += static_cast<int64_t>(derived.values.size());
     }
     if (!(*ticket)->FinishAll().ok()) return false;
     // Drop the snapshot leaving the window; the rest stays resident for
@@ -233,7 +238,6 @@ bool RunQueryPath(PlatformRuntime* runtime,
   DiskStats disk = runtime->env()->stats();
   out->reads = disk.reads;
   out->bytes = disk.bytes_read;
-  out->stats = db.stats();
   return true;
 }
 
@@ -274,14 +278,11 @@ int Run(int argc, char** argv) {
   }
 
   PathResult query;
-  int64_t derived_values = 0;
   {
     auto scope = MakeSimScope(mode);
     PlatformRuntime runtime(profile, experiment_options.time_scale,
                             (*experiment)->env(), mode);
-    if (!RunQueryPath(&runtime, dataset, flags, &query, &derived_values)) {
-      return 1;
-    }
+    if (!RunQueryPath(&runtime, dataset, flags, &query)) return 1;
   }
 
   std::printf("  %-14s %10s %12s %10s %10s\n", "path", "reads", "bytes",
@@ -303,10 +304,9 @@ int Run(int argc, char** argv) {
       unit.reads > 0 ? 100.0 * (1.0 - static_cast<double>(query.reads) /
                                           static_cast<double>(unit.reads))
                      : 0;
-  const GboStats& plan = query.stats;
   // What the queries asked for vs what reached the device: the dedup'd
   // payload never left the cache.
-  const int64_t bytes_requested = query.bytes + plan.plan_bytes_saved;
+  const int64_t bytes_requested = query.bytes + query.bytes_saved;
   const double dedup_ratio =
       query.units_requested > 0
           ? static_cast<double>(query.dedup_hits) /
@@ -319,16 +319,16 @@ int Run(int argc, char** argv) {
               "units (ratio %.3f), %s requested -> %s issued (%s saved; "
               "acceptance: > 0) -> %s\n",
               query.plan_ms.Percentile(0.50), query.plan_ms.Percentile(0.99),
-              static_cast<long long>(plan.plan_batches_issued),
+              static_cast<long long>(query.batches_issued),
               static_cast<long long>(query.dedup_hits),
               static_cast<long long>(query.units_requested), dedup_ratio,
               FormatBytes(bytes_requested).c_str(),
               FormatBytes(query.bytes).c_str(),
-              FormatBytes(plan.plan_bytes_saved).c_str(),
-              plan.plan_bytes_saved > 0 ? "PASS" : "FAIL");
+              FormatBytes(query.bytes_saved).c_str(),
+              query.bytes_saved > 0 ? "PASS" : "FAIL");
   std::printf("  pushdown: %lld computations (%lld derived values)\n",
-              static_cast<long long>(plan.pushdown_computations),
-              static_cast<long long>(derived_values));
+              static_cast<long long>(query.pushdowns),
+              static_cast<long long>(query.derived_values));
   std::printf("  demand p99 (window settle): query %.3fms vs unit "
               "%.3fms -> %s\n",
               query.step_ms.Percentile(0.99), unit.step_ms.Percentile(0.99),
@@ -430,17 +430,15 @@ int Run(int argc, char** argv) {
   json.Add("dedup_hit_ratio", dedup_ratio);
   json.Add("plan_p50_ms", query.plan_ms.Percentile(0.50));
   json.Add("plan_p99_ms", query.plan_ms.Percentile(0.99));
-  json.Add("plan_dedup_hits", static_cast<double>(plan.plan_dedup_hits));
-  json.Add("plan_batches_issued",
-           static_cast<double>(plan.plan_batches_issued));
+  json.Add("plan_dedup_hits", static_cast<double>(query.dedup_hits));
+  json.Add("plan_batches_issued", static_cast<double>(query.batches_issued));
   json.Add("plan_bytes_saved_mib",
-           static_cast<double>(plan.plan_bytes_saved) / (1024.0 * 1024.0));
-  json.Add("pushdown_computations",
-           static_cast<double>(plan.pushdown_computations));
+           static_cast<double>(query.bytes_saved) / (1024.0 * 1024.0));
+  json.Add("pushdown_computations", static_cast<double>(query.pushdowns));
   json.Add("unit_step_p99_ms", unit.step_ms.Percentile(0.99));
   json.Add("query_step_p99_ms", query.step_ms.Percentile(0.99));
   if (!json.WriteTo(flags.json_path)) return 1;
-  return (reduction_pct >= 25.0 && plan.plan_bytes_saved > 0) ? 0 : 1;
+  return (reduction_pct >= 25.0 && query.bytes_saved > 0) ? 0 : 1;
 }
 
 }  // namespace

@@ -160,7 +160,7 @@ int Run(int argc, char** argv) {
   ServingOptions overload = MixedOptions(flags);
   GboOptions pressured = db_options;
   pressured.memory_limit_bytes = 6 * 1024 * 1024;  // ~96 units resident
-  GboStats after;
+  ServerStats after;
   ClassAgg inter, batch,bg;
   {
     auto scope = MakeSimScope(mode);
@@ -174,7 +174,7 @@ int Run(int argc, char** argv) {
     inter = Aggregate(*report, PriorityClass::kInteractive);
     batch = Aggregate(*report, PriorityClass::kBatch);
     bg = Aggregate(*report, PriorityClass::kBackground);
-    after = db.stats();
+    after = report->server;
   }
 
   std::printf("overload: %d clients vs a demand window of %d\n",
@@ -238,12 +238,12 @@ int Run(int argc, char** argv) {
               fairness);
   std::printf("  server counters: admitted=%lld queued=%lld rejected=%lld "
               "shed=%lld+%lld forced_unpins=%lld\n",
-              static_cast<long long>(after.serving_reads_admitted),
-              static_cast<long long>(after.serving_reads_queued),
-              static_cast<long long>(after.serving_reads_rejected),
-              static_cast<long long>(after.serving_prefetches_shed),
-              static_cast<long long>(after.serving_demand_shed),
-              static_cast<long long>(after.serving_forced_unpins));
+              static_cast<long long>(after.reads_admitted),
+              static_cast<long long>(after.reads_queued),
+              static_cast<long long>(after.reads_rejected),
+              static_cast<long long>(after.prefetches_shed),
+              static_cast<long long>(after.demand_shed),
+              static_cast<long long>(after.forced_unpins));
 
   // ----- Scenario 4 (discrete-event only): session-count scaling. Every
   // modeled delay lands on the virtual clock, so a thousand closed-loop
@@ -332,10 +332,8 @@ int Run(int argc, char** argv) {
   json.Add("fair_share_ratio", fairness);
   json.Add("background_rejected_reads",
            static_cast<double>(bg.reads_rejected));
-  json.Add("prefetches_shed",
-           static_cast<double>(after.serving_prefetches_shed));
-  json.Add("forced_unpins",
-           static_cast<double>(after.serving_forced_unpins));
+  json.Add("prefetches_shed", static_cast<double>(after.prefetches_shed));
+  json.Add("forced_unpins", static_cast<double>(after.forced_unpins));
   if (!json.WriteTo(flags.json_path)) return 1;
   return 0;
 }

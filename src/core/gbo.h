@@ -254,14 +254,6 @@ class Gbo {
   enum class UnitProbe { kAbsent, kResident, kInFlight };
   UnitProbe ProbeUnitForPlan(const std::string& unit_name) EXCLUDES(mu_);
 
-  // The query planner reports each Submit()'s plan outcome — units
-  // satisfied by dedup instead of new I/O, per-file batch loads actually
-  // dispatched, and the payload bytes dedup avoided re-requesting — plus
-  // derived-field push-down kernel executions as units land.
-  void ReportQueryPlan(int64_t dedup_hits, int64_t batches_issued,
-                       int64_t bytes_saved) EXCLUDES(mu_);
-  void ReportPushdownComputations(int64_t count = 1) EXCLUDES(mu_);
-
   // ---------------------------------------------------------------------
   // Live ingest: watch / supersede / invalidation (DESIGN.md §11).
 
@@ -330,33 +322,6 @@ class Gbo {
   // quarantine (e.g. after the operator replaced the file on disk).
   // NOT_FOUND if the file was never tracked.
   Status ResetFileHealth(const std::string& path) EXCLUDES(mu_);
-
-  // Read functions report gsdf-level resilience events so they surface in
-  // this database's stats: a file whose structural metadata was torn (it
-  // needed a salvage open), and how many datasets the salvage recovered.
-  void ReportTornWrite() EXCLUDES(mu_);
-  void ReportSalvagedDatasets(int64_t count) EXCLUDES(mu_);
-
-  // Read functions report how many dataset reads per-file coalescing
-  // merged away (gsdf::Reader::ReadBatch; see DESIGN.md §8), so the
-  // saving shows up in this database's stats.
-  void ReportCoalescedReads(int64_t count) EXCLUDES(mu_);
-
-  // The serving layer (GboServer, DESIGN.md §13) reports its aggregate
-  // admission / shedding activity so it surfaces in this database's
-  // stats() alongside the cache and ingest counters it degrades against.
-  enum class ServingCounter {
-    kSessionsOpened,
-    kSessionsClosed,
-    kReadsAdmitted,
-    kReadsQueued,
-    kReadsRejected,
-    kPrefetchesShed,
-    kDemandShed,
-    kForcedUnpins,
-  };
-  void ReportServingCounter(ServingCounter counter, int64_t count = 1)
-      EXCLUDES(mu_);
 
   // ---------------------------------------------------------------------
   // Introspection.

@@ -263,51 +263,6 @@ Status Gbo::ResetFileHealth(const std::string& path) {
   return Status::Ok();
 }
 
-void Gbo::ReportTornWrite() {
-  MutexLock lock(&mu_);
-  ++counters_.torn_writes_detected;
-}
-
-void Gbo::ReportSalvagedDatasets(int64_t count) {
-  MutexLock lock(&mu_);
-  counters_.salvaged_datasets += count;
-}
-
-void Gbo::ReportCoalescedReads(int64_t count) {
-  MutexLock lock(&mu_);
-  counters_.coalesced_reads += count;
-}
-
-void Gbo::ReportServingCounter(ServingCounter counter, int64_t count) {
-  MutexLock lock(&mu_);
-  switch (counter) {
-    case ServingCounter::kSessionsOpened:
-      counters_.sessions_opened += count;
-      break;
-    case ServingCounter::kSessionsClosed:
-      counters_.sessions_closed += count;
-      break;
-    case ServingCounter::kReadsAdmitted:
-      counters_.serving_reads_admitted += count;
-      break;
-    case ServingCounter::kReadsQueued:
-      counters_.serving_reads_queued += count;
-      break;
-    case ServingCounter::kReadsRejected:
-      counters_.serving_reads_rejected += count;
-      break;
-    case ServingCounter::kPrefetchesShed:
-      counters_.serving_prefetches_shed += count;
-      break;
-    case ServingCounter::kDemandShed:
-      counters_.serving_demand_shed += count;
-      break;
-    case ServingCounter::kForcedUnpins:
-      counters_.serving_forced_unpins += count;
-      break;
-  }
-}
-
 // ---------------------------------------------------------------------
 // Two-level prefetch queue. Demand misses (units an application thread is
 // blocked on) live in demand_queue_ and are always served before the
@@ -935,19 +890,6 @@ Gbo::UnitProbe Gbo::ProbeUnitForPlan(const std::string& unit_name) {
       return UnitProbe::kAbsent;
   }
   return UnitProbe::kAbsent;
-}
-
-void Gbo::ReportQueryPlan(int64_t dedup_hits, int64_t batches_issued,
-                          int64_t bytes_saved) {
-  MutexLock lock(&mu_);
-  counters_.plan_dedup_hits += dedup_hits;
-  counters_.plan_batches_issued += batches_issued;
-  counters_.plan_bytes_saved += bytes_saved;
-}
-
-void Gbo::ReportPushdownComputations(int64_t count) {
-  MutexLock lock(&mu_);
-  counters_.pushdown_computations += count;
 }
 
 // ---------------------------------------------------------------------

@@ -163,9 +163,8 @@ void Gbo::HandleStaleSettle(Shard& s, Unit* unit)
 
 Status Gbo::AdmitIngestLocked() {
   // The ingest gate and the serving layer share one threshold table
-  // (PressurePolicy, DESIGN.md §13); ResolvedPressure folds the legacy
-  // ingest_* aliases in so both spellings mean the same thing here.
-  const PressurePolicy pressure = options_.ResolvedPressure();
+  // (PressurePolicy, DESIGN.md §13).
+  const PressurePolicy& pressure = options_.pressure;
   if (pressure.queue_limit <= 0) return Status::Ok();
   const double fraction = std::clamp(pressure.high_water_fraction, 0.0, 1.0);
   auto over_memory = [this, fraction]() {

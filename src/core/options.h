@@ -141,36 +141,6 @@ struct GboOptions {
   // the serving layer; see PressurePolicy.
   PressurePolicy pressure;
 
-  // --- Back-compat aliases (pre-PressurePolicy spelling of the ingest
-  // gate). A non-default value here overrides the corresponding pressure
-  // field via ResolvedPressure(); new code should set `pressure` directly.
-
-  // Alias for pressure.queue_limit. 0 keeps pressure.queue_limit.
-  int ingest_queue_limit = 0;
-
-  // Alias for pressure.high_water_fraction; any value other than the 0.9
-  // default overrides it.
-  double ingest_memory_fraction = 0.9;
-
-  // Alias for pressure.admission; kReject overrides it.
-  IngestAdmission ingest_admission = IngestAdmission::kBlock;
-
-  // The effective pressure policy: `pressure` with any non-default legacy
-  // ingest_* alias folded in. Every consumer of memory-pressure thresholds
-  // (Gbo's ingest gate, GboServer's admission states) reads this, so the
-  // two spellings can never disagree.
-  PressurePolicy ResolvedPressure() const {
-    PressurePolicy resolved = pressure;
-    if (ingest_queue_limit != 0) resolved.queue_limit = ingest_queue_limit;
-    if (ingest_memory_fraction != 0.9) {
-      resolved.high_water_fraction = ingest_memory_fraction;
-    }
-    if (ingest_admission != IngestAdmission::kBlock) {
-      resolved.admission = ingest_admission;
-    }
-    return resolved;
-  }
-
   static GboOptions SingleThread() {
     GboOptions options;
     options.background_io = false;

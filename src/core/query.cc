@@ -153,14 +153,6 @@ Status QueryTicket::SubmitInternal() {
   if (session_ != nullptr && !misses.empty()) {
     GODIVA_RETURN_IF_ERROR(session_->SubmitBatchSet(std::move(misses)));
   }
-
-  QueryPlanStats snapshot;
-  {
-    MutexLock lock(&mu_);
-    snapshot = stats_;
-  }
-  db_->ReportQueryPlan(snapshot.dedup_resident + snapshot.dedup_in_flight,
-                       snapshot.batches_issued, snapshot.bytes_saved);
   return Status::Ok();
 }
 
@@ -259,8 +251,6 @@ Status QueryTicket::ConsumeUnit(size_t index) {
                         : query_.pushdown(db_, name, &produced);
     if (pushed.ok()) {
       if (!produced.empty()) {
-        db_->ReportPushdownComputations(
-            static_cast<int64_t>(produced.size()));
         MutexLock lock(&mu_);
         for (DerivedResult& derived : produced) {
           derived_.push_back(std::move(derived));

@@ -93,8 +93,7 @@ enum class QueryDisposition {
   kBatched,   // miss: this query dispatched the load
 };
 
-// Per-plan accounting, fixed at Submit (also pushed into GboStats'
-// plan_* counters).
+// Per-plan accounting, fixed at Submit.
 struct QueryPlanStats {
   int64_t units_requested = 0;
   int64_t dedup_resident = 0;
@@ -169,8 +168,8 @@ class QueryTicket {
 
   QueryTicket(Gbo* db, GboSession* session, GboQuery query);
 
-  // The planning pipeline: probe/dedup every unit, dispatch misses,
-  // report plan counters. Runs once, from QueryPlanner::Submit.
+  // The planning pipeline: probe/dedup every unit, dispatch misses.
+  // Runs once, from QueryPlanner::Submit.
   Status SubmitInternal();
   // Watch delivery (no Gbo locks held): marks members settled.
   void OnEvent(const Gbo::WatchEvent& event) EXCLUDES(mu_);

@@ -18,6 +18,19 @@ bool AtLeast(GboServer::PressureState state, GboServer::PressureState floor) {
   return static_cast<int>(state) >= static_cast<int>(floor);
 }
 
+// Adds one session's counters to a server total.
+void AddSessionStats(const SessionStats& counters, bool closed,
+                     ServerStats* total) {
+  ++total->sessions_opened;
+  if (closed) ++total->sessions_closed;
+  total->reads_admitted += counters.reads_admitted;
+  total->reads_queued += counters.reads_queued;
+  total->reads_rejected += counters.reads_rejected + counters.quota_rejections;
+  total->prefetches_shed += counters.prefetches_shed;
+  total->demand_shed += counters.demand_shed;
+  total->forced_unpins += counters.forced_unpins;
+}
+
 }  // namespace
 
 std::string_view PressureStateName(GboServer::PressureState state) {
@@ -37,7 +50,7 @@ std::string_view PressureStateName(GboServer::PressureState state) {
 GboServer::GboServer(Gbo* db, ServerOptions options)
     : db_(db),
       options_(std::move(options)),
-      pressure_(db->options().ResolvedPressure()) {
+      pressure_(db->options().pressure) {
   {
     MutexLock lock(&mu_);
     paused_ = options_.start_paused;
@@ -98,7 +111,6 @@ Result<std::unique_ptr<GboSession>> GboServer::OpenSession(
   session->handle = handle.get();
   active_.push_back(session.get());
   sessions_[id] = std::move(session);
-  db_->ReportServingCounter(Gbo::ServingCounter::kSessionsOpened);
   return handle;
 }
 
@@ -155,6 +167,15 @@ int GboServer::open_sessions() const {
   return open;
 }
 
+ServerStats GboServer::stats() const {
+  MutexLock lock(&mu_);
+  ServerStats total = retired_;
+  for (const auto& [id, session] : sessions_) {
+    AddSessionStats(session->counters, session->closed, &total);
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------
 // Session-facing entry points.
 
@@ -180,7 +201,6 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
        AtLeast(state, PressureState::kCritical));
   if (refused) {
     ++session->counters.reads_rejected;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("demand read rejected: memory pressure is ",
                PressureStateName(state), " and session ",
@@ -190,7 +210,6 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
   if (session->config.max_pinned_bytes > 0 &&
       session->pinned_bytes >= session->config.max_pinned_bytes) {
     ++session->counters.quota_rejections;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("pin budget exhausted: session ", session->config.name,
                " holds ", FormatBytes(session->pinned_bytes), " of ",
@@ -200,7 +219,6 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
       static_cast<int>(session->demand_q.size()) >=
           session->config.max_queued_demand) {
     ++session->counters.quota_rejections;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("demand queue quota exhausted: session ",
                session->config.name, " already has ",
@@ -208,7 +226,6 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
   }
   if (queued_total_ >= options_.max_queued_total) {
     ++session->counters.reads_rejected;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(StrCat("server queue full (",
                                          options_.max_queued_total,
                                          " tickets)"));
@@ -250,11 +267,9 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
     return ticket.cancel_reason;
   }
   ++session->counters.reads_admitted;
-  db_->ReportServingCounter(Gbo::ServingCounter::kReadsAdmitted);
   if (waited) {
     ++session->counters.reads_queued;
     session->counters.stall_seconds += stall.ElapsedSeconds();
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsQueued);
   }
   return Status::Ok();
 }
@@ -298,14 +313,12 @@ Status GboServer::RequestPrefetch(int64_t session_id,
   ApplyPressureLocked(state);
   if (AtLeast(state, PressureState::kDegraded)) {
     ++session->counters.prefetches_shed;
-    db_->ReportServingCounter(Gbo::ServingCounter::kPrefetchesShed);
     return ResourceExhaustedError(
         StrCat("prefetch rejected: memory pressure is ",
                PressureStateName(state)));
   }
   if (queued_total_ >= options_.max_queued_total) {
     ++session->counters.prefetches_shed;
-    db_->ReportServingCounter(Gbo::ServingCounter::kPrefetchesShed);
     return ResourceExhaustedError(StrCat("server queue full (",
                                          options_.max_queued_total,
                                          " tickets)"));
@@ -343,7 +356,6 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
        AtLeast(state, PressureState::kCritical));
   if (refused) {
     ++session->counters.reads_rejected;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("batch set rejected: memory pressure is ",
                PressureStateName(state), " and session ",
@@ -352,7 +364,6 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
   if (session->config.max_pinned_bytes > 0 &&
       session->pinned_bytes >= session->config.max_pinned_bytes) {
     ++session->counters.quota_rejections;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("pin budget exhausted: session ", session->config.name,
                " holds ", FormatBytes(session->pinned_bytes), " of ",
@@ -367,7 +378,6 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
       queued_here + static_cast<int>(batches.size()) >
           session->config.max_queued_demand) {
     ++session->counters.quota_rejections;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(
         StrCat("demand queue quota exhausted: session ",
                session->config.name, " has ", queued_here,
@@ -376,7 +386,6 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
   if (queued_total_ + static_cast<int>(batches.size()) >
       options_.max_queued_total) {
     ++session->counters.reads_rejected;
-    db_->ReportServingCounter(Gbo::ServingCounter::kReadsRejected);
     return ResourceExhaustedError(StrCat("server queue full (",
                                          options_.max_queued_total,
                                          " tickets)"));
@@ -440,7 +449,6 @@ Status GboServer::AwaitBatchSettle(int64_t session_id,
           session->batch_q.erase(it);
           --queued_total_;
           ++session->counters.demand_shed;
-          db_->ReportServingCounter(Gbo::ServingCounter::kDemandShed);
           break;
         }
       }
@@ -565,7 +573,6 @@ void GboServer::CloseSession(int64_t session_id) {
     }
     ReleasePinsLocked(session, /*forced=*/false);
     watch_ids.swap(session->watch_ids);
-    db_->ReportServingCounter(Gbo::ServingCounter::kSessionsClosed);
     DispatchLocked();
   }
   // Outside mu_: UnregisterWatch blocks until in-flight deliveries drain,
@@ -580,6 +587,7 @@ void GboServer::ReleaseSession(int64_t session_id) {
   MutexLock lock(&mu_);
   auto it = sessions_.find(session_id);
   if (it == sessions_.end()) return;
+  AddSessionStats(it->second->counters, it->second->closed, &retired_);
   it->second->handle = nullptr;
   sessions_.erase(it);
 }
@@ -734,7 +742,6 @@ bool GboServer::GrantBatchLocked(bool interactive_only) {
   --queued_total_;
   ++session->counters.batch_granted;
   ++session->counters.reads_admitted;
-  db_->ReportServingCounter(Gbo::ServingCounter::kReadsAdmitted);
   if (options_.record_dispatch_log) {
     AppendLogLocked(&dispatch_log_, StrCat("batch ", session->config.name,
                                            ":", ticket.unit_name));
@@ -829,7 +836,6 @@ void GboServer::ApplyPressureLocked(PressureState state) {
           session->prefetch_q.pop_front();
           --queued_total_;
           ++session->counters.prefetches_shed;
-          db_->ReportServingCounter(Gbo::ServingCounter::kPrefetchesShed);
         }
       }
     }
@@ -858,8 +864,6 @@ void GboServer::ForceUnpinIdleLocked() {
           (void)db_->FinishUnit(it->first);
         }
         session->counters.forced_unpins += it->second.pins;
-        db_->ReportServingCounter(Gbo::ServingCounter::kForcedUnpins,
-                                  it->second.pins);
         session->pinned_bytes -= it->second.bytes;
         session->pinned.erase(it);
       }
@@ -876,13 +880,11 @@ void GboServer::CancelSessionTicketsLocked(SessionState* session,
     ticket->state = TicketState::kCancelled;
     ticket->cancel_reason = reason;
     ++session->counters.demand_shed;
-    db_->ReportServingCounter(Gbo::ServingCounter::kDemandShed);
   }
   while (!session->prefetch_q.empty()) {
     session->prefetch_q.pop_front();
     --queued_total_;
     ++session->counters.prefetches_shed;
-    db_->ReportServingCounter(Gbo::ServingCounter::kPrefetchesShed);
   }
   while (!session->batch_q.empty()) {
     // Record the reason so a concurrent AwaitBatchSettle surfaces it
@@ -891,7 +893,6 @@ void GboServer::CancelSessionTicketsLocked(SessionState* session,
     session->batch_q.pop_front();
     --queued_total_;
     ++session->counters.demand_shed;
-    db_->ReportServingCounter(Gbo::ServingCounter::kDemandShed);
   }
 }
 
@@ -903,8 +904,6 @@ void GboServer::ReleasePinsLocked(SessionState* session, bool forced) {
     }
     if (forced) {
       session->counters.forced_unpins += entry.pins;
-      db_->ReportServingCounter(Gbo::ServingCounter::kForcedUnpins,
-                                entry.pins);
     }
   }
   session->pinned.clear();

@@ -85,6 +85,20 @@ struct ServerOptions {
   size_t log_limit = 65536;
 };
 
+// Aggregate admission and shedding activity of one server: its open
+// sessions' SessionStats counters plus every released session's, so the
+// totals outlive the sessions that produced them.
+struct ServerStats {
+  int64_t sessions_opened = 0;
+  int64_t sessions_closed = 0;
+  int64_t reads_admitted = 0;   // demand reads granted a dispatch slot
+  int64_t reads_queued = 0;     // granted reads that first had to wait
+  int64_t reads_rejected = 0;   // refused by pressure or a session quota
+  int64_t prefetches_shed = 0;  // prefetches refused, shed or cancelled
+  int64_t demand_shed = 0;      // queued demand tickets cancelled
+  int64_t forced_unpins = 0;    // pins released by the critical ladder
+};
+
 class GboServer {
  public:
   // `db` must outlive the server; every GboSession handle must be closed
@@ -105,7 +119,7 @@ class GboServer {
   Result<std::unique_ptr<GboSession>> OpenSession(SessionConfig config)
       EXCLUDES(mu_);
 
-  // Aggregate memory-pressure admission state, from the Gbo's resolved
+  // Aggregate memory-pressure admission state, from the Gbo's
   // PressurePolicy fractions (DESIGN.md §13 ladder).
   enum class PressureState {
     kOpen = 0,       // below degrade_fraction: everything admitted
@@ -133,6 +147,7 @@ class GboServer {
   std::vector<std::string> ShedLog() const EXCLUDES(mu_);
 
   int open_sessions() const EXCLUDES(mu_);
+  ServerStats stats() const EXCLUDES(mu_);
   Gbo* db() const { return db_; }
   const ServerOptions& options() const { return options_; }
 
@@ -284,7 +299,7 @@ class GboServer {
   // lint: unguarded(set at construction, read-only afterwards)
   Gbo* db_;
   const ServerOptions options_;
-  // Pressure thresholds resolved once from the Gbo's options.
+  // Pressure thresholds, copied from the Gbo's options.
   const PressurePolicy pressure_;
   // lint: unguarded(written once in the constructor, read in ~GboServer)
   int64_t watch_id_ = 0;
@@ -295,6 +310,8 @@ class GboServer {
   CondVar ticket_cv_;  // grants, cancellations, inflight drains
 
   std::map<int64_t, std::unique_ptr<SessionState>> sessions_ GUARDED_BY(mu_);
+  // Counters of released sessions (see stats()).
+  ServerStats retired_ GUARDED_BY(mu_);
   // DRR active list: open sessions in creation order (the deterministic
   // scan order of both scheduler lanes).
   std::vector<SessionState*> active_ GUARDED_BY(mu_);

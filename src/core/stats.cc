@@ -16,7 +16,6 @@ std::string GboStats::ToString() const {
       " prefetch=", FormatSeconds(prefetch_seconds),
       " pool[queue_hw=", queue_depth_high_water,
       " promotions=", demand_promotions,
-      " coalesced=", coalesced_reads,
       " busy=", FormatSeconds(io_busy_seconds),
       per_thread.empty() ? "" : StrCat(" (", per_thread, ")"),
       "] units[added=", units_added, " prefetched=", units_prefetched,
@@ -27,24 +26,12 @@ std::string GboStats::ToString() const {
       units_failed_permanent,
       "] resilience[quarantined=", files_quarantined,
       " short_circuited=", reads_short_circuited,
-      " salvaged=", salvaged_datasets,
-      " torn_writes=", torn_writes_detected,
       "] ingest[superseded=", units_superseded,
       " invalidated=", units_invalidated,
       " notifications=", watch_notifications,
       " stalls=", ingest_admission_stalls,
       " stall_time=", FormatSeconds(ingest_stall_seconds),
       " rejected=", publishes_rejected,
-      "] serving[sessions=", sessions_opened, "/", sessions_closed,
-      " admitted=", serving_reads_admitted,
-      " queued=", serving_reads_queued,
-      " rejected=", serving_reads_rejected,
-      " shed=", serving_prefetches_shed, "+", serving_demand_shed,
-      " forced_unpins=", serving_forced_unpins,
-      "] plan[dedup=", plan_dedup_hits,
-      " batches=", plan_batches_issued,
-      " saved=", FormatBytes(plan_bytes_saved),
-      " pushdown=", pushdown_computations,
       "] invariant_checks=", invariant_checks,
       " records[created=", records_created,
       " committed=", records_committed, "] lookups[", key_lookups, "/",

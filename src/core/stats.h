@@ -22,8 +22,6 @@ struct GboStats {
   int64_t demand_promotions = 0;     // queued units jumped ahead of the
                                      // speculative queue because a thread
                                      // blocked on them
-  int64_t coalesced_reads = 0;       // dataset reads merged away by per-file
-                                     // coalescing (reported by read fns)
   int64_t queue_depth_high_water = 0;  // max queued units (demand +
                                        // speculative) ever outstanding
   double io_busy_seconds = 0;        // summed busy time of all pool threads
@@ -46,14 +44,11 @@ struct GboStats {
   int64_t units_failed_permanent = 0;  // reads that ended in kFailed after
                                        // exhausting the retry policy
 
-  // Corruption resilience (PR 3). The first two are maintained by the
-  // per-file circuit breaker; the last two are reported by read functions
-  // via ReportSalvagedDatasets/ReportTornWrite when gsdf salvage kicks in.
+  // Corruption resilience (PR 3), maintained by the per-file circuit
+  // breaker.
   int64_t files_quarantined = 0;       // files tripped by the circuit breaker
   int64_t reads_short_circuited = 0;   // unit reads failed fast against a
                                        // quarantined file (no read-fn call)
-  int64_t salvaged_datasets = 0;       // datasets recovered by salvage scans
-  int64_t torn_writes_detected = 0;    // files that needed a salvage open
 
   // Live ingest (PR 6): SupersedeUnit / watch registry / ingest admission.
   int64_t units_superseded = 0;   // SupersedeUnit publishes accepted
@@ -66,34 +61,6 @@ struct GboStats {
                                      // in the admission gate
   int64_t publishes_rejected = 0;    // publishes refused outright
                                      // (IngestAdmission::kReject)
-
-  // Serving layer (PR 8): aggregate GboServer admission / fairness /
-  // shedding activity, reported by the server via ReportServingCounter so
-  // one stats() snapshot covers the whole stack. Per-session detail lives
-  // in GboSession::stats().
-  int64_t sessions_opened = 0;
-  int64_t sessions_closed = 0;
-  int64_t serving_reads_admitted = 0;   // demand reads granted a dispatch slot
-  int64_t serving_reads_queued = 0;     // demand reads that had to wait for one
-  int64_t serving_reads_rejected = 0;   // demand reads refused (quota/pressure)
-  int64_t serving_prefetches_shed = 0;  // queued prefetch tickets cancelled by
-                                        // the shed ladder
-  int64_t serving_demand_shed = 0;      // queued demand tickets cancelled
-                                        // (session death or shed ladder)
-  int64_t serving_forced_unpins = 0;    // pins released from idle over-budget
-                                        // sessions at critical pressure
-
-  // Query planning (PR 10): declarative batch queries planned as a whole
-  // before any I/O (QueryPlanner, DESIGN.md §15). Reported once per
-  // Submit() (plan_*) and as push-down kernels run on landing units.
-  int64_t plan_dedup_hits = 0;        // planned units satisfied by a cache-
-                                      // resident or in-flight unit instead
-                                      // of new I/O
-  int64_t plan_batches_issued = 0;    // per-file batch loads dispatched
-  int64_t plan_bytes_saved = 0;       // payload bytes dedup avoided
-                                      // re-requesting
-  int64_t pushdown_computations = 0;  // derived-field kernel executions run
-                                      // on units as they landed
 
   // Debug-build consistency audits that ran (GODIVA_DEBUG_INVARIANTS; see
   // Gbo::CheckInvariants). Stays 0 when the checks are compiled out.

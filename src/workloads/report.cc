@@ -69,7 +69,7 @@ void PrintSkipped(const CellResult& result, int snapshots_processed) {
 std::string FormatResilience(const CellResult& result) {
   const GboStats& gbo = result.gbo;
   if (gbo.files_quarantined == 0 && gbo.reads_short_circuited == 0 &&
-      gbo.salvaged_datasets == 0 && gbo.torn_writes_detected == 0 &&
+      result.salvaged_datasets == 0 && result.torn_writes == 0 &&
       result.quarantined_files.empty()) {
     return "";
   }
@@ -77,8 +77,8 @@ std::string FormatResilience(const CellResult& result) {
       "  ", result.test, "(", result.variant, "): resilience: ",
       gbo.files_quarantined, " files quarantined, ",
       gbo.reads_short_circuited, " reads short-circuited, ",
-      gbo.salvaged_datasets, " datasets salvaged from ",
-      gbo.torn_writes_detected, " torn writes\n");
+      result.salvaged_datasets, " datasets salvaged from ",
+      result.torn_writes, " torn writes\n");
   for (const std::string& path : result.quarantined_files) {
     out += StrCat("    quarantined: ", path, "\n");
   }
@@ -94,7 +94,7 @@ std::string FormatPoolStats(const CellResult& result) {
   const GboStats& gbo = result.gbo;
   size_t threads = gbo.io_thread_busy_seconds.size();
   if (threads <= 1 && gbo.demand_promotions == 0 &&
-      gbo.coalesced_reads == 0 && gbo.plan_batches_issued == 0) {
+      result.coalesced_reads == 0) {
     return "";
   }
   std::string per_thread;
@@ -102,24 +102,14 @@ std::string FormatPoolStats(const CellResult& result) {
     if (i > 0) per_thread += "/";
     per_thread += StrFormat("%.1f", gbo.io_thread_busy_seconds[i]);
   }
-  std::string plan;
-  if (gbo.plan_batches_issued > 0 || gbo.plan_dedup_hits > 0 ||
-      gbo.pushdown_computations > 0) {
-    plan = StrCat(", plan: ", gbo.plan_batches_issued, " batches, ",
-                  gbo.plan_dedup_hits, " dedup hits, ",
-                  StrFormat("%.1f", static_cast<double>(
-                                        gbo.plan_bytes_saved) /
-                                        (1024.0 * 1024.0)),
-                  " MiB saved, ", gbo.pushdown_computations, " pushdowns");
-  }
   return StrCat("  ", result.test, "(", result.variant, "): pool: ", threads,
                 threads == 1 ? " thread" : " threads", ", queue high-water ",
                 gbo.queue_depth_high_water, ", ", gbo.demand_promotions,
-                " demand promotions, ", gbo.coalesced_reads,
+                " demand promotions, ", result.coalesced_reads,
                 " reads coalesced, busy ",
                 StrFormat("%.1fs", gbo.io_busy_seconds),
                 per_thread.empty() ? "" : StrCat(" (", per_thread, ")"),
-                plan, "\n");
+                "\n");
 }
 
 void PrintPoolStats(const CellResult& result) {

@@ -216,6 +216,7 @@ Result<ServingReport> RunServingWorkload(Gbo* db,
   for (Thread& thread : threads) thread.join();
   report.final_pressure = server.pressure_state();
   sessions.clear();  // close every session before the server dies
+  report.server = server.stats();
   return report;
 }
 

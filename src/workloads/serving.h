@@ -93,6 +93,8 @@ struct ClientResult {
 struct ServingReport {
   std::vector<ClientResult> clients;
   GboServer::PressureState final_pressure = GboServer::PressureState::kOpen;
+  // The server's totals, taken after every session closed.
+  ServerStats server;
 };
 
 // Defines the driver's synthetic schema on `db` ("serving_chunk": one key

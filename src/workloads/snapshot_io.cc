@@ -47,11 +47,11 @@ Status ReadDatasetIntoVector(PlatformRuntime* runtime,
 
 // Opens `path`, falling back to a salvage scan when permitted and the
 // structural open fails with DATA_LOSS (torn footer, directory CRC
-// mismatch). A salvage open reports the torn write and the number of
-// recovered datasets to `db` so they show up in GboStats.
+// mismatch). A salvage open counts the torn write and the number of
+// recovered datasets into `counters` (if any).
 Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
     PlatformRuntime* runtime, const std::string& path, bool salvage,
-    Gbo* db) {
+    SnapshotReadCounters* counters) {
   Result<std::unique_ptr<gsdf::Reader>> reader =
       gsdf::Reader::Open(runtime->io_env(), path);
   if (reader.ok() || !salvage ||
@@ -60,9 +60,12 @@ Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
   }
   GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> salvaged,
                           gsdf::Reader::OpenSalvage(runtime->io_env(), path));
-  db->ReportTornWrite();
-  db->ReportSalvagedDatasets(
-      static_cast<int64_t>(salvaged->datasets().size()));
+  if (counters != nullptr) {
+    counters->torn_writes.fetch_add(1, std::memory_order_relaxed);
+    counters->salvaged_datasets.fetch_add(
+        static_cast<int64_t>(salvaged->datasets().size()),
+        std::memory_order_relaxed);
+  }
   return salvaged;
 }
 
@@ -73,7 +76,8 @@ Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
 Status LoadFileCoalesced(PlatformRuntime* runtime, const gsdf::Reader& reader,
                          const std::vector<int32_t>& blocks, int snapshot,
                          const std::vector<std::string>& quantities,
-                         bool verify, Gbo* db) {
+                         bool verify, SnapshotReadCounters* counters,
+                         Gbo* db) {
   std::vector<gsdf::BatchRequest> batch;
   std::vector<Record*> records;
   records.reserve(blocks.size());
@@ -112,7 +116,10 @@ Status LoadFileCoalesced(PlatformRuntime* runtime, const gsdf::Reader& reader,
   GODIVA_ASSIGN_OR_RETURN(gsdf::BatchStats stats,
                           reader.ReadBatch(batch, batch_options));
   runtime->ChargeDecode(total_bytes);
-  if (stats.coalesced > 0) db->ReportCoalescedReads(stats.coalesced);
+  if (counters != nullptr) {
+    counters->coalesced_reads.fetch_add(stats.coalesced,
+                                        std::memory_order_relaxed);
+  }
   for (Record* record : records) {
     GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
   }
@@ -136,13 +143,14 @@ Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
     for (const std::string& path : dataset->SnapshotFiles(snapshot)) {
       GODIVA_ASSIGN_OR_RETURN(
           std::unique_ptr<gsdf::Reader> reader,
-          OpenSnapshotFile(runtime, path, options.salvage, db));
+          OpenSnapshotFile(runtime, path, options.salvage, options.counters));
       std::vector<int32_t> blocks;
       GODIVA_RETURN_IF_ERROR(
           ReadDatasetIntoVector(runtime, *reader, "blocks", &blocks, verify));
       if (options.coalesce) {
-        GODIVA_RETURN_IF_ERROR(LoadFileCoalesced(
-            runtime, *reader, blocks, snapshot, quantities, verify, db));
+        GODIVA_RETURN_IF_ERROR(LoadFileCoalesced(runtime, *reader, blocks,
+                                                 snapshot, quantities, verify,
+                                                 options.counters, db));
         continue;
       }
       for (int32_t block_id : blocks) {

@@ -8,6 +8,7 @@
 #ifndef GODIVA_WORKLOADS_SNAPSHOT_IO_H_
 #define GODIVA_WORKLOADS_SNAPSHOT_IO_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -20,6 +21,18 @@
 
 namespace godiva::workloads {
 
+// What the snapshot read functions sharing it salvaged and coalesced.
+// Owned by the caller; I/O pool threads add to it, hence relaxed atomics.
+struct SnapshotReadCounters {
+  // Files that needed a salvage open, and the datasets those opens
+  // recovered.
+  std::atomic<int64_t> torn_writes{0};
+  std::atomic<int64_t> salvaged_datasets{0};
+  // Dataset reads that per-file coalescing merged into a neighbour's
+  // transfer.
+  std::atomic<int64_t> coalesced_reads{0};
+};
+
 struct SnapshotReadOptions {
   // Verify every dataset against its stored __crc32 while loading (single
   // pass; no re-read). A mismatch surfaces as DATA_LOSS, which the default
@@ -29,20 +42,23 @@ struct SnapshotReadOptions {
 
   // When a snapshot file fails to open with DATA_LOSS (torn footer or a
   // directory CRC mismatch), reopen it with gsdf::Reader::OpenSalvage and
-  // serve whatever checksum-valid datasets survive. The read fn reports
-  // torn_writes_detected/salvaged_datasets to the database; a block whose
-  // required datasets did not survive still fails the unit with DATA_LOSS.
+  // serve whatever checksum-valid datasets survive (counted in
+  // `counters`). A block whose required datasets did not survive still
+  // fails the unit with DATA_LOSS.
   bool salvage = false;
 
   // Per-file coalescing: gather each file's datasets into one
   // gsdf::Reader::ReadBatch, which merges adjacent payloads into single
   // transfers (one seek per run instead of one per dataset). Off by
   // default — the per-dataset path is the paper's access pattern and the
-  // byte-for-byte baseline. The number of merged-away reads is reported
-  // via Gbo::ReportCoalescedReads. Incompatible with salvage readers only
-  // in the sense that missing datasets fail the batch exactly as they fail
-  // the per-dataset path.
+  // byte-for-byte baseline. Merged-away reads are counted in `counters`.
+  // Incompatible with salvage readers only in the sense that missing
+  // datasets fail the batch exactly as they fail the per-dataset path.
   bool coalesce = false;
+
+  // Where the read function counts salvage opens and coalesced reads;
+  // null counts nothing. Must outlive the read function.
+  SnapshotReadCounters* counters = nullptr;
 };
 
 // Returns a read function that loads the unit named "snap_NNNN": for every

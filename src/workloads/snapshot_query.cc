@@ -101,10 +101,8 @@ Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
     batch_options.max_gap = limits.max_gap;
     batch_options.max_transfer = limits.max_transfer;
     batch_options.verify = verify;
-    GODIVA_ASSIGN_OR_RETURN(gsdf::BatchStats stats,
-                            reader->ReadBatch(batch, batch_options));
+    GODIVA_RETURN_IF_ERROR(reader->ReadBatch(batch, batch_options).status());
     runtime->ChargeDecode(total_bytes);
-    if (stats.coalesced > 0) db->ReportCoalescedReads(stats.coalesced);
     for (Record* record : records) {
       GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
     }

@@ -7,11 +7,9 @@
 #include "common/clock.h"
 #include "core/gbo.h"
 #include "core/options.h"
-#include "core/query.h"
 #include "core/record.h"
 #include "workloads/block_schema.h"
 #include "workloads/snapshot_io.h"
-#include "workloads/snapshot_query.h"
 
 namespace godiva::workloads {
 namespace {
@@ -93,8 +91,6 @@ Status RunOriginal(PlatformRuntime* runtime, const RunConfig& config,
 
 // Builds render views straight over the GODIVA field buffers: no copies,
 // the mesh is read once per snapshot no matter how many passes use it.
-// Shared by the unit-at-a-time path and the query path (the two commit
-// identical block records).
 Result<std::vector<BlockView>> BuildSnapshotViews(
     Gbo* db, const mesh::SnapshotDataset& dataset, int snapshot,
     const std::vector<std::string>& quantities) {
@@ -143,6 +139,9 @@ Status RunGodiva(PlatformRuntime* runtime, const RunConfig& config,
   options.memory_limit_bytes = config.godiva_memory_bytes;
   options.retry = config.retry;
   options.quarantine_threshold = config.quarantine_threshold;
+  // Declared before the database so it outlives the pool threads that
+  // run the read function.
+  SnapshotReadCounters counters;
   Gbo db(options);
   GODIVA_RETURN_IF_ERROR(DefineBlockSchema(&db));
 
@@ -151,7 +150,8 @@ Status RunGodiva(PlatformRuntime* runtime, const RunConfig& config,
       runtime, &dataset, quantities,
       SnapshotReadOptions{.verify_checksums = config.verify_checksums,
                           .salvage = config.salvage,
-                          .coalesce = config.coalesce_reads});
+                          .coalesce = config.coalesce_reads,
+                          .counters = &counters});
 
   // Batch mode: announce every unit up front, in processing order. Each
   // unit declares the snapshot files it reads so the per-file circuit
@@ -198,88 +198,9 @@ Status RunGodiva(PlatformRuntime* runtime, const RunConfig& config,
   }
   result->gbo = db.stats();
   result->quarantined_files = db.QuarantinedFiles();
-  return Status::Ok();
-}
-
-// G / TG through the declarative query layer (RunConfig::use_query_api,
-// DESIGN.md §15): one GboQuery per snapshot — a unit per snapshot file,
-// extents described at plan time and executed as one ReadBatch per file —
-// all submitted up front so loads overlap processing exactly like the
-// legacy batch mode, then consumed in processing order.
-Status RunGodivaQuery(PlatformRuntime* runtime, const RunConfig& config,
-                      CellResult* result) {
-  const mesh::SnapshotDataset& dataset = *config.dataset;
-  if (config.salvage) {
-    return InvalidArgumentError(
-        "use_query_api is incompatible with salvage (the planner needs a "
-        "structurally intact dataset directory)");
-  }
-  GboOptions options;
-  options.background_io = (config.variant == Variant::kGodivaMultiThread);
-  options.io_threads = config.io_threads;
-  options.memory_limit_bytes = config.godiva_memory_bytes;
-  options.retry = config.retry;
-  options.quarantine_threshold = config.quarantine_threshold;
-  Gbo db(options);
-  GODIVA_RETURN_IF_ERROR(DefineBlockSchema(&db));
-
-  std::vector<std::string> quantities = config.test.AllQuantities();
-  std::vector<int> snapshots = SnapshotsToProcess(config);
-
-  QueryPlanner planner(&db);
-  std::vector<std::unique_ptr<QueryTicket>> tickets;
-  tickets.reserve(snapshots.size());
-  for (int snapshot : snapshots) {
-    SnapshotQueryOptions query_options;
-    query_options.fields = quantities;
-    query_options.snapshot_begin = snapshot;
-    query_options.snapshot_end = snapshot + 1;
-    query_options.verify_checksums = config.verify_checksums;
-    query_options.deadline = config.unit_wait_deadline;
-    GODIVA_ASSIGN_OR_RETURN(
-        GboQuery query,
-        BuildSnapshotQuery(runtime, &dataset, query_options));
-    GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<QueryTicket> ticket,
-                            planner.Submit(std::move(query)));
-    tickets.push_back(std::move(ticket));
-  }
-
-  for (size_t i = 0; i < snapshots.size(); ++i) {
-    const int snapshot = snapshots[i];
-    QueryTicket& ticket = *tickets[i];
-    Status wait = ticket.WaitAll();
-    if (!wait.ok()) {
-      if (!config.skip_failed_snapshots) return wait;
-      result->skipped.push_back({snapshot, wait});
-      // Release whatever landed and drop its bookkeeping; a unit still
-      // mid-read refuses deletion, which is fine — the sweep moves on.
-      (void)ticket.FinishAll();  // lint: discard_ok(best-effort skip path)
-      for (const std::string& unit : ticket.unit_names()) {
-        (void)db.DeleteUnit(
-            unit);  // lint: discard_ok(best-effort skip path)
-      }
-      continue;
-    }
-
-    GODIVA_ASSIGN_OR_RETURN(
-        std::vector<BlockView> views,
-        BuildSnapshotViews(&db, dataset, snapshot, quantities));
-    for (const RenderPass& pass : config.test.passes) {
-      GODIVA_ASSIGN_OR_RETURN(PassResult pass_result,
-                              ProcessPass(pass, views, config.process));
-      ChargePassCompute(runtime, config.test, pass_result);
-      result->triangles += pass_result.triangles;
-      result->tets_visited += pass_result.tets_visited;
-    }
-
-    // Batch mode knows the data will not be revisited (paper §3.2).
-    GODIVA_RETURN_IF_ERROR(ticket.FinishAll());
-    for (const std::string& unit : ticket.unit_names()) {
-      GODIVA_RETURN_IF_ERROR(db.DeleteUnit(unit));
-    }
-  }
-  result->gbo = db.stats();
-  result->quarantined_files = db.QuarantinedFiles();
+  result->torn_writes = counters.torn_writes.load();
+  result->salvaged_datasets = counters.salvaged_datasets.load();
+  result->coalesced_reads = counters.coalesced_reads.load();
   return Status::Ok();
 }
 
@@ -313,8 +234,6 @@ Result<CellResult> RunVoyager(PlatformRuntime* runtime,
   if (config.variant == Variant::kOriginal) {
     GODIVA_RETURN_IF_ERROR(
         RunOriginal(runtime, config, &visible_io, &result));
-  } else if (config.use_query_api) {
-    GODIVA_RETURN_IF_ERROR(RunGodivaQuery(runtime, config, &result));
   } else {
     GODIVA_RETURN_IF_ERROR(RunGodiva(runtime, config, &result));
   }

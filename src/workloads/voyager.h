@@ -79,18 +79,6 @@ struct RunConfig {
   // (SnapshotReadOptions::coalesce): merge file-adjacent datasets into
   // single transfers.
   bool coalesce_reads = false;
-
-  // --- Declarative query path (G/TG variants; DESIGN.md §15) ---
-
-  // Route snapshot loading through GboQuery/QueryPlanner instead of the
-  // unit-at-a-time AddUnit loop: one unit per (snapshot, file) planned
-  // with DescribeExtents and executed as one ReadBatch per file, with
-  // cross-snapshot dedup against cache-resident and in-flight units. The
-  // legacy path is preserved (and remains the default). Incompatible with
-  // `salvage` (the planner needs a structurally intact directory). Under
-  // this flag `unit_wait_deadline` bounds each snapshot's query from its
-  // submission (all snapshots submit up front) rather than per wait.
-  bool use_query_api = false;
 };
 
 // One cell of Figure 3: times in modeled seconds (wall time divided by the
@@ -126,6 +114,11 @@ struct CellResult {
   // Snapshot files the per-file circuit breaker quarantined during the
   // run (sorted). Empty unless reads failed permanently enough times.
   std::vector<std::string> quarantined_files;
+
+  // The snapshot read function's SnapshotReadCounters (zeros for O).
+  int64_t torn_writes = 0;        // files that needed a salvage open
+  int64_t salvaged_datasets = 0;  // datasets those opens recovered
+  int64_t coalesced_reads = 0;    // dataset reads coalescing merged away
 
   GboStats gbo;  // zeros for the O variant
 };

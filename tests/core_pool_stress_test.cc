@@ -429,7 +429,7 @@ TEST(PoolStressTest, MultiSessionServingSoak) {
   Status audit = db.CheckInvariants();
   EXPECT_TRUE(audit.ok()) << audit.ToString();
   handles.clear();  // closes every surviving session
-  GboStats stats = db.stats();
+  ServerStats stats = server.stats();
   EXPECT_EQ(stats.sessions_opened, sessions_n);
   EXPECT_EQ(stats.sessions_closed, sessions_n);
   // Every pin went back when the sessions closed (the deterministic

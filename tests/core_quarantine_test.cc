@@ -259,16 +259,5 @@ TEST(QuarantineTest, RetriesCountOncePerPermanentFailure) {
   EXPECT_EQ(db.stats().reads_short_circuited, 1);
 }
 
-TEST(QuarantineTest, ReportHooksFeedStats) {
-  Gbo db(SingleThreadNoRetry(3));
-  DefineUnitSchema(&db);
-  db.ReportTornWrite();
-  db.ReportSalvagedDatasets(7);
-  db.ReportSalvagedDatasets(2);
-  GboStats stats = db.stats();
-  EXPECT_EQ(stats.torn_writes_detected, 1);
-  EXPECT_EQ(stats.salvaged_datasets, 9);
-}
-
 }  // namespace
 }  // namespace godiva

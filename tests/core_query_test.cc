@@ -402,11 +402,6 @@ TEST(QueryApiTest, DedupAgainstResidentPinsImmediately) {
   EXPECT_EQ(b_runs.load(), 1);
   // The probe pinned q/a at plan time: FinishAll releasing both proves it.
   EXPECT_TRUE((*ticket)->FinishAll().ok());
-
-  GboStats stats = db->stats();
-  EXPECT_EQ(stats.plan_dedup_hits, 1);
-  EXPECT_EQ(stats.plan_batches_issued, 1);
-  EXPECT_EQ(stats.plan_bytes_saved, kUnitPayload);
 }
 
 TEST(QueryApiTest, DedupAgainstInFlightJoinsTheLoad) {
@@ -502,7 +497,6 @@ TEST(QueryApiTest, PushdownRunsPerUnitAsItLands) {
   std::vector<DerivedResult> derived = (*ticket)->TakeDerived();
   ASSERT_EQ(derived.size(), 2u);
   EXPECT_EQ(derived[0].field, "derived");
-  EXPECT_EQ(db->stats().pushdown_computations, 2);
   EXPECT_TRUE((*ticket)->FinishAll().ok());
   EXPECT_TRUE((*ticket)->TakeDerived().empty());  // moved out above
 }

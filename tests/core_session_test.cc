@@ -208,7 +208,7 @@ TEST(SessionTest, SessionDeathReleasesPinsAndWatches) {
   ASSERT_TRUE(db->FinishUnit("hot/w1").ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(events.load(), before);
-  GboStats stats = db->stats();
+  ServerStats stats = server.stats();
   EXPECT_EQ(stats.sessions_opened, 1);
   EXPECT_EQ(stats.sessions_closed, 1);
 }
@@ -283,8 +283,7 @@ TEST(ServerTest, PressureLadderRejectsByClass) {
 
   SessionStats bg_stats = (*bg_session)->stats();
   EXPECT_EQ(bg_stats.reads_rejected, 1);
-  GboStats stats = db->stats();
-  EXPECT_GE(stats.serving_reads_rejected, 2);
+  EXPECT_GE(server.stats().reads_rejected, 2);
 }
 
 TEST(ServerTest, ShedLadderDrainsPrefetchLowestClassFirst) {
@@ -335,7 +334,7 @@ TEST(ServerTest, ShedLadderDrainsPrefetchLowestClassFirst) {
   EXPECT_EQ((*bg_session)->stats().prefetches_shed, 3);
   EXPECT_EQ((*batch_session)->stats().prefetches_shed, 3);
   EXPECT_EQ((*inter_session)->stats().prefetches_shed, 3);
-  EXPECT_EQ(db->stats().serving_prefetches_shed, 9);
+  EXPECT_EQ(server.stats().prefetches_shed, 9);
 }
 
 TEST(ServerTest, ForcedUnpinOfIdleOverBudgetSessions) {
@@ -356,7 +355,7 @@ TEST(ServerTest, ForcedUnpinOfIdleOverBudgetSessions) {
   EXPECT_EQ(stats.pinned_units, 0);
   EXPECT_EQ(stats.pinned_bytes, 0);
   EXPECT_EQ(stats.forced_unpins, 1);
-  EXPECT_EQ(db->stats().serving_forced_unpins, 1);
+  EXPECT_EQ(server.stats().forced_unpins, 1);
   // The unpin really reached the Gbo: with every fill unit pinned,
   // cold/u0 is the only eviction candidate, so reading past the remaining
   // headroom must evict exactly it. (A leaked pin would wedge these reads
@@ -469,18 +468,31 @@ TEST(ServerTest, TwoHundredSessionDiscreteEventSweepIsFast) {
   EXPECT_LT(wall_seconds, 5.0);
 }
 
-TEST(ServerTest, StatsToStringCoversServing) {
+TEST(ServerTest, ServerTotalsOutliveTheirSessions) {
   auto db = MakeDb(64 * 1024 * 1024);
-  GboServer server(db.get());
+  ServerOptions options;
+  options.start_paused = true;
+  GboServer server(db.get(), options);
+  {
+    auto session = server.OpenSession(SessionConfig{});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->Prefetch("hot/p0", FastRead()).ok());
+    ASSERT_TRUE((*session)->Prefetch("hot/p1", FastRead()).ok());
+    (*session)->Close();  // cancels both queued prefetches
+    ServerStats closed = server.stats();
+    EXPECT_EQ(closed.prefetches_shed, 2);
+    EXPECT_EQ(closed.sessions_closed, 1);
+  }
+  // The released session's counters stay in the server's totals.
+  server.ResumeDispatch();
   auto session = server.OpenSession(SessionConfig{});
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE((*session)->Read("hot/u0", FastRead()).ok());
   ASSERT_TRUE((*session)->Finish("hot/u0").ok());
-  (*session)->Close();
-  std::string text = db->stats().ToString();
-  EXPECT_NE(text.find("serving["), std::string::npos) << text;
-  EXPECT_EQ(db->stats().serving_reads_admitted, 1);
-  EXPECT_EQ(db->stats().sessions_closed, 1);
+  ServerStats stats = server.stats();
+  EXPECT_EQ(stats.sessions_opened, 2);
+  EXPECT_EQ(stats.prefetches_shed, 2);
+  EXPECT_EQ(stats.reads_admitted, 1);
 }
 
 }  // namespace

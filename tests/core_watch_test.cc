@@ -286,8 +286,8 @@ TEST(WatchTest, DeleteUnitCancelsPendingPublish) {
 
 TEST(WatchTest, AdmissionRejectPolicyReturnsResourceExhausted) {
   GboOptions options = BackgroundNoRetry(/*io_threads=*/1);
-  options.ingest_queue_limit = 1;
-  options.ingest_admission = IngestAdmission::kReject;
+  options.pressure.queue_limit = 1;
+  options.pressure.admission = IngestAdmission::kReject;
   Gbo db(options);
   DefineUnitSchema(&db);
   std::atomic<bool> gate{false};
@@ -317,8 +317,8 @@ TEST(WatchTest, AdmissionRejectPolicyReturnsResourceExhausted) {
 
 TEST(WatchTest, AdmissionBlockPolicyStallsUntilBacklogDrains) {
   GboOptions options = BackgroundNoRetry(/*io_threads=*/1);
-  options.ingest_queue_limit = 1;
-  options.ingest_admission = IngestAdmission::kBlock;
+  options.pressure.queue_limit = 1;
+  options.pressure.admission = IngestAdmission::kBlock;
   Gbo db(options);
   DefineUnitSchema(&db);
   std::atomic<bool> gate{false};

@@ -220,8 +220,8 @@ TEST_F(VoyagerFaultTest, SalvageServesTornSnapshotFile) {
   EXPECT_TRUE(salvaged->skipped.empty());
   EXPECT_EQ(salvaged->triangles, clean->triangles);
   EXPECT_EQ(salvaged->tets_visited, clean->tets_visited);
-  EXPECT_GE(salvaged->gbo.torn_writes_detected, 1);
-  EXPECT_GT(salvaged->gbo.salvaged_datasets, 0);
+  EXPECT_GE(salvaged->torn_writes, 1);
+  EXPECT_GT(salvaged->salvaged_datasets, 0);
   // The degraded-run report mentions the recovery.
   std::string report = FormatResilience(*salvaged);
   EXPECT_NE(report.find("salvaged"), std::string::npos) << report;
@@ -262,8 +262,8 @@ TEST(ReportResilienceTest, FormatsCountersAndStaysSilentWhenClean) {
 
   result.gbo.files_quarantined = 1;
   result.gbo.reads_short_circuited = 3;
-  result.gbo.salvaged_datasets = 5;
-  result.gbo.torn_writes_detected = 1;
+  result.salvaged_datasets = 5;
+  result.torn_writes = 1;
   result.quarantined_files = {"/data/snap_0003_f00.gsdf"};
   std::string text = FormatResilience(result);
   EXPECT_NE(text.find("simple(TG)"), std::string::npos) << text;

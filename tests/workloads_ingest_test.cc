@@ -243,9 +243,13 @@ TEST_F(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
   rule.crash_at_bytes = 512;
   fault_->AddRule(rule);
 
+  // Salvage on, so a torn file reaching the read path would be counted.
+  SnapshotReadCounters read_counters;
   Gbo db(DbOptions());
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
+  options.read.salvage = true;
+  options.read.counters = &read_counters;
   std::atomic<int> hook_calls{0};
   options.on_write_error = [&](int snapshot, const Status& status) {
     EXPECT_EQ(snapshot, 2) << status;
@@ -274,7 +278,7 @@ TEST_F(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
   EXPECT_EQ(stats.snapshots_abandoned, 0);
   EXPECT_EQ(stats.snapshots_published, spec_.num_snapshots);
   // No torn file ever reached the read path.
-  EXPECT_EQ(db.stats().torn_writes_detected, 0);
+  EXPECT_EQ(read_counters.torn_writes.load(), 0);
   EXPECT_GE(fault_->stats().crashes_injected, 1);
 }
 
@@ -341,11 +345,13 @@ TEST_F(IngestTest, TornWriteCrashMatrixSalvagesOrQuarantinesNeverTorn) {
     ASSERT_TRUE(env_->DeleteFile(path).ok());
   }
 
+  SnapshotReadCounters read_counters;
   Gbo db(DbOptions(/*io_threads=*/4));
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   SnapshotReadOptions read_options;
   read_options.verify_checksums = true;
   read_options.salvage = true;
+  read_options.counters = &read_counters;
   Gbo::ReadFn read_fn = MakeSnapshotReadFn(runtime_.get(), &dataset_,
                                            {"stress", "velx"}, read_options);
 
@@ -437,8 +443,9 @@ TEST_F(IngestTest, TornWriteCrashMatrixSalvagesOrQuarantinesNeverTorn) {
   // The matrix covered both regimes (a tear at byte 0 can never salvage;
   // a tear just shy of the footer always can).
   EXPECT_GT(quarantined, 0);
-  GboStats stats = db.stats();
-  EXPECT_GE(stats.torn_writes_detected + stats.units_failed_permanent, 1);
+  EXPECT_GE(read_counters.torn_writes.load() +
+                db.stats().units_failed_permanent,
+            1);
   std::printf("crash matrix: %lld offsets salvaged, %lld quarantined "
               "(stride %d)\n",
               static_cast<long long>(salvaged),

@@ -9,6 +9,7 @@
 
 #include "core/gbo.h"
 #include "core/options.h"
+#include "core/query.h"
 #include "mesh/dataset_spec.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
@@ -17,6 +18,7 @@
 #include "workloads/platform_runtime.h"
 #include "workloads/processing.h"
 #include "workloads/snapshot_io.h"
+#include "workloads/snapshot_query.h"
 #include "workloads/test_spec.h"
 #include "workloads/voyager.h"
 
@@ -129,6 +131,7 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
                               {"density"}, /*include_conn=*/true);
   ASSERT_TRUE(plain.ok()) << plain.status();
 
+  // The snapshot read function...
   Gbo db(GboOptions::SingleThread());
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   ASSERT_TRUE(db.ReadUnit(SnapshotUnitName(2),
@@ -136,18 +139,41 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
                                              &experiment_->dataset(),
                                              {"density"}))
                   .ok());
-  for (const PlainBlock& block : *plain) {
-    auto buffer = db.GetFieldBuffer(kBlockRecordType, "density",
-                                    BlockKey(block.block_id, 2));
-    ASSERT_TRUE(buffer.ok());
-    auto size = db.GetFieldBufferSize(kBlockRecordType, "density",
-                                      BlockKey(block.block_id, 2));
+  // ...and the query path (one unit per snapshot file, one ReadBatch each)
+  // must both commit exactly what the direct read returns.
+  Gbo query_db(GboOptions::SingleThread());
+  ASSERT_TRUE(DefineBlockSchema(&query_db).ok());
+  SnapshotQueryOptions query_options;
+  query_options.fields = {"density"};
+  query_options.snapshot_begin = 2;
+  query_options.snapshot_end = 3;
+  auto query =
+      BuildSnapshotQuery(&runtime, &experiment_->dataset(), query_options);
+  ASSERT_TRUE(query.ok()) << query.status();
+  QueryPlanner planner(&query_db);
+  auto ticket = planner.Submit(*std::move(query));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  ASSERT_TRUE((*ticket)->WaitAll().ok());
+
+  auto expect_buffer = [](Gbo* loaded, const char* field, int32_t block_id,
+                          const std::vector<double>& expected) {
+    auto buffer = loaded->GetFieldBuffer(kBlockRecordType, field,
+                                         BlockKey(block_id, 2));
+    ASSERT_TRUE(buffer.ok()) << buffer.status();
+    auto size = loaded->GetFieldBufferSize(kBlockRecordType, field,
+                                           BlockKey(block_id, 2));
     ASSERT_TRUE(size.ok());
-    ASSERT_EQ(static_cast<size_t>(*size / 8),
-              block.fields.at("density").size());
+    ASSERT_EQ(static_cast<size_t>(*size / 8), expected.size());
     const double* godiva_values = static_cast<const double*>(*buffer);
-    for (size_t i = 0; i < block.fields.at("density").size(); ++i) {
-      EXPECT_EQ(godiva_values[i], block.fields.at("density")[i]);
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(godiva_values[i], expected[i]) << field << " " << block_id;
+    }
+  };
+  for (Gbo* loaded : {&db, &query_db}) {
+    for (const PlainBlock& block : *plain) {
+      expect_buffer(loaded, "density", block.block_id,
+                    block.fields.at("density"));
+      expect_buffer(loaded, kFieldX, block.block_id, block.x);
     }
   }
 }
@@ -188,17 +214,24 @@ TEST_F(WorkloadIoTest, ProcessPassCountsBytesAndExtracts) {
 class VoyagerVariantTest : public WorkloadIoTest {};
 
 TEST_F(VoyagerVariantTest, AllVariantsProduceIdenticalGeometry) {
+  // O, G, TG, and TG with per-file read coalescing.
+  struct Input {
+    Variant variant;
+    bool coalesce_reads;
+  };
   std::vector<CellResult> cells;
-  for (Variant variant :
-       {Variant::kOriginal, Variant::kGodivaSingleThread,
-        Variant::kGodivaMultiThread}) {
+  for (Input input : {Input{Variant::kOriginal, false},
+                      Input{Variant::kGodivaSingleThread, false},
+                      Input{Variant::kGodivaMultiThread, false},
+                      Input{Variant::kGodivaMultiThread, true}}) {
     PlatformRuntime runtime(PlatformProfile::Engle(),
                             experiment_->options().time_scale,
                             experiment_->env());
     RunConfig config;
     config.dataset = &experiment_->dataset();
     config.test = VizTestSpec::Simple();
-    config.variant = variant;
+    config.variant = input.variant;
+    config.coalesce_reads = input.coalesce_reads;
     config.process.real_work_stride = 1;
     auto cell = RunVoyager(&runtime, config);
     ASSERT_TRUE(cell.ok()) << cell.status();
@@ -206,39 +239,14 @@ TEST_F(VoyagerVariantTest, AllVariantsProduceIdenticalGeometry) {
   }
   // Same triangles and tets regardless of the input path.
   EXPECT_GT(cells[0].triangles, 0);
-  EXPECT_EQ(cells[0].triangles, cells[1].triangles);
-  EXPECT_EQ(cells[0].triangles, cells[2].triangles);
-  EXPECT_EQ(cells[0].tets_visited, cells[1].tets_visited);
-  EXPECT_EQ(cells[0].tets_visited, cells[2].tets_visited);
-}
-
-TEST_F(VoyagerVariantTest, QueryApiMatchesLegacyGeometry) {
-  // The declarative query path (RunConfig::use_query_api, DESIGN.md §15)
-  // must render the exact same frames as the legacy unit-at-a-time path,
-  // in both the single-thread and background-pool variants.
-  std::vector<CellResult> cells;
-  for (Variant variant :
-       {Variant::kGodivaSingleThread, Variant::kGodivaMultiThread}) {
-    for (bool use_query_api : {false, true}) {
-      PlatformRuntime runtime(PlatformProfile::Engle(),
-                              experiment_->options().time_scale,
-                              experiment_->env());
-      RunConfig config;
-      config.dataset = &experiment_->dataset();
-      config.test = VizTestSpec::Simple();
-      config.variant = variant;
-      config.use_query_api = use_query_api;
-      config.process.real_work_stride = 1;
-      auto cell = RunVoyager(&runtime, config);
-      ASSERT_TRUE(cell.ok()) << cell.status();
-      cells.push_back(*cell);
-    }
-  }
-  EXPECT_GT(cells[0].triangles, 0);
   for (size_t i = 1; i < cells.size(); ++i) {
     EXPECT_EQ(cells[i].triangles, cells[0].triangles) << i;
     EXPECT_EQ(cells[i].tets_visited, cells[0].tets_visited) << i;
   }
+  // Coalescing merges file-adjacent datasets into fewer device reads.
+  EXPECT_EQ(cells[2].coalesced_reads, 0);
+  EXPECT_GT(cells[3].coalesced_reads, 0);
+  EXPECT_LT(cells[3].reads, cells[2].reads);
 }
 
 TEST_F(VoyagerVariantTest, GodivaReducesReadVolume) {

@@ -26,6 +26,12 @@
 // "ratio", which flips the direction (higher is better). Metrics missing
 // on either side are reported but never fail the run, so adding or
 // retiring a metric does not break CI before the baseline refresh lands.
+//
+// Exception: a bench whose name ends in "_de" ran on the discrete-event
+// virtual clock, which replays bit-identically. Each of its metrics must
+// equal the baseline exactly (a change in either direction fails), and a
+// baseline metric missing from the candidate fails too.
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -152,6 +158,11 @@ const std::string* FindProvenance(const Document& doc,
 
 bool HigherIsBetter(const std::string& name) {
   return name.find("ratio") != std::string::npos;
+}
+
+// Discrete-event benches are held to exact equality (see the header).
+bool ExactBench(const std::string& bench) {
+  return bench.size() >= 3 && bench.compare(bench.size() - 3, 3, "_de") == 0;
 }
 
 // "sha @ timestamp" for a bench document (parts the producer omitted are
@@ -320,6 +331,13 @@ int Run(int argc, char** argv) {
   int regressions = 0;
   int compared = 0;
   std::vector<std::string> regressed_benches;
+  auto fail = [&](const std::string& bench) {
+    ++regressions;
+    if (std::find(regressed_benches.begin(), regressed_benches.end(),
+                  bench) == regressed_benches.end()) {
+      regressed_benches.push_back(bench);
+    }
+  };
   std::printf("%-52s %12s %12s %9s\n", "metric", "baseline", "current",
               "delta");
   for (const Document& doc : docs) {
@@ -335,47 +353,33 @@ int Run(int argc, char** argv) {
       double delta = current - *base;
       double relative = (*base != 0) ? delta / *base : 0;
       bool worse = HigherIsBetter(key) ? delta < 0 : delta > 0;
-      bool fails = worse && std::fabs(relative) > threshold &&
-                   std::fabs(delta) > abs_floor;
-      if (fails) {
-        ++regressions;
-        if (regressed_benches.empty() ||
-            regressed_benches.back() != doc.bench) {
-          regressed_benches.push_back(doc.bench);
-        }
-      }
+      const bool exact = ExactBench(doc.bench);
+      bool fails = exact ? current != *base
+                         : worse && std::fabs(relative) > threshold &&
+                               std::fabs(delta) > abs_floor;
+      if (fails) fail(doc.bench);
       std::printf("%-52s %12.4g %12.4g %+8.1f%%%s\n", full.c_str(), *base,
                   current, 100.0 * relative,
-                  fails ? "  REGRESSION" : "");
+                  !fails ? "" : exact ? "  CHANGED (exact)" : "  REGRESSION");
     }
   }
+  // Baselines may hold benches not being compared this run; only keys
+  // whose bench was supplied can be missing.
   for (const auto& [key, value] : baseline.metrics) {
-    bool found = false;
     for (const Document& doc : docs) {
-      std::string prefix = doc.bench + ".";
-      if (key.compare(0, prefix.size(), prefix) == 0 &&
+      const std::string prefix = doc.bench + ".";
+      if (key.compare(0, prefix.size(), prefix) != 0 ||
           FindMetric(doc, key.substr(prefix.size())) != nullptr) {
-        found = true;
-        break;
+        continue;
       }
-      // Baselines may hold benches not being compared this run; only
-      // flag keys whose bench was supplied.
-      if (key.compare(0, prefix.size(), prefix) != 0) continue;
-    }
-    if (!found) {
-      bool bench_supplied = false;
-      for (const Document& doc : docs) {
-        if (key.compare(0, doc.bench.size() + 1, doc.bench + ".") == 0) {
-          bench_supplied = true;
-        }
-      }
-      if (bench_supplied) {
-        std::printf("%-52s %12.4g %12s %9s  (missing from current)\n",
-                    key.c_str(), value, "-", "-");
-      }
+      const bool exact = ExactBench(doc.bench);
+      if (exact) fail(doc.bench);
+      std::printf("%-52s %12.4g %12s %9s  (missing from current)%s\n",
+                  key.c_str(), value, "-", "-", exact ? "  MISSING" : "");
     }
   }
-  std::printf("compared %d metrics, %d regression%s (threshold %.0f%%)\n",
+  std::printf("compared %d metrics, %d regression%s (threshold %.0f%%; "
+              "*_de benches exact)\n",
               compared, regressions, regressions == 1 ? "" : "s",
               100.0 * threshold);
   // Name the commits on both sides of every regression, so the report
