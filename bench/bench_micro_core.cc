@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for the GODIVA core: record-operation
 // and key-lookup costs (the in-memory database operations on the critical
-// path of every read function and every data-processing query), plus the
-// CRC-32 that verified reads pay per byte.
+// path of every read function and every data-processing query), the
+// CRC-32 that verified reads pay per byte, and the feature extraction
+// that each render pass runs over a full-size snapshot.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -16,6 +17,14 @@
 #include "core/key_util.h"
 #include "core/options.h"
 #include "core/record.h"
+#include "mesh/dataset_spec.h"
+#include "mesh/snapshot_writer.h"
+#include "sim/platform.h"
+#include "sim/sim_env.h"
+#include "workloads/platform_runtime.h"
+#include "workloads/processing.h"
+#include "workloads/snapshot_io.h"
+#include "workloads/test_spec.h"
 
 namespace godiva {
 namespace {
@@ -155,6 +164,80 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// One full-size TitanIV snapshot with every quantity of the medium test,
+// written and read back once per process. `views` span the arrays that
+// `blocks` owns.
+struct TitanIvSnapshot {
+  Status status;
+  std::vector<workloads::PlainBlock> blocks;
+  std::vector<workloads::BlockView> views;
+};
+
+TitanIvSnapshot LoadTitanIvSnapshot() {
+  TitanIvSnapshot snapshot;
+  SimEnv env{SimEnv::Options{}};
+  mesh::DatasetSpec spec = mesh::DatasetSpec::TitanIV();
+  spec.num_snapshots = 1;
+  Result<mesh::SnapshotDataset> dataset =
+      mesh::WriteSnapshotDataset(&env, spec, "data");
+  if (!dataset.ok()) {
+    snapshot.status = dataset.status();
+    return snapshot;
+  }
+  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6, &env);
+  Result<std::vector<workloads::PlainBlock>> blocks =
+      workloads::ReadPassDirect(
+          &runtime, *dataset, 0,
+          workloads::VizTestSpec::Medium().AllQuantities(),
+          /*include_conn=*/true);
+  if (!blocks.ok()) {
+    snapshot.status = blocks.status();
+    return snapshot;
+  }
+  snapshot.blocks = *std::move(blocks);
+  for (const workloads::PlainBlock& block : snapshot.blocks) {
+    workloads::BlockView view;
+    view.block_id = block.block_id;
+    view.geometry = viz::BlockGeometry{block.x, block.y, block.z, block.conn};
+    for (const auto& [name, values] : block.fields) {
+      view.fields[name] = values;
+    }
+    snapshot.views.push_back(std::move(view));
+  }
+  return snapshot;
+}
+
+void BM_ProcessPass(benchmark::State& state) {
+  // One medium-test pass (0 stress, 1 velocity, 2 density) with
+  // extraction on every block of a full-size snapshot: what a pass costs
+  // depends on how many triangles it emits, so a scaled mesh would hide it.
+  static const TitanIvSnapshot snapshot = LoadTitanIvSnapshot();
+  if (!snapshot.status.ok()) {
+    state.SkipWithError(snapshot.status.ToString().c_str());
+    return;
+  }
+  const workloads::RenderPass pass =
+      workloads::VizTestSpec::Medium().passes.at(state.range(0));
+  workloads::ProcessOptions options;
+  options.real_work_stride = 1;
+  int64_t tets = 0;
+  int64_t triangles = 0;
+  for (auto _ : state) {
+    Result<workloads::PassResult> result =
+        workloads::ProcessPass(pass, snapshot.views, options);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(*result);
+    tets += result->tets_visited;
+    triangles = result->triangles;
+  }
+  state.SetItemsProcessed(tets);
+  state.counters["triangles"] = static_cast<double>(triangles);
+}
+BENCHMARK(BM_ProcessPass)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace godiva

@@ -38,6 +38,12 @@ struct TriangleSoup {
                       other.attributes.end());
   }
 
+  // Empties the soup and keeps its capacity for the next batch.
+  void Clear() {
+    positions.clear();
+    attributes.clear();
+  }
+
   // Attribute min/max (for colormap ranges); {0,1} when empty.
   void AttributeRange(double* min_out, double* max_out) const;
 };

@@ -63,7 +63,9 @@ Result<PassResult> ProcessPass(const RenderPass& pass,
                                const std::vector<BlockView>& blocks,
                                const ProcessOptions& options) {
   PassResult result;
-  viz::TriangleSoup all_triangles;
+  // One block's triangles at a time, unless the pass is rasterized: then
+  // the whole pass's, drawn once over their common attribute range.
+  viz::TriangleSoup triangles;
   int stride = std::max(1, options.real_work_stride);
 
   for (size_t b = 0; b < blocks.size(); ++b) {
@@ -95,7 +97,7 @@ Result<PassResult> ProcessPass(const RenderPass& pass,
       if (feature.kind == Feature::Kind::kIsosurface) {
         double isovalue = lo + feature.level_fraction * (hi - lo);
         result.tets_visited += viz::MarchTets(
-            block.geometry, scalar, isovalue, scalar, &all_triangles);
+            block.geometry, scalar, isovalue, scalar, &triangles);
       } else if (feature.kind == Feature::Kind::kGlyphs) {
         if (pass.quantities.size() < 3) {
           return InvalidArgumentError(
@@ -106,7 +108,7 @@ Result<PassResult> ProcessPass(const RenderPass& pass,
                               block.fields.at(pass.quantities[0]),
                               block.fields.at(pass.quantities[1]),
                               block.fields.at(pass.quantities[2]),
-                              glyph_options, &all_triangles);
+                              glyph_options, &triangles);
       } else {
         // Slice offset as a fraction of the block's extent along the
         // normal.
@@ -123,21 +125,26 @@ Result<PassResult> ProcessPass(const RenderPass& pass,
         double offset = dlo + feature.level_fraction * (dhi - dlo);
         result.tets_visited +=
             viz::SlicePlane(block.geometry, feature.slice_normal, offset,
-                            scalar, &all_triangles);
+                            scalar, &triangles);
       }
     }
+    if (options.rasterizer == nullptr) {
+      result.triangles += triangles.num_triangles();
+      triangles.Clear();
+    }
   }
-  result.triangles = all_triangles.num_triangles();
+  if (options.rasterizer == nullptr) return result;
 
-  if (options.rasterizer != nullptr && result.triangles > 0) {
+  result.triangles = triangles.num_triangles();
+  if (result.triangles > 0) {
     double lo, hi;
-    all_triangles.AttributeRange(&lo, &hi);
+    triangles.AttributeRange(&lo, &hi);
     viz::Colormap colormap(viz::ColormapKind::kViridis, lo, hi);
     viz::Camera camera(viz::Camera::Options{},
                        options.rasterizer->image().width(),
                        options.rasterizer->image().height());
     result.pixels =
-        options.rasterizer->Draw(all_triangles, camera, colormap);
+        options.rasterizer->Draw(triangles, camera, colormap);
   }
   return result;
 }

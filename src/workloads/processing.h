@@ -43,8 +43,11 @@ struct PassResult {
 };
 
 // Computes the pass's derived scalar over the sampled blocks, extracts
-// every feature, optionally renders, and reports sizes. Fails if a block
-// view is missing a required quantity.
+// every feature, optionally renders, and reports sizes. Without a
+// rasterizer each block's triangles are counted and dropped, so at most
+// one block's geometry is held at a time; with one, the whole pass's
+// triangles are kept and drawn once over their common attribute range.
+// Fails if a block view is missing a required quantity.
 Result<PassResult> ProcessPass(const RenderPass& pass,
                                const std::vector<BlockView>& blocks,
                                const ProcessOptions& options);

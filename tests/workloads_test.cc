@@ -3,6 +3,7 @@
 // a tiny dataset with the paper's qualitative invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,11 @@
 #include "mesh/dataset_spec.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
+#include "viz/camera.h"
+#include "viz/colormap.h"
+#include "viz/derived.h"
+#include "viz/marching_tets.h"
+#include "viz/rasterizer.h"
 #include "workloads/block_schema.h"
 #include "workloads/experiment.h"
 #include "workloads/platform_runtime.h"
@@ -196,6 +202,7 @@ TEST_F(WorkloadIoTest, ProcessPassCountsBytesAndExtracts) {
     }
     views.push_back(std::move(view));
   }
+  ASSERT_EQ(views.size(), 6u);
   RenderPass pass = VizTestSpec::Simple().passes[0];
   ProcessOptions options;
   options.real_work_stride = 1;
@@ -204,6 +211,61 @@ TEST_F(WorkloadIoTest, ProcessPassCountsBytesAndExtracts) {
   EXPECT_GT(result->bytes_processed, 0);
   EXPECT_GT(result->tets_visited, 0);
   EXPECT_GT(result->triangles, 0);
+
+  // The pass's counts are the sums of its blocks' counts: no block is
+  // dropped or counted twice.
+  int64_t block_triangles = 0;
+  int64_t block_tets = 0;
+  for (const BlockView& view : views) {
+    auto one = ProcessPass(pass, {view}, options);
+    ASSERT_TRUE(one.ok()) << one.status();
+    block_triangles += one->triangles;
+    block_tets += one->tets_visited;
+  }
+  EXPECT_EQ(block_triangles, result->triangles);
+  EXPECT_EQ(block_tets, result->tets_visited);
+
+  // Rasterizing the pass changes none of its counts.
+  constexpr int kWidth = 64;
+  constexpr int kHeight = 48;
+  viz::Rasterizer rasterizer(kWidth, kHeight);
+  ProcessOptions drawn = options;
+  drawn.rasterizer = &rasterizer;
+  auto rasterized = ProcessPass(pass, views, drawn);
+  ASSERT_TRUE(rasterized.ok()) << rasterized.status();
+  EXPECT_EQ(rasterized->triangles, result->triangles);
+  EXPECT_EQ(rasterized->tets_visited, result->tets_visited);
+  EXPECT_EQ(rasterized->bytes_processed, result->bytes_processed);
+  EXPECT_GT(rasterized->pixels, 0);
+
+  // The image is the pass's whole isosurface drawn once, over the
+  // attribute range of every block's triangles.
+  viz::TriangleSoup soup;
+  for (const BlockView& view : views) {
+    std::vector<double> speed =
+        viz::Magnitude(view.fields.at("velx"), view.fields.at("vely"),
+                       view.fields.at("velz"));
+    auto [slowest, fastest] = std::minmax_element(speed.begin(), speed.end());
+    double isovalue =
+        *slowest + pass.features[0].level_fraction * (*fastest - *slowest);
+    viz::MarchTets(view.geometry, speed, isovalue, speed, &soup);
+  }
+  double lo, hi;
+  soup.AttributeRange(&lo, &hi);
+  viz::Rasterizer reference(kWidth, kHeight);
+  int64_t reference_pixels = reference.Draw(
+      soup, viz::Camera(viz::Camera::Options{}, kWidth, kHeight),
+      viz::Colormap(viz::ColormapKind::kViridis, lo, hi));
+  EXPECT_EQ(rasterized->pixels, reference_pixels);
+  int64_t differing = 0;
+  for (int y = 0; y < kHeight; ++y) {
+    for (int x = 0; x < kWidth; ++x) {
+      if (!(rasterizer.image().Get(x, y) == reference.image().Get(x, y))) {
+        ++differing;
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0);
 
   // Missing quantity is an error.
   RenderPass bad = pass;
