@@ -62,7 +62,7 @@ int Run(int argc, char** argv) {
   }
   workloads::PrintFigure("Figure 3(a) — Engle workstation", rows);
 
-  BenchJson json("bench_fig3a");
+  BenchJson json("bench_fig3a", flags.mode());
   for (const auto& [test_name, variants] : cells) {
     for (const auto& [variant_name, cell] : variants) {
       std::string prefix = StrCat(test_name, "_", variant_name);

@@ -74,7 +74,7 @@ int Run(int argc, char** argv) {
   }
   workloads::PrintFigure("Figure 3(b) — Turing cluster node", rows);
 
-  BenchJson json("bench_fig3b");
+  BenchJson json("bench_fig3b", flags.mode());
   for (const auto& [test_name, labels] : cells) {
     for (const auto& [label, cell] : labels) {
       std::string prefix = StrCat(test_name, "_", label);

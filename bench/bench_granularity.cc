@@ -151,9 +151,10 @@ Result<GranularityResult> RunWithGranularity(Experiment* experiment,
     }
   }
   GranularityResult out;
-  double scale = runtime.scale().scale();
-  out.total_seconds = total.ElapsedSeconds() / scale;
-  out.visible_io_seconds = db.stats().visible_io_seconds / scale;
+  const TimeScale& scale = runtime.scale();
+  out.total_seconds = scale.WallToModeledSeconds(total.Elapsed());
+  out.visible_io_seconds = scale.WallToModeledSeconds(
+      FromSeconds(db.stats().visible_io_seconds));
   out.units = unit_count;
   return out;
 }

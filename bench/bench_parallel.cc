@@ -10,11 +10,11 @@
 #include <cstdio>
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/status.h"
+#include "common/thread.h"
 #include "sim/platform.h"
 #include "workloads/experiment.h"
 #include "workloads/platform_runtime.h"
@@ -50,7 +50,7 @@ Result<ParallelOutcome> RunParallel(Experiment* experiment,
   }
   std::vector<Result<CellResult>> results(kProcesses,
                                           Result<CellResult>(CellResult{}));
-  std::vector<std::thread> threads;
+  std::vector<Thread> threads;
   for (int p = 0; p < kProcesses; ++p) {
     threads.emplace_back([&, p] {
       PlatformRuntime runtime(PlatformProfile::Turing(),
@@ -67,7 +67,7 @@ Result<ParallelOutcome> RunParallel(Experiment* experiment,
       results[static_cast<size_t>(p)] = RunVoyager(&runtime, config);
     });
   }
-  for (std::thread& thread : threads) thread.join();
+  for (Thread& thread : threads) thread.join();
 
   ParallelOutcome outcome;
   for (const Result<CellResult>& result : results) {
@@ -123,7 +123,7 @@ int Run(int argc, char** argv) {
               "(§4.2)\n", kProcesses);
   PrintDatasetBanner(**experiment);
 
-  BenchJson json("bench_parallel");
+  BenchJson json("bench_parallel", flags.mode());
   workloads::PrintHeader("sequential vs 4-process, O vs TG");
   std::printf("  %-8s %16s %16s %10s %16s\n", "test", "seq total(s)",
               "par makespan(s)", "speedup", "GODIVA benefit");

@@ -247,8 +247,7 @@ int Run(int argc, char** argv) {
   std::printf("bench_query: 2 fields + disp_mag pushdown, window %d over "
               "%d snapshots, %s mode\n",
               flags.window, flags.snapshots, SimModeName(mode));
-  BenchJson json(mode == SimMode::kDiscreteEvent ? "bench_query_de"
-                                                 : "bench_query");
+  BenchJson json("bench_query", mode);
 
   // Generate the dataset once (instant writes into the owned SimEnv);
   // both paths replay reads against the same files and disk model.
@@ -258,7 +257,6 @@ int Run(int argc, char** argv) {
                             : mesh::DatasetSpec::TitanIVScaled(flags.factor);
   experiment_options.spec.num_snapshots = flags.snapshots;
   experiment_options.time_scale = 1e-6;  // counts are timing-independent
-  experiment_options.sim_mode = mode;
   auto experiment = Experiment::Create(experiment_options);
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
@@ -269,11 +267,13 @@ int Run(int argc, char** argv) {
   const mesh::SnapshotDataset& dataset = (*experiment)->dataset();
   const PlatformProfile profile = PlatformProfile::Engle();
 
+  // One scope per phase (not BenchFlags'): each _de number is measured
+  // from its own virtual t=0.
   PathResult unit;
   {
     auto scope = MakeSimScope(mode);
     PlatformRuntime runtime(profile, experiment_options.time_scale,
-                            (*experiment)->env(), mode);
+                            (*experiment)->env());
     if (!RunUnitPath(&runtime, dataset, flags, &unit)) return 1;
   }
 
@@ -281,7 +281,7 @@ int Run(int argc, char** argv) {
   {
     auto scope = MakeSimScope(mode);
     PlatformRuntime runtime(profile, experiment_options.time_scale,
-                            (*experiment)->env(), mode);
+                            (*experiment)->env());
     if (!RunQueryPath(&runtime, dataset, flags, &query)) return 1;
   }
 

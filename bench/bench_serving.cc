@@ -121,11 +121,7 @@ int Run(int argc, char** argv) {
   std::printf("bench_serving: %d reads/session, %dus synthetic read cost, "
               "%s mode\n",
               flags.reads, flags.cost_us, SimModeName(mode));
-  // Discrete-event numbers are exact virtual-clock measurements — a
-  // separate baseline namespace keeps them from diffing against the noisy
-  // scaled-sleep numbers (and vice versa).
-  BenchJson json(mode == SimMode::kDiscreteEvent ? "bench_serving_de"
-                                                 : "bench_serving");
+  BenchJson json("bench_serving", mode);
 
   // ----- Scenario 1: uncontended interactive baseline.
   ServingOptions uncontended = MixedOptions(flags);
@@ -136,6 +132,8 @@ int Run(int argc, char** argv) {
   db_options.memory_limit_bytes = 256 * 1024 * 1024;  // no pressure
   double base_p50 = 0;
   double base_p99 = 0;
+  // One scope per scenario (not BenchFlags'): each _de number is measured
+  // from its own virtual t=0.
   {
     auto scope = MakeSimScope(mode);
     Gbo db(db_options);

@@ -72,7 +72,8 @@ Result<SessionResult> Replay(Experiment* experiment,
       GODIVA_RETURN_IF_ERROR(
           db.ReadUnit(workloads::SnapshotUnitName(index), read_fn));
     }
-    double seconds = response.ElapsedSeconds() / runtime.scale().scale();
+    double seconds =
+        runtime.scale().WallToModeledSeconds(response.Elapsed());
     total += seconds;
     result.worst_response_seconds =
         std::max(result.worst_response_seconds, seconds);

@@ -6,10 +6,10 @@
 //   --reps=R        repetitions per cell (paper used 5; default 1)
 //   --stride=K      real feature extraction on every Kth block (default 16)
 //   --quick         shorthand for --factor=0.12 --snapshots=8
-//   --sim-mode=M    "de"/"discrete-event" replays modeled delays on the
-//                   discrete-event virtual clock (deterministic, wall-time
-//                   free); "scaled" (default) compresses them onto the
-//                   wall clock. Empty falls back to GODIVA_SIM_MODE.
+//   --sim-mode=M    "de" opens a DiscreteEventScope for the flags' life:
+//                   every run replays on the virtual clock (deterministic,
+//                   wall-time free). "scaled" (default) compresses modeled
+//                   delays onto the wall clock. Unset: GODIVA_SIM_MODE.
 //   --json=PATH     also write the headline metrics as JSON (for
 //                   tools/bench_diff regression tracking)
 #ifndef GODIVA_BENCH_BENCH_UTIL_H_
@@ -21,6 +21,7 @@
 #include <cstring>
 #include <ctime>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -38,12 +39,7 @@ namespace godiva::bench {
 // without touching their command lines).
 inline SimMode ResolveSimMode(const std::string& flag) {
   if (flag.empty()) return SimModeFromEnv();
-  if (flag == "de" || flag == "discrete" || flag == "discrete-event") {
-    return SimMode::kDiscreteEvent;
-  }
-  if (flag == "scaled" || flag == "scaled-sleep") {
-    return SimMode::kScaledSleep;
-  }
+  if (std::optional<SimMode> mode = ParseSimMode(flag)) return *mode;
   std::fprintf(stderr, "unknown --sim-mode value: %s\n", flag.c_str());
   std::exit(2);
 }
@@ -63,11 +59,15 @@ struct BenchFlags {
   double scale = 0.02;
   int reps = 1;
   int stride = 16;
-  std::string sim_mode;   // empty = GODIVA_SIM_MODE (see ResolveSimMode)
   std::string json_path;  // empty = no JSON output
+  // Open iff --sim-mode (or GODIVA_SIM_MODE) asked for discrete-event
+  // mode. It lives as long as the flags, so declare them before anything
+  // that spawns godiva::Threads.
+  std::unique_ptr<DiscreteEventScope> scope;
 
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
+    std::string sim_mode;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--factor=", 9) == 0) {
@@ -81,7 +81,7 @@ struct BenchFlags {
       } else if (std::strncmp(arg, "--stride=", 9) == 0) {
         flags.stride = std::atoi(arg + 9);
       } else if (std::strncmp(arg, "--sim-mode=", 11) == 0) {
-        flags.sim_mode = arg + 11;
+        sim_mode = arg + 11;
       } else if (std::strncmp(arg, "--json=", 7) == 0) {
         flags.json_path = arg + 7;
       } else if (std::strcmp(arg, "--quick") == 0) {
@@ -92,7 +92,12 @@ struct BenchFlags {
         std::exit(2);
       }
     }
+    flags.scope = MakeSimScope(ResolveSimMode(sim_mode));
     return flags;
+  }
+
+  SimMode mode() const {
+    return scope != nullptr ? SimMode::kDiscreteEvent : SimMode::kScaledSleep;
   }
 
   workloads::ExperimentOptions ToOptions() const {
@@ -103,7 +108,6 @@ struct BenchFlags {
     options.spec.num_snapshots = snapshots;
     options.time_scale = scale;
     options.repetitions = reps;
-    options.sim_mode = ResolveSimMode(sim_mode);
     options.process.real_work_stride = stride;
     return options;
   }
@@ -195,11 +199,15 @@ inline std::string UtcTimestamp() {
 // bench_diff carries them into baselines and names the offending commit
 // when it reports a regression. Metric names should be stable across runs;
 // values are doubles. Insertion order is preserved so diffs of the files
-// stay readable.
+// stay readable. A discrete-event run's name gains "_de": bench_diff holds
+// those virtual-clock numbers to exact equality, apart from the noisy
+// scaled-sleep ones.
 class BenchJson {
  public:
-  explicit BenchJson(std::string bench_name)
-      : bench_name_(std::move(bench_name)),
+  explicit BenchJson(std::string bench_name,
+                     SimMode mode = SimMode::kScaledSleep)
+      : bench_name_(mode == SimMode::kDiscreteEvent ? bench_name + "_de"
+                                                    : std::move(bench_name)),
         git_sha_(CurrentGitSha()),
         timestamp_utc_(UtcTimestamp()) {}
 

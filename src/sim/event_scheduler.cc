@@ -565,17 +565,20 @@ DiscreteEventScope::DiscreteEventScope(EventScheduler::Options options)
 
 DiscreteEventScope::~DiscreteEventScope() { scheduler_.Deactivate(); }
 
+std::optional<SimMode> ParseSimMode(std::string_view name) {
+  if (name == "de" || name == "discrete" || name == "discrete-event") {
+    return SimMode::kDiscreteEvent;
+  }
+  if (name == "scaled" || name == "sleep" || name == "scaled-sleep") {
+    return SimMode::kScaledSleep;
+  }
+  return std::nullopt;
+}
+
 SimMode SimModeFromEnv(SimMode fallback) {
   const char* env = std::getenv("GODIVA_SIM_MODE");
   if (env == nullptr || env[0] == '\0') return fallback;
-  if (std::strcmp(env, "de") == 0 || std::strcmp(env, "discrete") == 0 ||
-      std::strcmp(env, "discrete-event") == 0) {
-    return SimMode::kDiscreteEvent;
-  }
-  if (std::strcmp(env, "scaled") == 0 || std::strcmp(env, "sleep") == 0 ||
-      std::strcmp(env, "scaled-sleep") == 0) {
-    return SimMode::kScaledSleep;
-  }
+  if (std::optional<SimMode> mode = ParseSimMode(env)) return *mode;
   std::fprintf(stderr, "godiva: unrecognized GODIVA_SIM_MODE=%s (ignored)\n",
                env);
   return fallback;

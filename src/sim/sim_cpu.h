@@ -23,14 +23,6 @@ class SimCpu {
     // Scheduling quantum in modeled time: Compute() releases and reacquires
     // its slot every quantum so competing threads interleave.
     Duration quantum = std::chrono::milliseconds(20);
-    // How quantum sleeps are paid: kScaledSleep compresses them onto the
-    // wall clock via the TimeScale; kDiscreteEvent expects an active
-    // DiscreteEventScope, where each quantum becomes a timer event on the
-    // virtual clock (exact and deterministic; slot handoff order is FIFO
-    // in both modes). The actual routing happens inside
-    // TimeScale::SleepModeled, so the field records intent — harnesses use
-    // it to decide whether to open a scope around the run.
-    SimMode sim_mode = SimMode::kScaledSleep;
   };
 
   SimCpu(Options options, const TimeScale* time_scale);
@@ -44,7 +36,6 @@ class SimCpu {
   double TotalComputeSeconds() const;
 
   int slots() const { return options_.slots; }
-  SimMode sim_mode() const { return options_.sim_mode; }
   // Slots currently held by computing threads (instantaneous occupancy,
   // from the semaphore's own accounting).
   int busy_slots() const { return slots_sem_.in_use(); }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/sim_hooks.h"
 #include "common/strings.h"
 
 namespace godiva {
@@ -78,7 +79,6 @@ class SimRandomAccessFile : public RandomAccessFile {
 
 SimEnv::SimEnv(Options options)
     : charge_writes_(options.charge_writes),
-      sim_mode_(options.sim_mode),
       disk_(options.disk),
       time_scale_(options.time_scale) {
   if (disk_.queue_depth > 1) {
@@ -165,11 +165,11 @@ void SimEnv::ChargeRead(const FileData* file, int64_t offset, int64_t size) {
     stats_.modeled_read_seconds += ToSeconds(total);
     if (time_scale_ == nullptr) return;
     // Sub-millisecond (wall) delays accumulate and are paid in batches to
-    // keep per-sleep OS overhead from distorting the model. In
-    // discrete-event mode sleeps cost no wall time, so every access pays
-    // its exact modeled duration — batching would only blur event timing.
+    // keep per-sleep OS overhead from distorting the model. Under a scope
+    // (SleepModeled's own test) sleeps cost no wall time, so every access
+    // pays its exact modeled duration — batching would only blur timing.
     pending_delay_ += total;
-    if (sim_mode_ != SimMode::kDiscreteEvent) {
+    if (!detail::SimHooksActive()) {
       double pending_wall = ToSeconds(pending_delay_) * time_scale_->scale();
       if (pending_wall < 0.001) return;
     }

@@ -53,12 +53,8 @@ class SimEnv : public Env {
     // Charge the disk model on writes too (off: dataset generation is
     // instant, which is what the experiments want).
     bool charge_writes = false;
-    // How modeled delays are paid. kScaledSleep (default) compresses them
-    // onto the wall clock through `time_scale` and batches sub-millisecond
-    // sleeps; kDiscreteEvent pays every access exactly on the virtual
-    // clock (no batching — there is no per-sleep OS overhead to amortize),
-    // so modeled timings are reproducible to the nanosecond. Requires an
-    // active DiscreteEventScope; without one it behaves like kScaledSleep.
+    // Ignored: an active DiscreteEventScope decides how delays are paid;
+    // delete with the next perfbench change.
     SimMode sim_mode = SimMode::kScaledSleep;
   };
 
@@ -120,7 +116,6 @@ class SimEnv : public Env {
 
   // Immutable after construction; read lock-free on the write path.
   const bool charge_writes_;
-  const SimMode sim_mode_;
 
   mutable Mutex fs_mutex_{lock_rank::kSimFilesystem, "SimEnv::fs_mutex_"};
   std::map<std::string, std::shared_ptr<FileData>> files_

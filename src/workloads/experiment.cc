@@ -38,9 +38,7 @@ Result<std::unique_ptr<Experiment>> Experiment::Create(
   auto experiment = std::unique_ptr<Experiment>(new Experiment(options));
   // Writes are instant (no time scale yet) — generation is setup, not a
   // measured phase.
-  SimEnv::Options env_options;
-  env_options.sim_mode = options.sim_mode;
-  experiment->env_ = std::make_unique<SimEnv>(env_options);
+  experiment->env_ = std::make_unique<SimEnv>(SimEnv::Options{});
   GODIVA_ASSIGN_OR_RETURN(
       experiment->dataset_,
       mesh::WriteSnapshotDataset(experiment->env_.get(), options.spec,
@@ -57,8 +55,7 @@ Result<AggregatedCell> Experiment::RunCell(const PlatformProfile& profile,
   std::vector<double> visibles;
   std::vector<double> computations;
   for (int rep = 0; rep < options_.repetitions; ++rep) {
-    PlatformRuntime runtime(profile, options_.time_scale, env_.get(),
-                            options_.sim_mode);
+    PlatformRuntime runtime(profile, options_.time_scale, env_.get());
     std::optional<CompetitorLoad> competitor;
     if (with_competitor) competitor.emplace(runtime.cpu());
 

@@ -24,10 +24,6 @@ struct ExperimentOptions {
   // modeled time is free.
   double time_scale = 0.002;
   int repetitions = 1;
-  // kDiscreteEvent pays modeled delays on the virtual clock (exact,
-  // deterministic, needs an active DiscreteEventScope); kScaledSleep
-  // compresses them onto the wall clock.
-  SimMode sim_mode = SimMode::kScaledSleep;
   ProcessOptions process;
 };
 

@@ -24,16 +24,16 @@ inline constexpr double kDecodeSecondsPerMib = 0.18;
 class PlatformRuntime {
  public:
   // `env` must outlive the runtime and hold the dataset files; its disk
-  // model is reconfigured to the profile's. `sim_mode` should match the
-  // env's (it selects how the virtual CPU pays its quantum sleeps).
+  // model is reconfigured to the profile's. The trailing SimMode is
+  // ignored: an active DiscreteEventScope decides how delays are paid;
+  // delete it with the next perfbench change.
   PlatformRuntime(const PlatformProfile& profile, double time_scale,
-                  SimEnv* env, SimMode sim_mode = SimMode::kScaledSleep)
+                  SimEnv* env, SimMode = SimMode::kScaledSleep)
       : profile_(profile),
         scale_(time_scale),
         env_(env),
         cpu_(SimCpu::Options{.slots = profile.cpu_slots,
-                             .quantum = std::chrono::milliseconds(20),
-                             .sim_mode = sim_mode},
+                             .quantum = std::chrono::milliseconds(20)},
              &scale_) {
     env_->SetDiskModel(profile.disk);
     env_->SetTimeScale(&scale_);

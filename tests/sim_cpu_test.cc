@@ -51,9 +51,7 @@ TEST(SimCpuTest, ComputeTakesModeledTime) {
   std::optional<DiscreteEventScope> scope;
   if (DeMode()) scope.emplace();
   TimeScale scale(0.01);
-  SimCpu cpu(SimCpu::Options{.slots = 1,
-                             .quantum = milliseconds(20),
-                             .sim_mode = SimModeFromEnv()},
+  SimCpu cpu(SimCpu::Options{.slots = 1, .quantum = milliseconds(20)},
              &scale);
   Stopwatch sw;
   cpu.Compute(milliseconds(500));  // 5 ms wall / 500 ms virtual
@@ -75,9 +73,7 @@ double TwoThreadSeconds(int slots, int attempts) {
   for (int attempt = 0; attempt < attempts; ++attempt) {
     std::optional<DiscreteEventScope> scope;
     if (DeMode()) scope.emplace();
-    SimCpu cpu(SimCpu::Options{.slots = slots,
-                               .quantum = milliseconds(10),
-                               .sim_mode = SimModeFromEnv()},
+    SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(10)},
                &scale);
     Stopwatch sw;
     std::vector<Thread> threads;
@@ -130,9 +126,7 @@ double CompetitorSeconds(int slots, bool with_competitor, int attempts) {
   for (int attempt = 0; attempt < attempts; ++attempt) {
     std::optional<DiscreteEventScope> scope;
     if (DeMode()) scope.emplace();
-    SimCpu cpu(SimCpu::Options{.slots = slots,
-                               .quantum = milliseconds(5),
-                               .sim_mode = SimModeFromEnv()},
+    SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(5)},
                &scale);
     std::optional<CompetitorLoad> competitor;
     if (with_competitor) competitor.emplace(&cpu);

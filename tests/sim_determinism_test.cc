@@ -127,7 +127,6 @@ TEST(SimDeterminismTest, VoyagerReplayIsIdentical) {
     DiscreteEventScope scope(sched);
     workloads::ExperimentOptions options;
     options.spec = mesh::DatasetSpec::Tiny();
-    options.sim_mode = SimMode::kDiscreteEvent;
     options.process.real_work_stride = 4;
     auto experiment = workloads::Experiment::Create(options);
     EXPECT_TRUE(experiment.ok()) << experiment.status();
@@ -135,8 +134,7 @@ TEST(SimDeterminismTest, VoyagerReplayIsIdentical) {
     if (experiment.ok()) {
       workloads::PlatformRuntime runtime(PlatformProfile::Turing(),
                                          options.time_scale,
-                                         (*experiment)->env(),
-                                         SimMode::kDiscreteEvent);
+                                         (*experiment)->env());
       workloads::RunConfig config;
       config.dataset = &(*experiment)->dataset();
       config.test = workloads::VizTestSpec::Medium();

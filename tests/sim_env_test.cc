@@ -144,7 +144,6 @@ TEST(SimEnvTest, ModeledTimeMatchesDiskModel) {
   options.disk.seek_time = std::chrono::milliseconds(500);  // huge, modeled
   options.disk.bytes_per_second = 1024.0 * 1024;
   options.time_scale = &scale;
-  options.sim_mode = SimModeFromEnv();
   SimEnv env(options);
   WriteAndClose(&env, "f", std::string(1024 * 1024, 'x'));
   auto file = env.NewRandomAccessFile("f");
@@ -163,6 +162,34 @@ TEST(SimEnvTest, ModeledTimeMatchesDiskModel) {
   }
   DiskStats stats = env.stats();
   EXPECT_NEAR(stats.modeled_read_seconds, 1.5, de ? 1e-9 : 0.01);
+}
+
+// The active scope alone is the mode: an env built from default Options
+// under a DiscreteEventScope pays every access exactly on the virtual
+// clock. Scaled-mode batching would defer these sub-millisecond (wall)
+// costs, so read 0 would advance the clock by nothing.
+TEST(SimEnvTest, ScopeAloneMakesEveryAccessExact) {
+  DiscreteEventScope scope;
+  TimeScale scale(0.02);
+  DiskModel disk;
+  disk.seek_time = std::chrono::milliseconds(9);
+  disk.bytes_per_second = 35.0 * 1024 * 1024;
+  SimEnv env(SimEnv::Options{.disk = disk, .time_scale = &scale});
+  constexpr int kChunks = 16;
+  constexpr int64_t kChunkBytes = 4096;
+  WriteAndClose(&env, "f", std::string(kChunks * kChunkBytes, 'x'));
+  auto file = env.NewRandomAccessFile("f");
+  ASSERT_TRUE(file.ok());
+  const Duration transfer = FromSeconds(kChunkBytes / disk.bytes_per_second);
+  std::vector<char> buf(kChunkBytes);
+  for (int i = 0; i < kChunks; ++i) {
+    SCOPED_TRACE(i);
+    const TimePoint start = Now();
+    ASSERT_TRUE((*file)->Read(i * kChunkBytes, kChunkBytes, buf.data()).ok());
+    // Sequential reads: only read 0 pays the seek (9,111,607 ns in all).
+    const Duration expected = i == 0 ? disk.seek_time + transfer : transfer;
+    EXPECT_EQ((Now() - start).count(), expected.count());
+  }
 }
 
 TEST(SimEnvTest, TotalFileBytes) {

@@ -24,11 +24,10 @@
 namespace godiva::workloads {
 namespace {
 
-ExperimentOptions ModeOptions(SimMode mode, double time_scale = 0.0004) {
+ExperimentOptions TinyOptions(double time_scale = 0.0004) {
   ExperimentOptions options;
   options.spec = mesh::DatasetSpec::Tiny();
   options.time_scale = time_scale;
-  options.sim_mode = mode;
   options.process.real_work_stride = 4;
   return options;
 }
@@ -40,12 +39,11 @@ CellResult RunCellInMode(SimMode mode, const PlatformProfile& profile,
                          double time_scale = 0.0004) {
   std::optional<DiscreteEventScope> scope;
   if (mode == SimMode::kDiscreteEvent) scope.emplace();
-  ExperimentOptions options = ModeOptions(mode, time_scale);
+  ExperimentOptions options = TinyOptions(time_scale);
   auto experiment = Experiment::Create(options);
   EXPECT_TRUE(experiment.ok()) << experiment.status();
   if (!experiment.ok()) return {};
-  PlatformRuntime runtime(profile, options.time_scale, (*experiment)->env(),
-                          mode);
+  PlatformRuntime runtime(profile, options.time_scale, (*experiment)->env());
   RunConfig config;
   config.dataset = &(*experiment)->dataset();
   config.test = test;
@@ -157,7 +155,7 @@ TEST(SimModeAgreementTest, CompetitorCellAgreesAcrossModes) {
   auto run = [](SimMode mode, bool with_competitor) {
     std::optional<DiscreteEventScope> scope;
     if (mode == SimMode::kDiscreteEvent) scope.emplace();
-    auto experiment = Experiment::Create(ModeOptions(mode));
+    auto experiment = Experiment::Create(TinyOptions());
     EXPECT_TRUE(experiment.ok()) << experiment.status();
     if (!experiment.ok()) return CellResult{};
     auto cell = (*experiment)

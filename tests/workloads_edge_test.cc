@@ -66,9 +66,7 @@ TEST(PlatformRuntimeTest, DestroyedRuntimeUninstallsItsTimeScale) {
   // On the virtual clock, a read advances time only while some live
   // runtime's scale is installed.
   DiscreteEventScope scope;
-  SimEnv::Options options;
-  options.sim_mode = SimMode::kDiscreteEvent;
-  SimEnv env(options);
+  SimEnv env{SimEnv::Options{}};
   constexpr int64_t kBytes = 64 * 1024;
   {
     auto file = env.NewWritableFile("f");
@@ -85,10 +83,10 @@ TEST(PlatformRuntimeTest, DestroyedRuntimeUninstallsItsTimeScale) {
     return Now() > start;
   };
 
-  auto older = std::make_unique<PlatformRuntime>(
-      PlatformProfile::Engle(), 1e-6, &env, SimMode::kDiscreteEvent);
-  auto newer = std::make_unique<PlatformRuntime>(
-      PlatformProfile::Engle(), 1e-6, &env, SimMode::kDiscreteEvent);
+  auto older =
+      std::make_unique<PlatformRuntime>(PlatformProfile::Engle(), 1e-6, &env);
+  auto newer =
+      std::make_unique<PlatformRuntime>(PlatformProfile::Engle(), 1e-6, &env);
   older.reset();  // leaves the newer runtime's scale installed
   EXPECT_TRUE(read_advances_clock());
   newer.reset();

@@ -49,18 +49,15 @@ class IngestTest : public ::testing::Test {
     // GODIVA_SIM_MODE=de runs the whole suite on the discrete-event
     // scheduler: every sleep, timed wait and modeled disk delay lands on
     // the virtual clock and the interleaving replays identically.
-    const SimMode sim_mode = SimModeFromEnv();
-    if (sim_mode == SimMode::kDiscreteEvent) scope_.emplace();
+    if (SimModeFromEnv() == SimMode::kDiscreteEvent) scope_.emplace();
     spec_ = mesh::DatasetSpec::Tiny();
     spec_.num_snapshots = 6;
     spec_.checksums = true;
-    SimEnv::Options env_options;
-    env_options.sim_mode = sim_mode;
-    env_ = std::make_unique<SimEnv>(env_options);
+    env_ = std::make_unique<SimEnv>(SimEnv::Options{});
     fault_ = std::make_unique<FaultInjectionEnv>(env_.get());
     runtime_ = std::make_unique<PlatformRuntime>(PlatformProfile::Engle(),
                                                  /*time_scale=*/0.0004,
-                                                 env_.get(), sim_mode);
+                                                 env_.get());
     runtime_->SetIoEnv(fault_.get());
     // The dataset starts empty: the producer creates the files live.
     dataset_ = mesh::DescribeSnapshotDataset(spec_, "dataset");
