@@ -18,8 +18,8 @@
 namespace godiva::bench {
 namespace {
 
-using workloads::AggregatedCell;
 using workloads::BarRow;
+using workloads::CellResult;
 using workloads::Experiment;
 using workloads::Variant;
 using workloads::VizTestSpec;
@@ -41,7 +41,7 @@ int Run(int argc, char** argv) {
                                Variant::kGodivaMultiThread};
   std::vector<BarRow> rows;
   // cells[test][variant]
-  std::map<std::string, std::map<std::string, AggregatedCell>> cells;
+  std::map<std::string, std::map<std::string, CellResult>> cells;
   for (const VizTestSpec& test : VizTestSpec::AllThree()) {
     for (Variant variant : kVariants) {
       auto cell = (*experiment)->RunCell(engle, test, variant);
@@ -56,21 +56,20 @@ int Run(int argc, char** argv) {
                             cell->visible_io_seconds});
       cells[test.name][std::string(workloads::VariantName(variant))] =
           *cell;
-      workloads::PrintResilience(cell->last);
-      workloads::PrintPoolStats(cell->last);
+      workloads::PrintResilience(*cell);
+      workloads::PrintPoolStats(*cell);
     }
   }
   workloads::PrintFigure("Figure 3(a) — Engle workstation", rows);
 
-  BenchJson json("bench_fig3a", flags.mode());
+  BenchJson json("bench_fig3a_de");
   for (const auto& [test_name, variants] : cells) {
     for (const auto& [variant_name, cell] : variants) {
       std::string prefix = StrCat(test_name, "_", variant_name);
-      json.Add(StrCat(prefix, "_total_s"), cell.total_seconds.mean);
-      json.Add(StrCat(prefix, "_visible_io_s"),
-               cell.visible_io_seconds.mean);
+      json.Add(StrCat(prefix, "_total_s"), cell.total_seconds);
+      json.Add(StrCat(prefix, "_visible_io_s"), cell.visible_io_seconds);
       json.Add(StrCat(prefix, "_bytes_read_mib"),
-               static_cast<double>(cell.last.bytes_read) / (1024.0 * 1024.0));
+               static_cast<double>(cell.bytes_read) / (1024.0 * 1024.0));
     }
   }
   if (!json.WriteTo(flags.json_path)) return 1;
@@ -90,30 +89,27 @@ int Run(int argc, char** argv) {
   };
   workloads::PrintHeader("Derived metrics vs paper (§4.2, Engle)");
   for (const PaperRow& paper : kPaper) {
-    const AggregatedCell& o = cells[paper.test]["O"];
-    const AggregatedCell& g = cells[paper.test]["G"];
-    const AggregatedCell& tg = cells[paper.test]["TG"];
+    const CellResult& o = cells[paper.test]["O"];
+    const CellResult& g = cells[paper.test]["G"];
+    const CellResult& tg = cells[paper.test]["TG"];
     workloads::PrintComparison(
         StrCat("I/O volume reduction, ", paper.test),
         paper.volume_reduction,
-        workloads::PercentReduction(
-            static_cast<double>(o.last.bytes_read),
-            static_cast<double>(g.last.bytes_read)));
+        workloads::PercentReduction(static_cast<double>(o.bytes_read),
+                                    static_cast<double>(g.bytes_read)));
     workloads::PrintComparison(
         StrCat("I/O time reduction (O vs G), ", paper.test),
         paper.io_time_reduction,
-        workloads::PercentReduction(o.visible_io_seconds.mean,
-                                    g.visible_io_seconds.mean));
+        workloads::PercentReduction(o.visible_io_seconds,
+                                    g.visible_io_seconds));
     workloads::PrintComparison(
         StrCat("I/O cost hidden (G vs TG), ", paper.test),
         paper.hidden_fraction,
-        100.0 * (g.total_seconds.mean - tg.total_seconds.mean) /
-            g.visible_io_seconds.mean);
+        100.0 * (g.total_seconds - tg.total_seconds) / g.visible_io_seconds);
     workloads::PrintComparison(
         StrCat("total input cost reduction (O vs TG), ", paper.test),
         paper.total_input_reduction,
-        100.0 * (o.total_seconds.mean - tg.total_seconds.mean) /
-            o.visible_io_seconds.mean);
+        100.0 * (o.total_seconds - tg.total_seconds) / o.visible_io_seconds);
   }
   return 0;
 }

@@ -20,8 +20,8 @@
 namespace godiva::bench {
 namespace {
 
-using workloads::AggregatedCell;
 using workloads::BarRow;
+using workloads::CellResult;
 using workloads::Experiment;
 using workloads::Variant;
 using workloads::VizTestSpec;
@@ -53,7 +53,7 @@ int Run(int argc, char** argv) {
       {"TG2", Variant::kGodivaMultiThread, false},
   };
   std::vector<BarRow> rows;
-  std::map<std::string, std::map<std::string, AggregatedCell>> cells;
+  std::map<std::string, std::map<std::string, CellResult>> cells;
   for (const VizTestSpec& test : VizTestSpec::AllThree()) {
     for (const Cell& cell_spec : kCells) {
       auto cell = (*experiment)
@@ -68,19 +68,18 @@ int Run(int argc, char** argv) {
                             cell->computation_seconds,
                             cell->visible_io_seconds});
       cells[test.name][cell_spec.label] = *cell;
-      workloads::PrintResilience(cell->last);
-      workloads::PrintPoolStats(cell->last);
+      workloads::PrintResilience(*cell);
+      workloads::PrintPoolStats(*cell);
     }
   }
   workloads::PrintFigure("Figure 3(b) — Turing cluster node", rows);
 
-  BenchJson json("bench_fig3b", flags.mode());
+  BenchJson json("bench_fig3b_de");
   for (const auto& [test_name, labels] : cells) {
     for (const auto& [label, cell] : labels) {
       std::string prefix = StrCat(test_name, "_", label);
-      json.Add(StrCat(prefix, "_total_s"), cell.total_seconds.mean);
-      json.Add(StrCat(prefix, "_visible_io_s"),
-               cell.visible_io_seconds.mean);
+      json.Add(StrCat(prefix, "_total_s"), cell.total_seconds);
+      json.Add(StrCat(prefix, "_visible_io_s"), cell.visible_io_seconds);
     }
   }
   if (!json.WriteTo(flags.json_path)) return 1;
@@ -99,28 +98,26 @@ int Run(int argc, char** argv) {
   double min_hidden = 1e9;
   double max_hidden = -1e9;
   for (const PaperRow& paper : kPaper) {
-    const AggregatedCell& o = cells[paper.test]["O"];
-    const AggregatedCell& g = cells[paper.test]["G"];
+    const CellResult& o = cells[paper.test]["O"];
+    const CellResult& g = cells[paper.test]["G"];
     workloads::PrintComparison(
         StrCat("I/O time reduction (O vs G), ", paper.test),
         paper.io_time_reduction,
-        workloads::PercentReduction(o.visible_io_seconds.mean,
-                                    g.visible_io_seconds.mean));
+        workloads::PercentReduction(o.visible_io_seconds,
+                                    g.visible_io_seconds));
     double best_total = 1e300;
     for (const char* tg : {"TG1", "TG2"}) {
-      const AggregatedCell& cell = cells[paper.test][tg];
-      double hidden = 100.0 *
-                      (g.total_seconds.mean - cell.total_seconds.mean) /
-                      g.visible_io_seconds.mean;
+      const CellResult& cell = cells[paper.test][tg];
+      double hidden = 100.0 * (g.total_seconds - cell.total_seconds) /
+                      g.visible_io_seconds;
       min_hidden = std::min(min_hidden, hidden);
       max_hidden = std::max(max_hidden, hidden);
-      best_total = std::min(best_total, cell.total_seconds.mean);
+      best_total = std::min(best_total, cell.total_seconds);
     }
     workloads::PrintComparison(
         StrCat("max total input cost reduction, ", paper.test),
         paper.max_total_input_reduction,
-        100.0 * (o.total_seconds.mean - best_total) /
-            o.visible_io_seconds.mean);
+        100.0 * (o.total_seconds - best_total) / o.visible_io_seconds);
   }
   std::printf(
       "  hidden I/O fraction across all TG1/TG2 cells: paper 81.1%%–90.8%%"

@@ -1,8 +1,8 @@
 // Reproduces the §4.2 I/O-volume analysis: "by using the GODIVA database,
 // the volume of reads can be reduced by approximately 14%, 24%, and 16%,
-// in the simple, medium, and complex tests respectively". Runs O and G
-// with instant timing (volumes and request counts only), so it is exact
-// and fast at full dataset scale.
+// in the simple, medium, and complex tests respectively". Runs O and G on
+// the virtual clock, where modeled time costs no wall time, and reports
+// volumes and request counts only.
 #include <cstdio>
 #include <string>
 
@@ -23,8 +23,6 @@ using workloads::VizTestSpec;
 
 int Run(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
-  // Volumes are timing-independent: use a near-instant scale.
-  flags.scale = 1e-7;
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
@@ -50,19 +48,19 @@ int Run(int argc, char** argv) {
       return 1;
     }
     double reduction = workloads::PercentReduction(
-        static_cast<double>(o->last.bytes_read),
-        static_cast<double>(g->last.bytes_read));
+        static_cast<double>(o->bytes_read),
+        static_cast<double>(g->bytes_read));
     std::printf("  %-8s %14s %14s %10lld %10lld %10.1f%%\n",
-                test.name.c_str(), FormatBytes(o->last.bytes_read).c_str(),
-                FormatBytes(g->last.bytes_read).c_str(),
-                static_cast<long long>(o->last.reads),
-                static_cast<long long>(g->last.reads), reduction);
+                test.name.c_str(), FormatBytes(o->bytes_read).c_str(),
+                FormatBytes(g->bytes_read).c_str(),
+                static_cast<long long>(o->reads),
+                static_cast<long long>(g->reads), reduction);
     workloads::PrintComparison(StrCat("volume reduction, ", test.name),
                                kPaperReduction[index++], reduction);
     // Per-snapshot input volume (the paper reports 19.2/30.1/16.6 MB for
     // simple/medium/complex).
     double per_snapshot_mb =
-        static_cast<double>(o->last.bytes_read) /
+        static_cast<double>(o->bytes_read) /
         (1e6 * (*experiment)->options().spec.num_snapshots);
     std::printf("  per-snapshot input (O): %.1f MB   (paper: %s MB)\n",
                 per_snapshot_mb,

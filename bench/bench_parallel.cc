@@ -123,7 +123,7 @@ int Run(int argc, char** argv) {
               "(§4.2)\n", kProcesses);
   PrintDatasetBanner(**experiment);
 
-  BenchJson json("bench_parallel", flags.mode());
+  BenchJson json("bench_parallel_de");
   workloads::PrintHeader("sequential vs 4-process, O vs TG");
   std::printf("  %-8s %16s %16s %10s %16s\n", "test", "seq total(s)",
               "par makespan(s)", "speedup", "GODIVA benefit");
@@ -147,7 +147,7 @@ int Run(int argc, char** argv) {
                      par.status().ToString().c_str());
         return 1;
       }
-      seq_total[i] = seq->total_seconds.mean;
+      seq_total[i] = seq->total_seconds;
       par_total[i] = par->makespan_seconds;
       if (variant == Variant::kGodivaMultiThread) {
         proc_totals.RecordAll(par->process_total_seconds);

@@ -17,10 +17,12 @@
 // computations, and per-step settle latency p50/p99 (the demand-latency
 // guard: the query path must not be slower to make a window ready).
 //
+// Every phase replays on the discrete-event virtual clock, each from its
+// own virtual t=0, so latencies are exact. A last phase sweeps 100/500
+// sessions submitting planned batch sets through the serving layer.
+//
 // Flags: --factor=F, --snapshots=N, --window=W, --quick
-// (factor 0.12, 8 snapshots), --sim-mode=M (see bench_util.h; the
-// discrete-event run writes the bench_query_de JSON namespace with exact
-// virtual-clock latencies), --json=PATH for tools/bench_diff.
+// (factor 0.12, 8 snapshots), --json=PATH for tools/bench_diff.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -64,7 +66,6 @@ struct Flags {
   double factor = 1.0;
   int snapshots = 12;
   int window = 4;
-  std::string sim_mode;
   std::string json_path;
 
   static Flags Parse(int argc, char** argv) {
@@ -77,8 +78,6 @@ struct Flags {
         flags.snapshots = std::atoi(arg + 12);
       } else if (std::strncmp(arg, "--window=", 9) == 0) {
         flags.window = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--sim-mode=", 11) == 0) {
-        flags.sim_mode = arg + 11;
       } else if (std::strncmp(arg, "--json=", 7) == 0) {
         flags.json_path = arg + 7;
       } else if (std::strcmp(arg, "--quick") == 0) {
@@ -243,11 +242,9 @@ bool RunQueryPath(PlatformRuntime* runtime,
 
 int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const SimMode mode = ResolveSimMode(flags.sim_mode);
   std::printf("bench_query: 2 fields + disp_mag pushdown, window %d over "
-              "%d snapshots, %s mode\n",
-              flags.window, flags.snapshots, SimModeName(mode));
-  BenchJson json("bench_query", mode);
+              "%d snapshots\n", flags.window, flags.snapshots);
+  BenchJson json("bench_query_de");
 
   // Generate the dataset once (instant writes into the owned SimEnv);
   // both paths replay reads against the same files and disk model.
@@ -256,7 +253,6 @@ int Run(int argc, char** argv) {
       (flags.factor >= 1.0) ? mesh::DatasetSpec::TitanIV()
                             : mesh::DatasetSpec::TitanIVScaled(flags.factor);
   experiment_options.spec.num_snapshots = flags.snapshots;
-  experiment_options.time_scale = 1e-6;  // counts are timing-independent
   auto experiment = Experiment::Create(experiment_options);
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
@@ -267,11 +263,9 @@ int Run(int argc, char** argv) {
   const mesh::SnapshotDataset& dataset = (*experiment)->dataset();
   const PlatformProfile profile = PlatformProfile::Engle();
 
-  // One scope per phase (not BenchFlags'): each _de number is measured
-  // from its own virtual t=0.
   PathResult unit;
   {
-    auto scope = MakeSimScope(mode);
+    DiscreteEventScope scope;
     PlatformRuntime runtime(profile, experiment_options.time_scale,
                             (*experiment)->env());
     if (!RunUnitPath(&runtime, dataset, flags, &unit)) return 1;
@@ -279,7 +273,7 @@ int Run(int argc, char** argv) {
 
   PathResult query;
   {
-    auto scope = MakeSimScope(mode);
+    DiscreteEventScope scope;
     PlatformRuntime runtime(profile, experiment_options.time_scale,
                             (*experiment)->env());
     if (!RunQueryPath(&runtime, dataset, flags, &query)) return 1;
@@ -337,86 +331,83 @@ int Run(int argc, char** argv) {
                   ? "PASS"
                   : "FAIL");
 
-  // DE only: the 500-session batch sweep. Every session submits one
-  // 8-unit planned batch set through the serving layer's batch lane and
-  // awaits settle — DRR grant scheduling at populations the scaled mode
-  // could never host, measured on the exact virtual clock.
-  if (mode == SimMode::kDiscreteEvent) {
-    std::printf("batch sweep (discrete event, 8-unit batch sets):\n");
-    std::printf("  %8s %12s %12s %12s\n", "sessions", "settle p50",
-                "settle p99", "granted");
-    for (int sessions : {100, 500}) {
-      auto scope = MakeSimScope(mode);
-      GboOptions sweep_options;
-      sweep_options.io_threads = 4;
-      sweep_options.metadata_shards = 4;
-      sweep_options.memory_limit_bytes = 256 * 1024 * 1024;
-      Gbo db(sweep_options);
-      if (!workloads::EnsureServingSchema(&db).ok()) return 1;
-      ServerOptions server_options;
-      server_options.max_inflight_demand = 32;
-      GboServer server(&db, server_options);
-      constexpr int kBatchUnits = 8;
-      LatencyRecorder settle;
-      std::mutex settle_mu;
-      std::atomic<int64_t> granted{0};
-      std::atomic<bool> failed{false};
-      {
-        std::vector<Thread> clients;
-        clients.reserve(static_cast<size_t>(sessions));
-        for (int i = 0; i < sessions; ++i) {
-          clients.emplace_back([&, i] {
-            SessionConfig config;
-            config.name = StrCat("batch-", i);
-            config.max_queued_demand = kBatchUnits;
-            auto session = server.OpenSession(config);
-            if (!session.ok()) {
+  // The batch sweep: every session submits one 8-unit planned batch set
+  // through the serving layer's batch lane and awaits settle — DRR grant
+  // scheduling at hundreds of sessions, measured on the virtual clock.
+  std::printf("batch sweep (discrete event, 8-unit batch sets):\n");
+  std::printf("  %8s %12s %12s %12s\n", "sessions", "settle p50",
+              "settle p99", "granted");
+  for (int sessions : {100, 500}) {
+    DiscreteEventScope scope;
+    GboOptions sweep_options;
+    sweep_options.io_threads = 4;
+    sweep_options.metadata_shards = 4;
+    sweep_options.memory_limit_bytes = 256 * 1024 * 1024;
+    Gbo db(sweep_options);
+    if (!workloads::EnsureServingSchema(&db).ok()) return 1;
+    ServerOptions server_options;
+    server_options.max_inflight_demand = 32;
+    GboServer server(&db, server_options);
+    constexpr int kBatchUnits = 8;
+    LatencyRecorder settle;
+    std::mutex settle_mu;
+    std::atomic<int64_t> granted{0};
+    std::atomic<bool> failed{false};
+    {
+      std::vector<Thread> clients;
+      clients.reserve(static_cast<size_t>(sessions));
+      for (int i = 0; i < sessions; ++i) {
+        clients.emplace_back([&, i] {
+          SessionConfig config;
+          config.name = StrCat("batch-", i);
+          config.max_queued_demand = kBatchUnits;
+          auto session = server.OpenSession(config);
+          if (!session.ok()) {
+            failed.store(true);
+            return;
+          }
+          std::vector<SessionBatchRequest> set;
+          for (int u = 0; u < kBatchUnits; ++u) {
+            SessionBatchRequest request;
+            request.unit_name = StrCat("sweep/", i, "/", u);
+            request.read_fn = workloads::ServingReadFn(
+                16 * 1024, std::chrono::microseconds(300));
+            set.push_back(std::move(request));
+          }
+          Stopwatch wait;
+          if (!(*session)->SubmitBatchSet(std::move(set)).ok()) {
+            failed.store(true);
+            return;
+          }
+          std::vector<double> samples;
+          for (int u = 0; u < kBatchUnits; ++u) {
+            Status settled = (*session)->AwaitBatchSettle(
+                StrCat("sweep/", i, "/", u), nullptr);
+            if (!settled.ok()) {
               failed.store(true);
               return;
             }
-            std::vector<SessionBatchRequest> set;
-            for (int u = 0; u < kBatchUnits; ++u) {
-              SessionBatchRequest request;
-              request.unit_name = StrCat("sweep/", i, "/", u);
-              request.read_fn = workloads::ServingReadFn(
-                  16 * 1024, std::chrono::microseconds(300));
-              set.push_back(std::move(request));
-            }
-            Stopwatch wait;
-            if (!(*session)->SubmitBatchSet(std::move(set)).ok()) {
-              failed.store(true);
-              return;
-            }
-            std::vector<double> samples;
-            for (int u = 0; u < kBatchUnits; ++u) {
-              Status settled = (*session)->AwaitBatchSettle(
-                  StrCat("sweep/", i, "/", u), nullptr);
-              if (!settled.ok()) {
-                failed.store(true);
-                return;
-              }
-              samples.push_back(wait.ElapsedSeconds() * 1e3);
-            }
-            granted.fetch_add((*session)->stats().batch_granted);
-            std::lock_guard<std::mutex> lock(settle_mu);
-            settle.RecordAll(samples);
-          });
-        }
-        for (Thread& client : clients) client.join();
+            samples.push_back(wait.ElapsedSeconds() * 1e3);
+          }
+          granted.fetch_add((*session)->stats().batch_granted);
+          std::lock_guard<std::mutex> lock(settle_mu);
+          settle.RecordAll(samples);
+        });
       }
-      if (failed.load()) {
-        std::fprintf(stderr, "%d-session batch sweep failed\n", sessions);
-        return 1;
-      }
-      double sweep_p50 = settle.Percentile(0.50);
-      double sweep_p99 = settle.Percentile(0.99);
-      std::printf("  %8d %12.3f %12.3f %12lld\n", sessions, sweep_p50,
-                  sweep_p99, static_cast<long long>(granted.load()));
-      std::string prefix = StrFormat("de_batch_sessions_%d_", sessions);
-      json.Add(prefix + "settle_p50_ms", sweep_p50);
-      json.Add(prefix + "settle_p99_ms", sweep_p99);
-      json.Add(prefix + "granted", static_cast<double>(granted.load()));
+      for (Thread& client : clients) client.join();
     }
+    if (failed.load()) {
+      std::fprintf(stderr, "%d-session batch sweep failed\n", sessions);
+      return 1;
+    }
+    double sweep_p50 = settle.Percentile(0.50);
+    double sweep_p99 = settle.Percentile(0.99);
+    std::printf("  %8d %12.3f %12.3f %12lld\n", sessions, sweep_p50,
+                sweep_p99, static_cast<long long>(granted.load()));
+    std::string prefix = StrFormat("de_batch_sessions_%d_", sessions);
+    json.Add(prefix + "settle_p50_ms", sweep_p50);
+    json.Add(prefix + "settle_p99_ms", sweep_p99);
+    json.Add(prefix + "granted", static_cast<double>(granted.load()));
   }
 
   json.Add("unit_reads", static_cast<double>(unit.reads));

@@ -1,26 +1,24 @@
 // Multi-session serving under overload (DESIGN.md §13, EXPERIMENTS.md).
-// Two scenarios over the same synthetic unit populations:
+// Every scenario replays on the discrete-event virtual clock, each from
+// its own virtual t=0: latencies are exact and modeled delays cost no
+// wall time. Scenarios over the same synthetic unit populations:
 //
 //   uncontended — the interactive clients alone, ample memory: the
 //     baseline interactive demand latency.
 //   overload    — the full mixed-priority client mix offering at least
 //     2x the server's demand window, with a memory limit the background
 //     streams overrun: admission control and the shed ladder engage.
+//   fairness    — equal-work sessions against the demand window.
+//   sweep       — 100/500/1000 mixed-priority sessions, reporting
+//     interactive p50/p99 and the fair-share ratio at each population.
 //
 // Headline metrics: interactive p99 under overload vs uncontended (the
 // graceful-degradation claim — the server sheds background work instead
 // of letting interactive latency collapse), the weighted fair-share ratio
 // across classes, and the shed/rejection counters.
 //
-// With --sim-mode=de the whole bench replays on the discrete-event
-// virtual clock (deterministic latencies, no wall-time cost for modeled
-// delays), and a fourth scenario sweeps 100/500/1000 sessions — client
-// populations the scaled mode could never host — reporting interactive
-// p50/p99 and the fair-share ratio at each population.
-//
 // Flags: --reads=N per-session demand reads, --cost-us=U synthetic read
-// cost, --quick (small mix), --sim-mode=M (see bench_util.h), --json=PATH
-// for tools/bench_diff.
+// cost, --quick (small mix), --json=PATH for tools/bench_diff.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +46,6 @@ using workloads::ServingReport;
 struct Flags {
   int reads = 96;
   int cost_us = 300;
-  std::string sim_mode;
   std::string json_path;
 
   static Flags Parse(int argc, char** argv) {
@@ -59,8 +56,6 @@ struct Flags {
         flags.reads = std::atoi(arg + 8);
       } else if (std::strncmp(arg, "--cost-us=", 10) == 0) {
         flags.cost_us = std::atoi(arg + 10);
-      } else if (std::strncmp(arg, "--sim-mode=", 11) == 0) {
-        flags.sim_mode = arg + 11;
       } else if (std::strncmp(arg, "--json=", 7) == 0) {
         flags.json_path = arg + 7;
       } else if (std::strcmp(arg, "--quick") == 0) {
@@ -117,11 +112,9 @@ ServingOptions MixedOptions(const Flags& flags) {
 
 int Run(int argc, char** argv) {
   Flags flags = Flags::Parse(argc, argv);
-  const SimMode mode = ResolveSimMode(flags.sim_mode);
-  std::printf("bench_serving: %d reads/session, %dus synthetic read cost, "
-              "%s mode\n",
-              flags.reads, flags.cost_us, SimModeName(mode));
-  BenchJson json("bench_serving", mode);
+  std::printf("bench_serving: %d reads/session, %dus synthetic read cost\n",
+              flags.reads, flags.cost_us);
+  BenchJson json("bench_serving_de");
 
   // ----- Scenario 1: uncontended interactive baseline.
   ServingOptions uncontended = MixedOptions(flags);
@@ -132,10 +125,8 @@ int Run(int argc, char** argv) {
   db_options.memory_limit_bytes = 256 * 1024 * 1024;  // no pressure
   double base_p50 = 0;
   double base_p99 = 0;
-  // One scope per scenario (not BenchFlags'): each _de number is measured
-  // from its own virtual t=0.
   {
-    auto scope = MakeSimScope(mode);
+    DiscreteEventScope scope;
     Gbo db(db_options);
     auto report = RunServingWorkload(&db, uncontended);
     if (!report.ok()) {
@@ -161,7 +152,7 @@ int Run(int argc, char** argv) {
   ServerStats after;
   ClassAgg inter, batch,bg;
   {
-    auto scope = MakeSimScope(mode);
+    DiscreteEventScope scope;
     Gbo db(pressured);
     auto report = RunServingWorkload(&db, overload);
     if (!report.ok()) {
@@ -212,7 +203,7 @@ int Run(int argc, char** argv) {
   fair.server.demand_reserve_interactive = 0;  // pure DRR
   double fairness = 0;
   {
-    auto scope = MakeSimScope(mode);
+    DiscreteEventScope scope;
     Gbo db(db_options);  // ample memory: no shed ladder in this scenario
     auto report = RunServingWorkload(&db, fair);
     if (!report.ok()) {
@@ -243,81 +234,77 @@ int Run(int argc, char** argv) {
               static_cast<long long>(after.demand_shed),
               static_cast<long long>(after.forced_unpins));
 
-  // ----- Scenario 4 (discrete-event only): session-count scaling. Every
-  // modeled delay lands on the virtual clock, so a thousand closed-loop
-  // clients replay deterministically in seconds of wall time — a
-  // population the scaled mode could never host. Latencies and fair-share
-  // ratios are exact virtual-clock numbers: identical on every run.
-  if (mode == SimMode::kDiscreteEvent) {
-    std::printf("session sweep (discrete event):\n");
-    std::printf("  %8s %8s %8s %10s %10s %10s\n", "sessions", "p50(ms)",
-                "p99(ms)", "fairness", "virtual(s)", "wall(s)");
-    for (int sessions : {100, 500, 1000}) {
-      auto scope = MakeSimScope(mode);
-      ServingOptions sweep;
-      sweep.interactive_sessions = sessions / 4;
-      sweep.batch_sessions = sessions / 4;
-      sweep.background_sessions = sessions - 2 * (sessions / 4);
-      sweep.reads_per_session = 12;
-      sweep.payload_bytes = 16 * 1024;
-      sweep.read_cost = std::chrono::microseconds(flags.cost_us);
-      sweep.prefetch_ahead = 1;
-      sweep.hot_units = 16;
-      sweep.batch_units = 64;
-      sweep.cold_units = 512;
-      sweep.flood_delay = std::chrono::milliseconds(20);
-      sweep.server.max_inflight_demand = 32;
-      sweep.server.demand_reserve_interactive = 4;
-      GboOptions sweep_db;
-      sweep_db.io_threads = 4;
-      sweep_db.metadata_shards = 4;
-      sweep_db.memory_limit_bytes = 64 * 1024 * 1024;
-      // Real wall clock, measured outside the virtual one: the sweep's
-      // cost to the machine, not to the model.
-      auto wall_start = std::chrono::steady_clock::now();
-      double virtual_seconds = 0;
-      ClassAgg sweep_inter;
-      double sweep_fairness = 0;
-      {
-        Gbo db(sweep_db);
-        auto report = RunServingWorkload(&db, sweep);
-        if (!report.ok()) {
-          std::fprintf(stderr, "%d-session sweep failed: %s\n", sessions,
-                       report.status().ToString().c_str());
-          return 1;
-        }
-        sweep_inter = Aggregate(*report, PriorityClass::kInteractive);
-        // Fairness within the background class: its clients share one
-        // work shape, so slowest/fastest service rate measures starvation
-        // freedom (cross-class rate ratios only measure the priority
-        // ladder itself).
-        double min_rate = 0;
-        double max_rate = 0;
-        for (const ClientResult& client : report->clients) {
-          if (client.priority != PriorityClass::kBackground) continue;
-          if (client.wall_seconds <= 0) continue;
-          double rate =
-              static_cast<double>(client.reads_ok) / client.wall_seconds;
-          if (min_rate == 0 || rate < min_rate) min_rate = rate;
-          max_rate = std::max(max_rate, rate);
-        }
-        sweep_fairness = max_rate > 0 ? min_rate / max_rate : 0;
-        virtual_seconds = scope->scheduler()->VirtualElapsedSeconds();
+  // ----- Scenario 4: session-count scaling. Every modeled delay lands on
+  // the virtual clock, so a thousand closed-loop clients replay in seconds
+  // of wall time.
+  std::printf("session sweep (discrete event):\n");
+  std::printf("  %8s %8s %8s %10s %10s %10s\n", "sessions", "p50(ms)",
+              "p99(ms)", "fairness", "virtual(s)", "wall(s)");
+  for (int sessions : {100, 500, 1000}) {
+    DiscreteEventScope scope;
+    ServingOptions sweep;
+    sweep.interactive_sessions = sessions / 4;
+    sweep.batch_sessions = sessions / 4;
+    sweep.background_sessions = sessions - 2 * (sessions / 4);
+    sweep.reads_per_session = 12;
+    sweep.payload_bytes = 16 * 1024;
+    sweep.read_cost = std::chrono::microseconds(flags.cost_us);
+    sweep.prefetch_ahead = 1;
+    sweep.hot_units = 16;
+    sweep.batch_units = 64;
+    sweep.cold_units = 512;
+    sweep.flood_delay = std::chrono::milliseconds(20);
+    sweep.server.max_inflight_demand = 32;
+    sweep.server.demand_reserve_interactive = 4;
+    GboOptions sweep_db;
+    sweep_db.io_threads = 4;
+    sweep_db.metadata_shards = 4;
+    sweep_db.memory_limit_bytes = 64 * 1024 * 1024;
+    // Real wall clock, measured outside the virtual one: the sweep's
+    // cost to the machine, not to the model.
+    auto wall_start = std::chrono::steady_clock::now();
+    double virtual_seconds = 0;
+    ClassAgg sweep_inter;
+    double sweep_fairness = 0;
+    {
+      Gbo db(sweep_db);
+      auto report = RunServingWorkload(&db, sweep);
+      if (!report.ok()) {
+        std::fprintf(stderr, "%d-session sweep failed: %s\n", sessions,
+                     report.status().ToString().c_str());
+        return 1;
       }
-      double wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        wall_start)
-              .count();
-      double p50 = sweep_inter.latency.Percentile(0.50);
-      double p99 = sweep_inter.latency.Percentile(0.99);
-      std::printf("  %8d %8.3f %8.3f %10.3f %10.2f %10.2f\n", sessions, p50,
-                  p99, sweep_fairness, virtual_seconds, wall_seconds);
-      std::string prefix = StrFormat("de_sessions_%d_", sessions);
-      json.Add(prefix + "interactive_p50_ms", p50);
-      json.Add(prefix + "interactive_p99_ms", p99);
-      json.Add(prefix + "fair_share_ratio", sweep_fairness);
-      json.Add(prefix + "virtual_seconds", virtual_seconds);
+      sweep_inter = Aggregate(*report, PriorityClass::kInteractive);
+      // Fairness within the background class: its clients share one
+      // work shape, so slowest/fastest service rate measures starvation
+      // freedom (cross-class rate ratios only measure the priority
+      // ladder itself).
+      double min_rate = 0;
+      double max_rate = 0;
+      for (const ClientResult& client : report->clients) {
+        if (client.priority != PriorityClass::kBackground) continue;
+        if (client.wall_seconds <= 0) continue;
+        double rate =
+            static_cast<double>(client.reads_ok) / client.wall_seconds;
+        if (min_rate == 0 || rate < min_rate) min_rate = rate;
+        max_rate = std::max(max_rate, rate);
+      }
+      sweep_fairness = max_rate > 0 ? min_rate / max_rate : 0;
+      virtual_seconds = scope.scheduler()->VirtualElapsedSeconds();
     }
+    double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      wall_start)
+            .count();
+    double p50 = sweep_inter.latency.Percentile(0.50);
+    double p99 = sweep_inter.latency.Percentile(0.99);
+    std::printf("  %8d %8.3f %8.3f %10.3f %10.2f %10.2f\n", sessions, p50,
+                p99, sweep_fairness, virtual_seconds, wall_seconds);
+    std::string prefix = StrFormat("de_sessions_%d_", sessions);
+    json.Add(prefix + "interactive_p50_ms", p50);
+    json.Add(prefix + "interactive_p99_ms", p99);
+    json.Add(prefix + "fair_share_ratio", sweep_fairness);
+    json.Add(prefix + "virtual_seconds", virtual_seconds);
   }
 
   json.Add("interactive_p50_uncontended_ms", base_p50);

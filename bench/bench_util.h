@@ -1,27 +1,24 @@
 // Shared helpers for the benchmark harnesses: tiny flag parsing and
-// experiment construction. Every harness accepts:
+// experiment construction. A harness that parses BenchFlags measures on
+// the discrete-event virtual clock only: every run replays exactly, so one
+// run gives every number and two runs print the same output. Every such
+// harness accepts:
 //   --factor=F      mesh scale factor (default 1.0 = the paper's mesh)
 //   --snapshots=N   snapshots to process (default 32, as in the paper)
-//   --scale=S       real seconds per modeled second (default 0.02)
-//   --reps=R        repetitions per cell (paper used 5; default 1)
 //   --stride=K      real feature extraction on every Kth block (default 16)
 //   --quick         shorthand for --factor=0.12 --snapshots=8
-//   --sim-mode=M    "de" opens a DiscreteEventScope for the flags' life:
-//                   every run replays on the virtual clock (deterministic,
-//                   wall-time free). "scaled" (default) compresses modeled
-//                   delays onto the wall clock. Unset: GODIVA_SIM_MODE.
 //   --json=PATH     also write the headline metrics as JSON (for
 //                   tools/bench_diff regression tracking)
 #ifndef GODIVA_BENCH_BENCH_UTIL_H_
 #define GODIVA_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,59 +26,29 @@
 #include "common/strings.h"
 #include "mesh/dataset_spec.h"
 #include "sim/event_scheduler.h"
-#include "sim/virtual_time.h"
 #include "workloads/experiment.h"
 
 namespace godiva::bench {
 
-// Resolves a --sim-mode flag value; an empty flag defers to the
-// GODIVA_SIM_MODE environment variable (so CI can flip whole bench jobs
-// without touching their command lines).
-inline SimMode ResolveSimMode(const std::string& flag) {
-  if (flag.empty()) return SimModeFromEnv();
-  if (std::optional<SimMode> mode = ParseSimMode(flag)) return *mode;
-  std::fprintf(stderr, "unknown --sim-mode value: %s\n", flag.c_str());
-  std::exit(2);
-}
-
-// Opens a DiscreteEventScope when `mode` calls for one. The harness holds
-// the returned handle across every run the scope must cover (all
-// godiva::Threads spawned inside it must join before it is released);
-// null in scaled mode, where no scope is needed.
-inline std::unique_ptr<DiscreteEventScope> MakeSimScope(SimMode mode) {
-  if (mode != SimMode::kDiscreteEvent) return nullptr;
-  return std::make_unique<DiscreteEventScope>();
-}
-
 struct BenchFlags {
   double factor = 1.0;
   int snapshots = 32;
-  double scale = 0.02;
-  int reps = 1;
   int stride = 16;
   std::string json_path;  // empty = no JSON output
-  // Open iff --sim-mode (or GODIVA_SIM_MODE) asked for discrete-event
-  // mode. It lives as long as the flags, so declare them before anything
-  // that spawns godiva::Threads.
+  // The virtual clock every run replays on. It lives as long as the flags,
+  // so declare them before anything that spawns godiva::Threads.
   std::unique_ptr<DiscreteEventScope> scope;
 
   static BenchFlags Parse(int argc, char** argv) {
     BenchFlags flags;
-    std::string sim_mode;
     for (int i = 1; i < argc; ++i) {
       const char* arg = argv[i];
       if (std::strncmp(arg, "--factor=", 9) == 0) {
         flags.factor = std::atof(arg + 9);
       } else if (std::strncmp(arg, "--snapshots=", 12) == 0) {
         flags.snapshots = std::atoi(arg + 12);
-      } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-        flags.scale = std::atof(arg + 8);
-      } else if (std::strncmp(arg, "--reps=", 7) == 0) {
-        flags.reps = std::atoi(arg + 7);
       } else if (std::strncmp(arg, "--stride=", 9) == 0) {
         flags.stride = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--sim-mode=", 11) == 0) {
-        sim_mode = arg + 11;
       } else if (std::strncmp(arg, "--json=", 7) == 0) {
         flags.json_path = arg + 7;
       } else if (std::strcmp(arg, "--quick") == 0) {
@@ -92,12 +59,8 @@ struct BenchFlags {
         std::exit(2);
       }
     }
-    flags.scope = MakeSimScope(ResolveSimMode(sim_mode));
+    flags.scope = std::make_unique<DiscreteEventScope>();
     return flags;
-  }
-
-  SimMode mode() const {
-    return scope != nullptr ? SimMode::kDiscreteEvent : SimMode::kScaledSleep;
   }
 
   workloads::ExperimentOptions ToOptions() const {
@@ -106,8 +69,6 @@ struct BenchFlags {
                        ? mesh::DatasetSpec::TitanIV()
                        : mesh::DatasetSpec::TitanIVScaled(factor);
     options.spec.num_snapshots = snapshots;
-    options.time_scale = scale;
-    options.repetitions = reps;
     options.process.real_work_stride = stride;
     return options;
   }
@@ -192,22 +153,20 @@ inline std::string UtcTimestamp() {
 
 // Collects named scalar metrics and writes them as the flat JSON document
 // tools/bench_diff consumes:
-//   {"bench": "bench_fig3a", "git_sha": "1a2b3c4d5e6f",
+//   {"bench": "bench_fig3a_de", "git_sha": "1a2b3c4d5e6f",
 //    "timestamp_utc": "2026-08-06T12:34:56Z",
 //    "metrics": {"simple_O_total_s": 413.7, ...}}
 // git_sha/timestamp_utc record which commit produced the numbers and when;
 // bench_diff carries them into baselines and names the offending commit
 // when it reports a regression. Metric names should be stable across runs;
-// values are doubles. Insertion order is preserved so diffs of the files
-// stay readable. A discrete-event run's name gains "_de": bench_diff holds
-// those virtual-clock numbers to exact equality, apart from the noisy
-// scaled-sleep ones.
+// values are doubles, printed as the shortest text that reads back as the
+// same double. Insertion order is preserved so diffs of the files stay
+// readable. A virtual-clock bench's name ends in "_de": bench_diff holds
+// its numbers to exact equality.
 class BenchJson {
  public:
-  explicit BenchJson(std::string bench_name,
-                     SimMode mode = SimMode::kScaledSleep)
-      : bench_name_(mode == SimMode::kDiscreteEvent ? bench_name + "_de"
-                                                    : std::move(bench_name)),
+  explicit BenchJson(std::string bench_name)
+      : bench_name_(std::move(bench_name)),
         git_sha_(CurrentGitSha()),
         timestamp_utc_(UtcTimestamp()) {}
 
@@ -231,8 +190,11 @@ class BenchJson {
                  bench_name_.c_str(), git_sha_.c_str(),
                  timestamp_utc_.c_str());
     for (size_t i = 0; i < metrics_.size(); ++i) {
-      std::fprintf(out, "    \"%s\": %.6g%s\n", metrics_[i].first.c_str(),
-                   metrics_[i].second,
+      char value[32];
+      const char* end =
+          std::to_chars(value, value + sizeof(value), metrics_[i].second).ptr;
+      std::fprintf(out, "    \"%s\": %.*s%s\n", metrics_[i].first.c_str(),
+                   static_cast<int>(end - value), value,
                    i + 1 < metrics_.size() ? "," : "");
     }
     std::fprintf(out, "  }\n}\n");

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <string_view>
 
 namespace godiva {
 
@@ -565,23 +566,19 @@ DiscreteEventScope::DiscreteEventScope(EventScheduler::Options options)
 
 DiscreteEventScope::~DiscreteEventScope() { scheduler_.Deactivate(); }
 
-std::optional<SimMode> ParseSimMode(std::string_view name) {
+SimMode SimModeFromEnv() {
+  const char* env = std::getenv("GODIVA_SIM_MODE");
+  if (env == nullptr || env[0] == '\0') return SimMode::kScaledSleep;
+  const std::string_view name = env;
   if (name == "de" || name == "discrete" || name == "discrete-event") {
     return SimMode::kDiscreteEvent;
   }
   if (name == "scaled" || name == "sleep" || name == "scaled-sleep") {
     return SimMode::kScaledSleep;
   }
-  return std::nullopt;
-}
-
-SimMode SimModeFromEnv(SimMode fallback) {
-  const char* env = std::getenv("GODIVA_SIM_MODE");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  if (std::optional<SimMode> mode = ParseSimMode(env)) return *mode;
   std::fprintf(stderr, "godiva: unrecognized GODIVA_SIM_MODE=%s (ignored)\n",
                env);
-  return fallback;
+  return SimMode::kScaledSleep;
 }
 
 const char* SimModeName(SimMode mode) {

@@ -27,10 +27,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -192,14 +190,11 @@ class DiscreteEventScope {
   EventScheduler scheduler_;
 };
 
-// The one list of sim-mode names, shared by GODIVA_SIM_MODE and the bench
-// --sim-mode flag: "de"/"discrete"/"discrete-event" or
-// "scaled"/"sleep"/"scaled-sleep"; nullopt for anything else.
-std::optional<SimMode> ParseSimMode(std::string_view name);
-// Parses GODIVA_SIM_MODE; returns `fallback` when unset or unrecognized
-// (with a warning). Test fixtures and bench harnesses use this so one env
-// var flips a whole suite into discrete-event mode.
-SimMode SimModeFromEnv(SimMode fallback = SimMode::kScaledSleep);
+// Parses GODIVA_SIM_MODE: "de"/"discrete"/"discrete-event" or
+// "scaled"/"sleep"/"scaled-sleep". Returns kScaledSleep when unset or
+// unrecognized (with a warning). Test fixtures use this so one env var
+// flips a whole suite into discrete-event mode.
+SimMode SimModeFromEnv();
 const char* SimModeName(SimMode mode);
 
 }  // namespace godiva

@@ -1,6 +1,6 @@
 // Experiment orchestration: owns the in-memory dataset files, wires up
-// platform runtimes, runs (test × variant) cells with repetitions, and
-// derives the percentage metrics the paper reports.
+// platform runtimes, runs (test × variant) cells, and derives the
+// percentage metrics the paper reports.
 #ifndef GODIVA_WORKLOADS_EXPERIMENT_H_
 #define GODIVA_WORKLOADS_EXPERIMENT_H_
 
@@ -23,23 +23,7 @@ struct ExperimentOptions {
   // one second of wall time). Ignored in discrete-event mode, where
   // modeled time is free.
   double time_scale = 0.002;
-  int repetitions = 1;
   ProcessOptions process;
-};
-
-// Mean and half-width of a 95% confidence interval (matching the paper's
-// error bars over 5 runs); half-width is 0 with a single repetition.
-struct Measurement {
-  double mean = 0;
-  double ci95 = 0;
-};
-
-// A run cell aggregated over repetitions.
-struct AggregatedCell {
-  CellResult last;  // counters from the final repetition
-  Measurement total_seconds;
-  Measurement visible_io_seconds;
-  Measurement computation_seconds;
 };
 
 class Experiment {
@@ -51,12 +35,11 @@ class Experiment {
   Experiment(const Experiment&) = delete;
   Experiment& operator=(const Experiment&) = delete;
 
-  // Runs one cell on `profile`, `options.repetitions` times. Pass
-  // `with_competitor` to emulate the paper's TG1 (a compute-bound process
-  // occupying one CPU).
-  Result<AggregatedCell> RunCell(const PlatformProfile& profile,
-                                 const VizTestSpec& test, Variant variant,
-                                 bool with_competitor = false);
+  // Runs one cell on `profile`. Pass `with_competitor` to emulate the
+  // paper's TG1 (a compute-bound process occupying one CPU).
+  Result<CellResult> RunCell(const PlatformProfile& profile,
+                             const VizTestSpec& test, Variant variant,
+                             bool with_competitor = false);
 
   const mesh::SnapshotDataset& dataset() const { return dataset_; }
   const ExperimentOptions& options() const { return options_; }

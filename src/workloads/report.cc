@@ -28,22 +28,17 @@ void PrintFigure(const std::string& title, const std::vector<BarRow>& rows) {
   PrintHeader(title);
   double max_total = 0;
   for (const BarRow& row : rows) {
-    max_total = std::max(max_total, row.computation_seconds.mean +
-                                        row.visible_io_seconds.mean);
+    max_total = std::max(max_total,
+                         row.computation_seconds + row.visible_io_seconds);
   }
   std::printf("%-16s %14s %14s %10s\n", "", "computation(s)",
               "visible I/O(s)", "total(s)");
   for (const BarRow& row : rows) {
-    double total =
-        row.computation_seconds.mean + row.visible_io_seconds.mean;
-    std::printf("%-16s %8.1f±%-5.1f %8.1f±%-5.1f %10.1f  |%s%s\n",
-                row.label.c_str(), row.computation_seconds.mean,
-                row.computation_seconds.ci95, row.visible_io_seconds.mean,
-                row.visible_io_seconds.ci95, total,
-                Bar(row.computation_seconds.mean, max_total, 40, '#')
-                    .c_str(),
-                Bar(row.visible_io_seconds.mean, max_total, 40, '.')
-                    .c_str());
+    double total = row.computation_seconds + row.visible_io_seconds;
+    std::printf("%-16s %14.1f %14.1f %10.1f  |%s%s\n", row.label.c_str(),
+                row.computation_seconds, row.visible_io_seconds, total,
+                Bar(row.computation_seconds, max_total, 40, '#').c_str(),
+                Bar(row.visible_io_seconds, max_total, 40, '.').c_str());
   }
   std::printf("  (# computation, . visible I/O; bars scaled to %0.1f s)\n",
               max_total);

@@ -13,13 +13,13 @@ namespace godiva::workloads {
 // One labelled bar of a Figure-3 chart.
 struct BarRow {
   std::string label;  // e.g. "simple(TG)"
-  Measurement computation_seconds;
-  Measurement visible_io_seconds;
+  double computation_seconds = 0;
+  double visible_io_seconds = 0;
 };
 
 // Prints:
 //   label            computation   visible I/O     total
-//   simple(O)          312.4±1.2     101.3±0.4     413.7
+//   simple(O)              312.4         101.3     413.7
 // plus an ASCII stacked bar per row.
 void PrintFigure(const std::string& title, const std::vector<BarRow>& rows);
 

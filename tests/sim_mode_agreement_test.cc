@@ -162,7 +162,7 @@ TEST(SimModeAgreementTest, CompetitorCellAgreesAcrossModes) {
                     ->RunCell(PlatformProfile::Engle(), VizTestSpec::Simple(),
                               Variant::kGodivaSingleThread, with_competitor);
     EXPECT_TRUE(cell.ok()) << cell.status();
-    return cell.ok() ? cell->last : CellResult{};
+    return cell.ok() ? *cell : CellResult{};
   };
   CellResult scaled = run(SimMode::kScaledSleep, true);
   CellResult de = run(SimMode::kDiscreteEvent, true);

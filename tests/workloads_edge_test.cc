@@ -227,7 +227,7 @@ TEST(ExperimentTest, CompetitorFlagRuns) {
           ->RunCell(PlatformProfile::Turing(), VizTestSpec::Simple(),
                     Variant::kGodivaMultiThread, /*with_competitor=*/true);
   ASSERT_TRUE(cell.ok()) << cell.status();
-  EXPECT_GT(cell->total_seconds.mean, 0);
+  EXPECT_GT(cell->total_seconds, 0);
 }
 
 TEST(SnapshotIoTest, MissingQuantityFailsTheUnit) {

@@ -12,6 +12,7 @@
 #include "core/options.h"
 #include "core/query.h"
 #include "mesh/dataset_spec.h"
+#include "sim/event_scheduler.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
 #include "viz/camera.h"
@@ -336,6 +337,8 @@ TEST_F(VoyagerVariantTest, GodivaReducesReadVolume) {
 }
 
 TEST_F(VoyagerVariantTest, MultiThreadHidesVisibleIo) {
+  // Hiding is a modeled quantity: compare exact virtual seconds.
+  DiscreteEventScope scope;
   std::vector<double> visible;
   for (Variant variant :
        {Variant::kGodivaSingleThread, Variant::kGodivaMultiThread}) {
@@ -380,9 +383,8 @@ TEST_F(VoyagerVariantTest, GodivaStatsReflectBatchFlow) {
             spec.num_snapshots * spec.num_blocks);
 }
 
-TEST(ExperimentTest, RunCellAggregatesRepetitions) {
+TEST(ExperimentTest, RunCellReportsTotalAndVisibleIo) {
   ExperimentOptions options = TinyOptions();
-  options.repetitions = 3;
   options.process.real_work_stride = 4;
   auto experiment = Experiment::Create(options);
   ASSERT_TRUE(experiment.ok());
@@ -390,9 +392,8 @@ TEST(ExperimentTest, RunCellAggregatesRepetitions) {
                   ->RunCell(PlatformProfile::Engle(),
                             VizTestSpec::Simple(), Variant::kOriginal);
   ASSERT_TRUE(cell.ok()) << cell.status();
-  EXPECT_GT(cell->total_seconds.mean, 0);
-  EXPECT_GE(cell->total_seconds.ci95, 0);
-  EXPECT_GT(cell->visible_io_seconds.mean, 0);
+  EXPECT_GT(cell->total_seconds, 0);
+  EXPECT_GT(cell->visible_io_seconds, 0);
 }
 
 TEST(ExperimentTest, PercentReduction) {

@@ -33,6 +33,7 @@
 // baseline metric missing from the candidate fails too.
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -178,7 +179,8 @@ std::string DocProvenance(const Document& doc) {
 
 // Serializes a merged baseline: a "provenance" object naming the commit
 // and time each bench's numbers were produced at, then the flat prefixed
-// metrics map.
+// metrics map. Values print as the shortest text that reads back as the
+// same double, so the exact gate compares what the bench measured.
 int SerializeBaseline(
     const std::string& path,
     const std::vector<std::pair<std::string, std::string>>& provenance,
@@ -201,8 +203,12 @@ int SerializeBaseline(
   }
   std::fprintf(out, "  \"metrics\": {\n");
   for (size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(out, "    \"%s\": %.6g%s\n", metrics[i].first.c_str(),
-                 metrics[i].second, i + 1 < metrics.size() ? "," : "");
+    char value[32];
+    const char* end =
+        std::to_chars(value, value + sizeof(value), metrics[i].second).ptr;
+    std::fprintf(out, "    \"%s\": %.*s%s\n", metrics[i].first.c_str(),
+                 static_cast<int>(end - value), value,
+                 i + 1 < metrics.size() ? "," : "");
   }
   std::fprintf(out, "  }\n}\n");
   if (std::fclose(out) != 0) return 1;

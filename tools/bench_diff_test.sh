@@ -41,4 +41,12 @@ doc wall_noise.json b '"m": 1.55'
 expect 0 wall_noise.json
 doc wall_worse.json b '"m": 3'
 expect 1 wall_worse.json
+
+# The baseline keeps every digit a *_de value carries.
+doc fine.json f_de '"m": 0.123456789'
+"$diff_tool" --write-baseline="$dir/base.json" "$dir/fine.json" \
+  > /dev/null || exit 1
+expect 0 fine.json
+doc fine_off.json f_de '"m": 0.123456788'
+expect 1 fine_off.json
 echo bench_diff_test_ok
