@@ -151,19 +151,30 @@ void BM_UnitRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_UnitRoundTrip)->Arg(16)->Arg(256);
 
-void BM_Crc32(benchmark::State& state) {
-  // The checksum every verified gsdf read pays over each dataset payload.
+// Checksums a state.range(0)-byte buffer with `crc32` per iteration.
+void RunCrc32(benchmark::State& state,
+              uint32_t (*crc32)(const void*, int64_t, uint32_t)) {
   std::vector<uint8_t> buffer(static_cast<size_t>(state.range(0)));
   for (size_t i = 0; i < buffer.size(); ++i) {
     buffer[i] = static_cast<uint8_t>(i * 131 + 7);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        Crc32(buffer.data(), static_cast<int64_t>(buffer.size())));
+        crc32(buffer.data(), static_cast<int64_t>(buffer.size()), 0));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
+
+// The checksum every verified gsdf read pays over each dataset payload.
+void BM_Crc32(benchmark::State& state) { RunCrc32(state, &Crc32); }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// The same checksum by the portable slicing-by-16 loop alone: what Crc32
+// runs on a CPU without PCLMULQDQ.
+void BM_Crc32Portable(benchmark::State& state) {
+  RunCrc32(state, &detail::PortableCrc32);
+}
+BENCHMARK(BM_Crc32Portable)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 // One full-size TitanIV snapshot with every quantity of the medium test,
 // written and read back once per process. `views` span the arrays that

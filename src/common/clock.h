@@ -1,5 +1,7 @@
-// Wall-clock helpers: a steady-clock stopwatch and an accumulating timer
-// used for the paper's "visible I/O time" / "computation time" accounting.
+// Clock helpers: a stopwatch and an accumulating timer on the clock
+// godiva::Now() reads (virtual under a DiscreteEventScope, the steady wall
+// clock otherwise), used for the paper's "visible I/O time" /
+// "computation time" accounting.
 //
 // All timing in src/ goes through godiva::Now() / godiva::SleepFor()
 // rather than SteadyClock::now() / std::this_thread::sleep_for directly:

@@ -11,7 +11,8 @@
 namespace godiva {
 
 struct GboStats {
-  // Time accounting (seconds of wall time).
+  // Time accounting (seconds on the clock godiva::Now() reads: virtual
+  // under a DiscreteEventScope, wall otherwise).
   double visible_io_seconds = 0;    // blocking ReadUnit + WaitUnit waits
   double read_fn_seconds = 0;       // total time inside user read functions
   double prefetch_seconds = 0;      // read-function time on the I/O thread

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -179,44 +180,57 @@ uint32_t BitwiseCrc32(const uint8_t* data, size_t size, uint32_t seed) {
 }
 
 TEST(Crc32Test, MatchesBitwiseReference) {
-  // Crc32 consumes 16-byte slices and then a byte-wise tail. Every length
-  // up to 1 KiB at every start offset modulo 16 crosses each slice/tail
-  // split at each load alignment; the large buffers run long slice loops.
+  // Crc32 folds whole 16-byte blocks with carry-less multiplies once a
+  // buffer reaches 64 bytes (on a CPU with PCLMULQDQ) and leaves the rest
+  // to the portable loop, which consumes 16-byte slices and then a
+  // byte-wise tail. Every length up to 1 KiB at every start offset modulo
+  // 16 crosses the 64-byte entry point and each block/tail split at each
+  // load alignment; the large buffers run long fold and slice loops. Both
+  // entry points run the whole sweep, so the portable loop stays covered
+  // on a host where Crc32 never reaches it for long buffers.
+  using CrcFn = uint32_t (*)(const void*, int64_t, uint32_t);
   constexpr size_t kLarge = size_t{1} << 17;
   std::vector<uint8_t> buffer(16 + kLarge + 64);
   Random rng(0xC4C32);
   for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.NextUint64());
-  for (size_t offset = 0; offset < 16; ++offset) {
-    const uint8_t* data = buffer.data() + offset;
-    for (size_t length = 0; length <= 1024; ++length) {
-      ASSERT_EQ(Crc32(data, static_cast<int64_t>(length)),
-                BitwiseCrc32(data, length, 0))
-          << "offset " << offset << ", length " << length;
-    }
-  }
-  for (size_t length : {size_t{1} << 16, (size_t{1} << 16) + 9, kLarge + 61}) {
-    for (size_t offset : {size_t{0}, size_t{3}}) {
+  for (const auto& [name, crc32] :
+       {std::pair<const char*, CrcFn>{"Crc32", &Crc32},
+        std::pair<const char*, CrcFn>{"PortableCrc32",
+                                      &detail::PortableCrc32}}) {
+    SCOPED_TRACE(name);
+    for (size_t offset = 0; offset < 16; ++offset) {
       const uint8_t* data = buffer.data() + offset;
-      EXPECT_EQ(Crc32(data, static_cast<int64_t>(length)),
-                BitwiseCrc32(data, length, 0))
-          << "offset " << offset << ", length " << length;
+      for (size_t length = 0; length <= 1024; ++length) {
+        ASSERT_EQ(crc32(data, static_cast<int64_t>(length), 0),
+                  BitwiseCrc32(data, length, 0))
+            << "offset " << offset << ", length " << length;
+      }
     }
-  }
+    for (size_t length :
+         {size_t{1} << 16, (size_t{1} << 16) + 9, kLarge + 61}) {
+      for (size_t offset : {size_t{0}, size_t{3}}) {
+        const uint8_t* data = buffer.data() + offset;
+        EXPECT_EQ(crc32(data, static_cast<int64_t>(length), 0),
+                  BitwiseCrc32(data, length, 0))
+            << "offset " << offset << ", length " << length;
+      }
+    }
 
-  // Seed chaining: a buffer split at any point and checksummed in two
-  // calls, the second seeded with the first's result, equals one call —
-  // from a zero seed and from arbitrary ones.
-  const uint8_t* data = buffer.data() + 5;
-  constexpr size_t kChained = 1024 + 37;
-  for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
-    const uint32_t whole = BitwiseCrc32(data, kChained, seed);
-    ASSERT_EQ(Crc32(data, kChained, seed), whole) << "seed " << seed;
-    for (size_t split = 0; split <= kChained; ++split) {
-      uint32_t first = Crc32(data, static_cast<int64_t>(split), seed);
-      ASSERT_EQ(Crc32(data + split, static_cast<int64_t>(kChained - split),
-                      first),
-                whole)
-          << "seed " << seed << ", split " << split;
+    // Seed chaining: a buffer split at any point and checksummed in two
+    // calls, the second seeded with the first's result, equals one call —
+    // from a zero seed and from arbitrary ones.
+    const uint8_t* data = buffer.data() + 5;
+    constexpr size_t kChained = 1024 + 37;
+    for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+      const uint32_t whole = BitwiseCrc32(data, kChained, seed);
+      ASSERT_EQ(crc32(data, kChained, seed), whole) << "seed " << seed;
+      for (size_t split = 0; split <= kChained; ++split) {
+        uint32_t first = crc32(data, static_cast<int64_t>(split), seed);
+        ASSERT_EQ(crc32(data + split, static_cast<int64_t>(kChained - split),
+                        first),
+                  whole)
+            << "seed " << seed << ", split " << split;
+      }
     }
   }
 }
