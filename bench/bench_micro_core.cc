@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the GODIVA core: record-operation
 // and key-lookup costs (the in-memory database operations on the critical
 // path of every read function and every data-processing query), the
-// CRC-32 that verified reads pay per byte, and the feature extraction
-// that each render pass runs over a full-size snapshot.
+// serving workloads' synthetic read function, the CRC-32 that verified
+// reads pay per byte, and the feature extraction that each render pass
+// runs over a full-size snapshot.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/crc32.h"
 #include "common/types.h"
 #include "core/gbo.h"
@@ -23,6 +25,7 @@
 #include "sim/sim_env.h"
 #include "workloads/platform_runtime.h"
 #include "workloads/processing.h"
+#include "workloads/serving.h"
 #include "workloads/snapshot_io.h"
 #include "workloads/test_spec.h"
 
@@ -150,6 +153,32 @@ void BM_UnitRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * records);
 }
 BENCHMARK(BM_UnitRoundTrip)->Arg(16)->Arg(256);
+
+void BM_ServingReadFn(benchmark::State& state) {
+  // One unit load through the serving workloads' read function: ReadUnit
+  // (key, state.range(0)-byte payload fill, commit), FinishUnit and
+  // DeleteUnit, with no read cost and no scope.
+  Gbo db(GboOptions::SingleThread());
+  Status s = workloads::EnsureServingSchema(&db);
+  if (!s.ok()) {
+    state.SkipWithError(s.ToString().c_str());
+    return;
+  }
+  const Gbo::ReadFn read_fn =
+      workloads::ServingReadFn(state.range(0), Duration::zero());
+  for (auto _ : state) {
+    s = db.ReadUnit("cold/u1", read_fn);
+    if (s.ok()) s = db.FinishUnit("cold/u1");
+    if (s.ok()) s = db.DeleteUnit("cold/u1");
+    benchmark::DoNotOptimize(s);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ServingReadFn)->Arg(64 << 10);
 
 // Checksums a state.range(0)-byte buffer with `crc32` per iteration.
 void RunCrc32(benchmark::State& state,

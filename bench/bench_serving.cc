@@ -78,7 +78,6 @@ struct ClassAgg {
   int64_t reads_ok = 0;
   int64_t reads_rejected = 0;
   int64_t prefetches_shed = 0;
-  double wall_seconds = 0;  // max across the class's clients
   int clients = 0;
 };
 
@@ -91,7 +90,6 @@ ClassAgg Aggregate(const ServingReport& report, PriorityClass cls) {
     agg.reads_ok += client.reads_ok;
     agg.reads_rejected += client.reads_rejected;
     agg.prefetches_shed += client.stats.prefetches_shed;
-    agg.wall_seconds = std::max(agg.wall_seconds, client.wall_seconds);
   }
   return agg;
 }
@@ -214,9 +212,9 @@ int Run(int argc, char** argv) {
     double min_rate = 0;
     double max_rate = 0;
     for (const ClientResult& client : report->clients) {
-      if (client.wall_seconds <= 0) continue;
+      if (client.elapsed_seconds <= 0) continue;
       double rate =
-          static_cast<double>(client.reads_ok) / client.wall_seconds;
+          static_cast<double>(client.reads_ok) / client.elapsed_seconds;
       if (min_rate == 0 || rate < min_rate) min_rate = rate;
       max_rate = std::max(max_rate, rate);
     }
@@ -283,9 +281,9 @@ int Run(int argc, char** argv) {
       double max_rate = 0;
       for (const ClientResult& client : report->clients) {
         if (client.priority != PriorityClass::kBackground) continue;
-        if (client.wall_seconds <= 0) continue;
+        if (client.elapsed_seconds <= 0) continue;
         double rate =
-            static_cast<double>(client.reads_ok) / client.wall_seconds;
+            static_cast<double>(client.reads_ok) / client.elapsed_seconds;
         if (min_rate == 0 || rate < min_rate) min_rate = rate;
         max_rate = std::max(max_rate, rate);
       }

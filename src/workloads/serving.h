@@ -47,8 +47,9 @@ struct ServingOptions {
   // this is the pressure knob.
   int64_t payload_bytes = 64 * 1024;
 
-  // Synthetic per-read cost (busy work inside the read function), so
-  // overload actually queues. Zero for tests.
+  // Synthetic per-read cost, slept inside the read function (on the
+  // virtual clock under a DiscreteEventScope), so overload actually
+  // queues. Zero for tests.
   Duration read_cost = Duration::zero();
 
   // Batch/background clients start this much later than the interactive
@@ -82,9 +83,10 @@ struct ClientResult {
   // End-to-end demand latency of each successful Read, milliseconds.
   std::vector<double> latencies_ms;
 
-  // Wall-clock seconds this client's whole trace took (its service rate
-  // denominator in fairness metrics).
-  double wall_seconds = 0;
+  // Seconds this client's whole trace took on godiva::Now(): virtual
+  // seconds under a DiscreteEventScope, steady wall-clock seconds
+  // otherwise (its service rate denominator in fairness metrics).
+  double elapsed_seconds = 0;
 
   // The session's own view, snapshotted after the trace completes.
   SessionStats stats;
@@ -101,8 +103,13 @@ struct ServingReport {
 // field plus a payload). Idempotent: ALREADY_EXISTS is absorbed.
 Status EnsureServingSchema(Gbo* db);
 
-// A read function producing `payload_bytes` of deterministic synthetic
-// payload for any unit name, spinning for `read_cost` first.
+// A read function that sleeps for `read_cost` (on the virtual clock under
+// a DiscreteEventScope), then commits one serving_chunk record for the
+// unit. Its payload is the first `payload_bytes` bytes of the
+// little-endian byte stream of Random(FNV-1a-64(unit_name)): each draw
+// gives eight bytes, least-significant first, and a shorter tail takes
+// the low bytes of one more draw. Names longer than the 32-byte
+// serving_key fail with INVALID_ARGUMENT before any record is created.
 Gbo::ReadFn ServingReadFn(int64_t payload_bytes, Duration read_cost);
 
 // Runs the whole workload: creates a GboServer over `db`, opens the

@@ -53,14 +53,14 @@ struct ReplayObservation {
 std::string DigestReport(const workloads::ServingReport& report) {
   std::string out;
   for (const workloads::ClientResult& client : report.clients) {
-    out += StrFormat("%s ok=%lld rej=%lld fail=%lld pf=%lld/%lld wall=%.17g",
+    out += StrFormat("%s ok=%lld rej=%lld fail=%lld pf=%lld/%lld elapsed=%.17g",
                      client.name.c_str(),
                      static_cast<long long>(client.reads_ok),
                      static_cast<long long>(client.reads_rejected),
                      static_cast<long long>(client.reads_failed),
                      static_cast<long long>(client.prefetches_ok),
                      static_cast<long long>(client.prefetches_rejected),
-                     client.wall_seconds);
+                     client.elapsed_seconds);
     for (double latency : client.latencies_ms) {
       out += StrFormat(" %.17g", latency);
     }

@@ -1,14 +1,18 @@
 // Integration tests for the Voyager workload layer: test specs, the GODIVA
 // block schema, both input paths, pass processing, and full O/G/TG runs on
-// a tiny dataset with the paper's qualitative invariants.
+// a tiny dataset with the paper's qualitative invariants; plus the payload
+// definition of the serving workloads' synthetic read function.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/gbo.h"
+#include "core/key_util.h"
 #include "core/options.h"
 #include "core/query.h"
 #include "mesh/dataset_spec.h"
@@ -24,6 +28,7 @@
 #include "workloads/experiment.h"
 #include "workloads/platform_runtime.h"
 #include "workloads/processing.h"
+#include "workloads/serving.h"
 #include "workloads/snapshot_io.h"
 #include "workloads/snapshot_query.h"
 #include "workloads/test_spec.h"
@@ -399,6 +404,97 @@ TEST(ExperimentTest, RunCellReportsTotalAndVisibleIo) {
 TEST(ExperimentTest, PercentReduction) {
   EXPECT_DOUBLE_EQ(PercentReduction(200, 150), 25.0);
   EXPECT_DOUBLE_EQ(PercentReduction(0, 5), 0.0);
+}
+
+// FNV-1a-64 of `name`, written out here so the test pins the seed rather
+// than reusing ServingReadFn's own hash.
+uint64_t Fnv1a64(const std::string& name) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (char c : name) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The payload ServingReadFn defines for `name`: the first `size` bytes of
+// the little-endian byte stream of Random(Fnv1a64(name)).
+std::vector<uint8_t> ExpectedServingPayload(const std::string& name,
+                                            int64_t size) {
+  Random draws(Fnv1a64(name));
+  std::vector<uint8_t> out;
+  uint64_t word = 0;
+  for (int64_t i = 0; i < size; ++i) {
+    if (i % 8 == 0) word = draws.NextUint64();
+    out.push_back(static_cast<uint8_t>(word >> (8 * (i % 8))));
+  }
+  return out;
+}
+
+// Loads `name` through ServingReadFn into `db` and returns the stored
+// payload bytes.
+Result<std::vector<uint8_t>> LoadServingPayload(Gbo* db,
+                                                const std::string& name,
+                                                int64_t size) {
+  GODIVA_RETURN_IF_ERROR(EnsureServingSchema(db));
+  GODIVA_RETURN_IF_ERROR(
+      db->ReadUnit(name, ServingReadFn(size, Duration::zero())));
+  const std::vector<std::string> key = {PadKey(name, 32)};
+  GODIVA_ASSIGN_OR_RETURN(
+      void* buffer,
+      db->GetFieldBuffer("serving_chunk", "serving_payload", key));
+  GODIVA_ASSIGN_OR_RETURN(
+      int64_t stored,
+      db->GetFieldBufferSize("serving_chunk", "serving_payload", key));
+  const auto* bytes = static_cast<const uint8_t*>(buffer);
+  return std::vector<uint8_t>(bytes, bytes + stored);
+}
+
+TEST(ServingReadFnTest, PayloadIsTheLittleEndianDrawStream) {
+  for (int64_t size : {0, 1, 7, 8, 13, 65536}) {
+    Gbo db(GboOptions::SingleThread());
+    auto payload = LoadServingPayload(&db, "hot/u7", size);
+    ASSERT_TRUE(payload.ok()) << payload.status();
+    EXPECT_EQ(*payload, ExpectedServingPayload("hot/u7", size))
+        << size << " bytes";
+  }
+}
+
+TEST(ServingReadFnTest, PayloadDependsOnlyOnTheName) {
+  Gbo first(GboOptions::SingleThread());
+  Gbo second(GboOptions::SingleThread());
+  auto a = LoadServingPayload(&first, "sweep/999/15", 4096);
+  auto again = LoadServingPayload(&second, "sweep/999/15", 4096);
+  auto other = LoadServingPayload(&second, "sweep/999/16", 4096);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(again.ok()) << again.status();
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_EQ(*a, *again);
+  EXPECT_NE(*a, *other);
+}
+
+TEST(ServingReadFnTest, NameLongerThanTheKeyIsRejected) {
+  // The two names share their first 32 bytes, so a truncated key would
+  // collide: the second load used to fail with ALREADY_EXISTS, and a
+  // lookup of u2 found u1's record.
+  const std::string u1 = "tenant-with-a-long-namespace/cold/u1";
+  const std::string u2 = "tenant-with-a-long-namespace/cold/u2";
+  ASSERT_EQ(u1.substr(0, 32), u2.substr(0, 32));
+  Gbo db(GboOptions::SingleThread());
+  ASSERT_TRUE(EnsureServingSchema(&db).ok());
+  for (const std::string& name : {u1, u2}) {
+    Status read = db.ReadUnit(name, ServingReadFn(64, Duration::zero()));
+    EXPECT_EQ(read.code(), StatusCode::kInvalidArgument) << read;
+    EXPECT_NE(read.message().find(name), std::string::npos) << read;
+    EXPECT_NE(read.message().find("32-byte"), std::string::npos) << read;
+  }
+  EXPECT_EQ(db.memory_usage(), 0);
+  EXPECT_TRUE(db.CheckInvariants().ok());
+
+  // A name of exactly the key width still loads.
+  auto fits = LoadServingPayload(&db, u1.substr(0, 32), 64);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(*fits, ExpectedServingPayload(u1.substr(0, 32), 64));
 }
 
 }  // namespace
