@@ -2,8 +2,8 @@
 // and key-lookup costs (the in-memory database operations on the critical
 // path of every read function and every data-processing query), the
 // serving workloads' synthetic read function, the CRC-32 that verified
-// reads pay per byte, and the feature extraction that each render pass
-// runs over a full-size snapshot.
+// reads pay per byte, the feature extraction that each render pass runs
+// over a full-size snapshot, and the generation of one such snapshot.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -20,6 +20,7 @@
 #include "core/options.h"
 #include "core/record.h"
 #include "mesh/dataset_spec.h"
+#include "mesh/partition.h"
 #include "mesh/snapshot_writer.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
@@ -278,6 +279,31 @@ void BM_ProcessPass(benchmark::State& state) {
   state.counters["triangles"] = static_cast<double>(triangles);
 }
 BENCHMARK(BM_ProcessPass)->DenseRange(0, 2)->Unit(benchmark::kMillisecond);
+
+void BM_WriteSnapshot(benchmark::State& state) {
+  // Dataset generation for one full-size TitanIV snapshot: field
+  // synthesis, the gsdf writer with per-dataset checksums (as perfbench's
+  // batch_movie set-up writes them) and SimEnv's appends, into a fresh
+  // env per iteration. The mesh is built and partitioned once, outside.
+  const mesh::DatasetSpec spec = mesh::DatasetSpec::TitanIV();
+  const std::vector<mesh::MeshBlock> blocks = mesh::MakeBlocks(spec);
+  mesh::SnapshotWriteOptions options;
+  options.checksums = true;
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    SimEnv env{SimEnv::Options{}};
+    Result<int64_t> written = mesh::WriteOneSnapshot(
+        &env, spec, "data", blocks, 0, spec.TimeOf(0), options);
+    if (!written.ok()) {
+      state.SkipWithError(written.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(*written);
+    bytes += *written;
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_WriteSnapshot)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace godiva

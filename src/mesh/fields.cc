@@ -1,8 +1,13 @@
 #include "mesh/fields.h"
 
-#include <cassert>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
 
+#include "common/strings.h"
 #include "mesh/quantities.h"
 
 namespace godiva::mesh {
@@ -10,8 +15,8 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586;
 
-// A travelling pressure wave along the rocket axis (z) with radial decay:
-// the basis for all synthetic quantities.
+// A travelling pressure wave along the rocket axis (z): the basis for all
+// synthetic quantities.
 double Wave(double z, double t, double phase) {
   return std::sin(kTwoPi * (0.35 * z - 40.0 * t) + phase);
 }
@@ -25,50 +30,150 @@ double RadialDecay(double x, double y) {
   return 1.0 / (1.0 + 2.0 * r2);
 }
 
+// Every axial wave a quantity uses, at one (z, t); each member is named
+// after its phase.
+struct AxialWaves {
+  double sin0, sin04, sin07, sin13, sin19, sin21, sin29;
+  double cos0, cos07;
+};
+
+AxialWaves WavesAt(double z, double t) {
+  return {Wave(z, t, 0.0), Wave(z, t, 0.4), Wave(z, t, 0.7),
+          Wave(z, t, 1.3), Wave(z, t, 1.9), Wave(z, t, 2.1),
+          Wave(z, t, 2.9), CosWave(z, t, 0.0), CosWave(z, t, 0.7)};
+}
+
+// Where a quantity is evaluated: a node, or a tet's centroid.
+struct FieldPoint {
+  double x, y, z;
+  double decay;  // RadialDecay(x, y)
+  AxialWaves w;  // WavesAt(z, t)
+};
+
+FieldPoint PointAt(double x, double y, double z, const AxialWaves& w) {
+  return {x, y, z, RadialDecay(x, y), w};
+}
+
+// An exact memo of WavesAt(z, t) for one t, keyed by z's bit pattern, in
+// a fixed open-addressed table. A block spans a few axial layers, so its
+// nodes and centroids take a few dozen distinct z values and each is
+// evaluated once; past that, a full probe window evicts its first entry.
+class WaveMemo {
+ public:
+  explicit WaveMemo(double t) : t_(t) {}
+
+  // Returns a copy: a later lookup may overwrite the entry.
+  AxialWaves At(double z) {
+    const uint64_t bits = std::bit_cast<uint64_t>(z);
+    const size_t home = (bits * 0x9E3779B97F4A7C15u) >> (64 - kLogSize);
+    for (size_t probe = 0; probe < kProbes; ++probe) {
+      Entry& entry = entries_[(home + probe) % entries_.size()];
+      if (!entry.filled) return Fill(&entry, bits, z);
+      if (entry.bits == bits) return entry.waves;
+    }
+    return Fill(&entries_[home], bits, z);
+  }
+
+ private:
+  static constexpr int kLogSize = 6;
+  static constexpr size_t kProbes = 8;
+  struct Entry {
+    bool filled = false;
+    uint64_t bits = 0;
+    AxialWaves waves{};
+  };
+
+  const AxialWaves& Fill(Entry* entry, uint64_t bits, double z) {
+    *entry = {true, bits, WavesAt(z, t_)};
+    return entry->waves;
+  }
+
+  double t_;
+  std::array<Entry, size_t{1} << kLogSize> entries_{};
+};
+
+// kQuantities index of `name`; a name that is not there fails the build.
+consteval int Q(std::string_view name) {
+  for (int i = 0; i < kNumQuantities; ++i) {
+    if (kQuantities[i].name == name) return i;
+  }
+  throw "not a quantity";
+}
+
+// The value of node-based quantity kQuantities[q] at `p`, or NaN if q
+// names no node-based quantity: the one definition of each of them.
+double NodeFormula(int q, const FieldPoint& p) {
+  const double x = p.x, y = p.y, z = p.z, decay = p.decay;
+  const AxialWaves& w = p.w;
+  switch (q) {
+    // Stress tensor components: phase-shifted waves with distinct spatial
+    // couplings so the von Mises surface is non-trivial.
+    case Q("sxx"): return 1e6 * decay * (1.0 + 0.5 * w.sin0) + 1e4 * x * y;
+    case Q("syy"): return 1e6 * decay * (1.0 - 0.5 * w.sin0) + 1e4 * y * z;
+    case Q("szz"): return 2e6 * decay * w.sin13;
+    case Q("sxy"): return 2e5 * decay * w.sin04 * (x - y);
+    case Q("syz"): return 2e5 * decay * w.sin21 * (y - 0.5);
+    case Q("szx"): return 2e5 * decay * w.sin29 * (x - 0.5);
+    // Kinematics: displacement is an axial compression wave; velocity and
+    // acceleration are its analytic time derivatives.
+    case Q("dispx"): return 1e-3 * (x - 0.5) * w.sin0;
+    case Q("dispy"): return 1e-3 * (y - 0.5) * w.sin0;
+    case Q("dispz"): return 5e-3 * w.sin07;
+    case Q("velx"): return -1e-3 * (x - 0.5) * kTwoPi * 40.0 * w.cos0;
+    case Q("vely"): return -1e-3 * (y - 0.5) * kTwoPi * 40.0 * w.cos0;
+    case Q("velz"): return -5e-3 * kTwoPi * 40.0 * w.cos07;
+    case Q("accx"):
+      return -1e-3 * (x - 0.5) * std::pow(kTwoPi * 40.0, 2) * w.sin0;
+    case Q("accy"):
+      return -1e-3 * (y - 0.5) * std::pow(kTwoPi * 40.0, 2) * w.sin0;
+    case Q("accz"): return -5e-3 * std::pow(kTwoPi * 40.0, 2) * w.sin07;
+    case Q("density"): return 1800.0 * (1.0 + 0.01 * w.sin0 * decay);
+    case Q("energy"): return 2.4e5 * (1.0 + 0.05 * w.sin19 * decay);
+  }
+  return std::numeric_limits<double>::quiet_NaN();
+}
+
+// The element-based "stress" (average stress) at a tet's centroid `p`:
+// the mean normal stress.
+double AverageStress(const FieldPoint& p) {
+  return (NodeFormula(Q("sxx"), p) + NodeFormula(Q("syy"), p) +
+          NodeFormula(Q("szz"), p)) /
+         3.0;
+}
+
+// SynthesizeBlock fills "stress" at tet centroids and every other column
+// at nodes.
+static_assert([] {
+  for (int q = 0; q < kNumQuantities; ++q) {
+    if (kQuantities[q].node_based == (q == Q("stress"))) return false;
+  }
+  return true;
+}());
+
 }  // namespace
 
 double NodeQuantityAt(std::string_view name, double x, double y, double z,
                       double t) {
-  double w = Wave(z, t, 0.0);
-  double decay = RadialDecay(x, y);
-  // Stress tensor components: phase-shifted waves with distinct spatial
-  // couplings so the von Mises surface is non-trivial.
-  if (name == "sxx") return 1e6 * decay * (1.0 + 0.5 * w) + 1e4 * x * y;
-  if (name == "syy") return 1e6 * decay * (1.0 - 0.5 * w) + 1e4 * y * z;
-  if (name == "szz") return 2e6 * decay * Wave(z, t, 1.3);
-  if (name == "sxy") return 2e5 * decay * Wave(z, t, 0.4) * (x - y);
-  if (name == "syz") return 2e5 * decay * Wave(z, t, 2.1) * (y - 0.5);
-  if (name == "szx") return 2e5 * decay * Wave(z, t, 2.9) * (x - 0.5);
-  // Kinematics: displacement is an axial compression wave; velocity and
-  // acceleration are its analytic time derivatives.
-  if (name == "dispx") return 1e-3 * (x - 0.5) * w;
-  if (name == "dispy") return 1e-3 * (y - 0.5) * w;
-  if (name == "dispz") return 5e-3 * Wave(z, t, 0.7);
-  if (name == "velx") return -1e-3 * (x - 0.5) * kTwoPi * 40.0 * CosWave(z, t, 0.0);
-  if (name == "vely") return -1e-3 * (y - 0.5) * kTwoPi * 40.0 * CosWave(z, t, 0.0);
-  if (name == "velz") return -5e-3 * kTwoPi * 40.0 * CosWave(z, t, 0.7);
-  if (name == "accx") return -1e-3 * (x - 0.5) * std::pow(kTwoPi * 40.0, 2) * w;
-  if (name == "accy") return -1e-3 * (y - 0.5) * std::pow(kTwoPi * 40.0, 2) * w;
-  if (name == "accz") return -5e-3 * std::pow(kTwoPi * 40.0, 2) * Wave(z, t, 0.7);
-  if (name == "density") return 1800.0 * (1.0 + 0.01 * w * decay);
-  if (name == "energy") return 2.4e5 * (1.0 + 0.05 * Wave(z, t, 1.9) * decay);
-  assert(false && "unknown node quantity");
-  return 0.0;
+  return NodeFormula(FindQuantity(name), PointAt(x, y, z, WavesAt(z, t)));
 }
 
-std::vector<double> SynthesizeNodeQuantity(const MeshBlock& block,
-                                           std::string_view name, double t) {
-  std::vector<double> out(static_cast<size_t>(block.num_nodes()));
-  for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = NodeQuantityAt(name, block.x[i], block.y[i], block.z[i], t);
+std::vector<std::vector<double>> SynthesizeBlock(const MeshBlock& block,
+                                                 double t) {
+  std::vector<std::vector<double>> columns(kNumQuantities);
+  for (int q = 0; q < kNumQuantities; ++q) {
+    columns[q].resize(static_cast<size_t>(
+        kQuantities[q].node_based ? block.num_nodes() : block.num_tets()));
   }
-  return out;
-}
-
-std::vector<double> SynthesizeElementStress(const MeshBlock& block,
-                                            double t) {
-  std::vector<double> out(static_cast<size_t>(block.num_tets()));
-  for (size_t e = 0; e < out.size(); ++e) {
+  WaveMemo memo(t);
+  for (size_t i = 0; i < block.x.size(); ++i) {
+    const FieldPoint p =
+        PointAt(block.x[i], block.y[i], block.z[i], memo.At(block.z[i]));
+    for (int q = 0; q < kNumQuantities; ++q) {
+      if (kQuantities[q].node_based) columns[q][i] = NodeFormula(q, p);
+    }
+  }
+  std::vector<double>& stress = columns[Q("stress")];
+  for (size_t e = 0; e < stress.size(); ++e) {
     double cx = 0, cy = 0, cz = 0;
     for (int corner = 0; corner < 4; ++corner) {
       int32_t n = block.tets[e * 4 + corner];
@@ -79,23 +184,17 @@ std::vector<double> SynthesizeElementStress(const MeshBlock& block,
     cx *= 0.25;
     cy *= 0.25;
     cz *= 0.25;
-    // "Average stress": mean normal stress at the centroid.
-    out[e] = (NodeQuantityAt("sxx", cx, cy, cz, t) +
-              NodeQuantityAt("syy", cx, cy, cz, t) +
-              NodeQuantityAt("szz", cx, cy, cz, t)) /
-             3.0;
+    stress[e] = AverageStress(PointAt(cx, cy, cz, memo.At(cz)));
   }
-  return out;
+  return columns;
 }
 
-std::vector<double> SynthesizeQuantity(const MeshBlock& block,
-                                       std::string_view name, double t) {
-  int index = FindQuantity(name);
-  assert(index >= 0);
-  if (!kQuantities[index].node_based) {
-    return SynthesizeElementStress(block, t);
-  }
-  return SynthesizeNodeQuantity(block, name, t);
+Result<std::vector<double>> SynthesizeQuantity(const MeshBlock& block,
+                                               std::string_view name,
+                                               double t) {
+  const int q = FindQuantity(name);
+  if (q < 0) return NotFoundError(StrCat("no quantity named \"", name, "\""));
+  return std::move(SynthesizeBlock(block, t)[static_cast<size_t>(q)]);
 }
 
 int FindQuantity(std::string_view name) {

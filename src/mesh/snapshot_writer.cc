@@ -68,10 +68,11 @@ Status WriteBlock(gsdf::Writer* writer, const MeshBlock& block, double t) {
       add("z", DataType::kFloat64, block.z.data(), node_bytes));
   GODIVA_RETURN_IF_ERROR(add("conn", DataType::kInt32, block.tets.data(),
                              static_cast<int64_t>(block.tets.size()) * 4));
-  for (const QuantityDef& quantity : kQuantities) {
-    std::vector<double> values = SynthesizeQuantity(block, quantity.name, t);
+  std::vector<std::vector<double>> columns = SynthesizeBlock(block, t);
+  for (int q = 0; q < kNumQuantities; ++q) {
+    const std::vector<double>& values = columns[static_cast<size_t>(q)];
     GODIVA_RETURN_IF_ERROR(
-        add(quantity.name, DataType::kFloat64, values.data(),
+        add(kQuantities[q].name, DataType::kFloat64, values.data(),
             static_cast<int64_t>(values.size()) * 8));
   }
   return Status::Ok();

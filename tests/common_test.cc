@@ -3,7 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -113,6 +117,60 @@ TEST(DataTypeTest, SizesAndNames) {
 TEST(StringsTest, StrCat) {
   EXPECT_EQ(StrCat("a", 1, "b", 2.5), "a1b2.5");
   EXPECT_EQ(StrCat(), "");
+}
+
+// What a default-formatted std::ostream prints for `value`: StrCat's
+// reference.
+template <typename T>
+std::string Streamed(const T& value) {
+  std::ostringstream os;
+  os << value;
+  return os.str();
+}
+
+struct OnlyStreamable {
+  int id;
+};
+
+std::ostream& operator<<(std::ostream& os, const OnlyStreamable& value) {
+  return os << "streamable#" << value.id;
+}
+
+TEST(StringsTest, StrCatPrintsWhatOstreamPrints) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const char* c_string = "c-string";
+  const std::string string = "string";
+  const std::string_view view = "view";
+  const OnlyStreamable streamable{7};
+  EXPECT_EQ(StrCat(0), Streamed(0));
+  EXPECT_EQ(StrCat(-42), Streamed(-42));
+  EXPECT_EQ(StrCat(42u), Streamed(42u));
+  EXPECT_EQ(StrCat(INT64_MIN), Streamed(INT64_MIN));
+  EXPECT_EQ(StrCat(INT64_MAX), Streamed(INT64_MAX));
+  EXPECT_EQ(StrCat(UINT64_MAX), Streamed(UINT64_MAX));
+  EXPECT_EQ(StrCat(size_t{123456789}), Streamed(size_t{123456789}));
+  EXPECT_EQ(StrCat('x'), Streamed('x'));
+  EXPECT_EQ(StrCat(int8_t{65}), Streamed(int8_t{65}));
+  EXPECT_EQ(StrCat(uint8_t{66}), Streamed(uint8_t{66}));
+  EXPECT_EQ(StrCat(true), Streamed(true));
+  EXPECT_EQ(StrCat(false), Streamed(false));
+  for (double v : {0.0, -0.0, 0.1, 1e-5, 123456789.0, 1e21, 2.5, -1.0 / 3.0,
+                   std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    EXPECT_EQ(StrCat(v), Streamed(v)) << Streamed(v);
+  }
+  for (float v : {0.0f, 0.1f, 3.14159274f, 1e-7f, 16777216.0f}) {
+    EXPECT_EQ(StrCat(v), Streamed(v)) << Streamed(v);
+  }
+  EXPECT_EQ(StrCat(c_string), Streamed(c_string));
+  EXPECT_EQ(StrCat(string), Streamed(string));
+  EXPECT_EQ(StrCat(view), Streamed(view));
+  EXPECT_EQ(StrCat(streamable), Streamed(streamable));
+  std::ostringstream mixed;
+  mixed << "unit " << string << ": " << -3 << ' ' << 0.25 << ' ' << true
+        << ' ' << view << ' ' << streamable << ' ' << size_t{9} << c_string;
+  EXPECT_EQ(StrCat("unit ", string, ": ", -3, ' ', 0.25, ' ', true, ' ', view,
+                   ' ', streamable, ' ', size_t{9}, c_string),
+            mixed.str());
 }
 
 TEST(StringsTest, StrJoin) {

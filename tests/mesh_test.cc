@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <numeric>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
+#include "common/status.h"
 #include "gsdf/reader.h"
 #include "mesh/dataset_spec.h"
 #include "mesh/fields.h"
@@ -118,29 +123,110 @@ TEST(PartitionTest, SingleBlockIsWholeMesh) {
 TEST(FieldsTest, DeterministicAcrossCalls) {
   DatasetSpec spec = DatasetSpec::Tiny();
   std::vector<MeshBlock> blocks = MakeBlocks(spec);
-  std::vector<double> a = SynthesizeQuantity(blocks[0], "velx", 0.125);
-  std::vector<double> b = SynthesizeQuantity(blocks[0], "velx", 0.125);
-  EXPECT_EQ(a, b);
+  Result<std::vector<double>> a = SynthesizeQuantity(blocks[0], "velx", 0.125);
+  Result<std::vector<double>> b = SynthesizeQuantity(blocks[0], "velx", 0.125);
+  ASSERT_TRUE(a.ok()) << a.status();
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(*a, *b);
 }
 
 TEST(FieldsTest, FieldsEvolveOverTime) {
   DatasetSpec spec = DatasetSpec::Tiny();
   std::vector<MeshBlock> blocks = MakeBlocks(spec);
-  std::vector<double> t0 = SynthesizeQuantity(blocks[0], "szz", 0.0);
-  std::vector<double> t1 = SynthesizeQuantity(blocks[0], "szz", 0.01);
-  EXPECT_NE(t0, t1);
+  Result<std::vector<double>> t0 = SynthesizeQuantity(blocks[0], "szz", 0.0);
+  Result<std::vector<double>> t1 = SynthesizeQuantity(blocks[0], "szz", 0.01);
+  ASSERT_TRUE(t0.ok()) << t0.status();
+  ASSERT_TRUE(t1.ok()) << t1.status();
+  EXPECT_NE(*t0, *t1);
 }
 
 TEST(FieldsTest, NodeQuantitiesHaveNodeLength) {
   DatasetSpec spec = DatasetSpec::Tiny();
   std::vector<MeshBlock> blocks = MakeBlocks(spec);
   for (const QuantityDef& q : kQuantities) {
-    std::vector<double> values =
+    Result<std::vector<double>> values =
         SynthesizeQuantity(blocks[1], q.name, 0.002);
+    ASSERT_TRUE(values.ok()) << values.status();
     int64_t expected =
         q.node_based ? blocks[1].num_nodes() : blocks[1].num_tets();
-    EXPECT_EQ(static_cast<int64_t>(values.size()), expected) << q.name;
-    for (double v : values) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_EQ(static_cast<int64_t>(values->size()), expected) << q.name;
+    for (double v : *values) EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
+TEST(FieldsTest, UnknownQuantityIsNotFound) {
+  DatasetSpec spec = DatasetSpec::Tiny();
+  std::vector<MeshBlock> blocks = MakeBlocks(spec);
+  Result<std::vector<double>> values =
+      SynthesizeQuantity(blocks[0], "pressure", 0.002);
+  ASSERT_FALSE(values.ok());
+  EXPECT_EQ(values.status().code(), StatusCode::kNotFound);
+  EXPECT_NE(values.status().message().find("pressure"), std::string::npos)
+      << values.status();
+}
+
+TEST(FieldsTest, NodeQuantityAtIsNaNUnlessNodeBased) {
+  EXPECT_TRUE(std::isnan(NodeQuantityAt("pressure", 0.2, 0.3, 4.0, 0.002)));
+  EXPECT_TRUE(std::isnan(NodeQuantityAt("stress", 0.2, 0.3, 4.0, 0.002)));
+  EXPECT_TRUE(std::isnan(NodeQuantityAt("", 0.2, 0.3, 4.0, 0.002)));
+  for (const QuantityDef& q : kQuantities) {
+    if (!q.node_based) continue;
+    EXPECT_TRUE(std::isfinite(NodeQuantityAt(q.name, 0.2, 0.3, 4.0, 0.002)))
+        << q.name;
+  }
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// SynthesizeBlock equals the pointwise definition bit for bit (memcmp, so
+// -0.0 against 0.0 and NaN payloads count) on every block of a scaled
+// TitanIV mesh at three snapshot times.
+TEST(FieldsTest, BlockSynthesisMatchesPointwiseDefinition) {
+  DatasetSpec spec = DatasetSpec::TitanIVScaled(0.1);
+  std::vector<MeshBlock> blocks = MakeBlocks(spec);
+  for (int snapshot : {0, 3, 31}) {
+    const double t = spec.TimeOf(snapshot);
+    for (const MeshBlock& block : blocks) {
+      std::vector<std::vector<double>> columns = SynthesizeBlock(block, t);
+      ASSERT_EQ(columns.size(), static_cast<size_t>(kNumQuantities));
+      for (int q = 0; q < kNumQuantities; ++q) {
+        const QuantityDef& def = kQuantities[q];
+        const std::vector<double>& column = columns[static_cast<size_t>(q)];
+        SCOPED_TRACE(testing::Message() << def.name << " of block "
+                                        << block.block_id << " at t=" << t);
+        if (def.node_based) {
+          ASSERT_EQ(static_cast<int64_t>(column.size()), block.num_nodes());
+          for (size_t i = 0; i < column.size(); ++i) {
+            double expected = NodeQuantityAt(def.name, block.x[i],
+                                             block.y[i], block.z[i], t);
+            ASSERT_TRUE(SameBits(column[i], expected))
+                << "node " << i << ": " << column[i] << " vs " << expected;
+          }
+          continue;
+        }
+        ASSERT_EQ(static_cast<int64_t>(column.size()), block.num_tets());
+        for (size_t e = 0; e < column.size(); ++e) {
+          double cx = 0, cy = 0, cz = 0;
+          for (int corner = 0; corner < 4; ++corner) {
+            int32_t n = block.tets[e * 4 + corner];
+            cx += block.x[n];
+            cy += block.y[n];
+            cz += block.z[n];
+          }
+          cx *= 0.25;
+          cy *= 0.25;
+          cz *= 0.25;
+          double expected = (NodeQuantityAt("sxx", cx, cy, cz, t) +
+                             NodeQuantityAt("syy", cx, cy, cz, t) +
+                             NodeQuantityAt("szz", cx, cy, cz, t)) /
+                            3.0;
+          ASSERT_TRUE(SameBits(column[e], expected))
+              << "tet " << e << ": " << column[e] << " vs " << expected;
+        }
+      }
+    }
   }
 }
 
@@ -204,14 +290,47 @@ TEST(SnapshotWriterTest, WrittenValuesMatchSynthesis) {
       gsdf::Reader::Open(&env, SnapshotFileName("data", snapshot, 1));
   ASSERT_TRUE(reader.ok());
   const MeshBlock& block = blocks[3];  // block 3 lives in file 1
-  std::vector<double> expected =
+  Result<std::vector<double>> expected =
       SynthesizeQuantity(block, "density", spec.TimeOf(snapshot));
-  std::vector<double> got(expected.size());
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  std::vector<double> got(expected->size());
   ASSERT_TRUE((*reader)
                   ->Read(BlockDatasetName(3, "density"), got.data(),
                          static_cast<int64_t>(got.size()) * 8)
                   .ok());
-  EXPECT_EQ(got, expected);
+  EXPECT_EQ(got, *expected);
+}
+
+// Every byte the generator writes, pinned by the CRC-32 of each file of a
+// small checksummed dataset: Tiny's layout over TitanIV's 22 × 22
+// cross-section, so a product of x or y alone takes the 22 values it
+// takes in the full mesh. The constants were recorded from the pointwise
+// generator by an x86-64 GCC build with glibc's libm, the toolchain CI
+// uses; a libm whose sin or cos rounds differently would change them.
+TEST(SnapshotWriterTest, DatasetBytesArePinned) {
+  SimEnv env(SimEnv::Options{});
+  DatasetSpec spec = DatasetSpec::Tiny();
+  spec.nx = 22;
+  spec.ny = 22;
+  spec.checksums = true;
+  auto dataset = WriteSnapshotDataset(&env, spec, "data");
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  const uint32_t kFileCrcs[] = {0xD5FCE88Du, 0xD6E87768u, 0x6906AF0Du,
+                                0x7A0FA4B6u, 0xD6241FC3u, 0xF0A17D26u,
+                                0x772C88F3u, 0xC4EE401Fu};
+  ASSERT_EQ(dataset->files.size(), std::size(kFileCrcs));
+  for (size_t f = 0; f < dataset->files.size(); ++f) {
+    auto file = env.NewRandomAccessFile(dataset->files[f]);
+    ASSERT_TRUE(file.ok()) << file.status();
+    std::vector<uint8_t> bytes(static_cast<size_t>((*file)->Size()));
+    ASSERT_TRUE((*file)
+                    ->Read(0, static_cast<int64_t>(bytes.size()),
+                           bytes.data())
+                    .ok());
+    EXPECT_EQ(Crc32(bytes.data(), static_cast<int64_t>(bytes.size())),
+              kFileCrcs[f])
+        << dataset->files[f];
+  }
 }
 
 TEST(SnapshotWriterTest, SnapshotFilesHelper) {

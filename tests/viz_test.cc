@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mesh/dataset_spec.h"
@@ -398,13 +399,14 @@ TEST(CellToNodeTest, AveragePreservesBounds) {
   std::vector<mesh::MeshBlock> blocks = mesh::MakeBlocks(spec);
   const mesh::MeshBlock& block = blocks[0];
   BlockGeometry g{block.x, block.y, block.z, block.tets};
-  std::vector<double> element_values =
-      mesh::SynthesizeElementStress(block, 1e-4);
-  double lo = *std::min_element(element_values.begin(),
-                                element_values.end());
-  double hi = *std::max_element(element_values.begin(),
-                                element_values.end());
-  std::vector<double> node_values = CellToNode(g, element_values);
+  Result<std::vector<double>> element_values =
+      mesh::SynthesizeQuantity(block, "stress", 1e-4);
+  ASSERT_TRUE(element_values.ok()) << element_values.status();
+  double lo = *std::min_element(element_values->begin(),
+                                element_values->end());
+  double hi = *std::max_element(element_values->begin(),
+                                element_values->end());
+  std::vector<double> node_values = CellToNode(g, *element_values);
   for (double v : node_values) {
     EXPECT_GE(v, lo - 1e-9);
     EXPECT_LE(v, hi + 1e-9);
@@ -431,13 +433,14 @@ TEST_P(IsosurfaceSweepTest, TrianglesAreFiniteAndInsideBlockBounds) {
   std::vector<mesh::MeshBlock> blocks = mesh::MakeBlocks(spec);
   for (const mesh::MeshBlock& block : blocks) {
     BlockGeometry g{block.x, block.y, block.z, block.tets};
-    std::vector<double> sxx = SynthesizeNodeQuantity(block, "sxx", 1e-4);
-    std::vector<double> syy = SynthesizeNodeQuantity(block, "syy", 1e-4);
-    std::vector<double> szz = SynthesizeNodeQuantity(block, "szz", 1e-4);
-    std::vector<double> sxy = SynthesizeNodeQuantity(block, "sxy", 1e-4);
-    std::vector<double> syz = SynthesizeNodeQuantity(block, "syz", 1e-4);
-    std::vector<double> szx = SynthesizeNodeQuantity(block, "szx", 1e-4);
-    std::vector<double> vm = VonMises(sxx, syy, szz, sxy, syz, szx);
+    std::vector<std::vector<double>> s;
+    for (const char* name : {"sxx", "syy", "szz", "sxy", "syz", "szx"}) {
+      Result<std::vector<double>> column =
+          mesh::SynthesizeQuantity(block, name, 1e-4);
+      ASSERT_TRUE(column.ok()) << column.status();
+      s.push_back(std::move(column).value());
+    }
+    std::vector<double> vm = VonMises(s[0], s[1], s[2], s[3], s[4], s[5]);
     double lo = *std::min_element(vm.begin(), vm.end());
     double hi = *std::max_element(vm.begin(), vm.end());
     double isovalue = lo + fraction * (hi - lo);
