@@ -106,10 +106,13 @@ Result<CachingResult> RunSession(Experiment* experiment,
   return out;
 }
 
+// Full size: a smaller mesh than the paper's, and 16 snapshots.
+constexpr BenchSize kFullSize{0.35, 16};
+constexpr BenchSize kQuickSize{0.12, 8};
+
 int Run(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  if (flags.factor >= 1.0) flags.factor = 0.35;
-  if (flags.snapshots > 16) flags.snapshots = 16;
+  BenchFlags flags = BenchFlags::Parse(argc, argv, kFullSize, kQuickSize,
+                                       /*writes_json=*/false);
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

@@ -7,13 +7,9 @@
 // ratio is ~1 (there is no parallelism to unlock, only unchanged
 // single-stream cost, which the *_t1_* metrics pin down).
 //
-// Flags:
-//   --threads=M   client threads for the contended phases (default 8)
-//   --records=N   keyed records in the warm database (default 4096)
-//   --ops=N       lookups per thread per phase (default 200000)
-//   --shards=S    pin one shard count instead of sweeping {1, 8}
-//   --quick       shorthand for --records=1024 --ops=100000
-//   --json=PATH   write metrics for tools/bench_diff
+// Command line (bench_util.h): --quick, --json=PATH. M = 8 client threads
+// at both sizes; the full size warms 4096 records and runs 200,000 lookups
+// per thread per phase, --quick 1024 records and 100,000 lookups.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -42,38 +38,15 @@ namespace {
 constexpr int kUnits = 64;
 constexpr int64_t kPayloadBytes = 64;
 
-struct Flags {
-  int threads = 8;
-  int records = 4096;
-  int ops = 200000;
-  int shards = 0;  // 0 = sweep {1, 8}
-  std::string json_path;
+constexpr int kThreads = 8;  // client threads of the contended phases
 
-  static Flags Parse(int argc, char** argv) {
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--threads=", 10) == 0) {
-        flags.threads = std::atoi(arg + 10);
-      } else if (std::strncmp(arg, "--records=", 10) == 0) {
-        flags.records = std::atoi(arg + 10);
-      } else if (std::strncmp(arg, "--ops=", 6) == 0) {
-        flags.ops = std::atoi(arg + 6);
-      } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-        flags.shards = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.records = 1024;
-        flags.ops = 100000;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        std::exit(2);
-      }
-    }
-    return flags;
-  }
+// Keyed records in the warm database, and lookups per thread per phase.
+struct Size {
+  int records;
+  int ops;
 };
+constexpr Size kFullSize{4096, 200000};
+constexpr Size kQuickSize{1024, 100000};
 
 std::string UnitName(int i) { return "u" + std::to_string(i); }
 
@@ -189,12 +162,12 @@ struct ShardResult {
   double hit_tm_s = 0;     // M threads, WaitUnit/FinishUnit cycles
 };
 
-ShardResult RunConfiguration(const Flags& flags, int shards,
+ShardResult RunConfiguration(const Size& size, int shards,
                              const std::vector<double>& zipf_cdf) {
   GboOptions options = GboOptions::SingleThread();
   options.metadata_shards = shards;
   Gbo db(options);
-  Status populated = Populate(&db, flags.records);
+  Status populated = Populate(&db, size.records);
   if (!populated.ok()) {
     std::fprintf(stderr, "populate failed: %s\n",
                  populated.ToString().c_str());
@@ -205,14 +178,14 @@ ShardResult RunConfiguration(const Flags& flags, int shards,
   ShardResult result;
   // Audits walk every record, so the hit phase (which runs them in debug
   // builds) uses a reduced op count to stay bounded there.
-  int hit_ops = std::max(1000, flags.ops / 100);
+  int hit_ops = std::max(1000, size.ops / 100);
   result.lookup_t1_s =
-      LookupPhase(&db, 1, flags.ops, flags.records, {}, &errors);
+      LookupPhase(&db, 1, size.ops, size.records, {}, &errors);
   result.lookup_tm_s =
-      LookupPhase(&db, flags.threads, flags.ops, flags.records, {}, &errors);
-  result.zipf_tm_s = LookupPhase(&db, flags.threads, flags.ops,
-                                 flags.records, zipf_cdf, &errors);
-  result.hit_tm_s = HitPhase(&db, flags.threads, hit_ops, &errors);
+      LookupPhase(&db, kThreads, size.ops, size.records, {}, &errors);
+  result.zipf_tm_s =
+      LookupPhase(&db, kThreads, size.ops, size.records, zipf_cdf, &errors);
+  result.hit_tm_s = HitPhase(&db, kThreads, hit_ops, &errors);
   if (errors.load() != 0) {
     std::fprintf(stderr, "%lld lookup/hit errors with %d shards\n",
                  static_cast<long long>(errors.load()), shards);
@@ -232,42 +205,40 @@ ShardResult RunConfiguration(const Flags& flags, int shards,
   std::printf(
       "shards=%d: lookup t1 %.3fs (%.2f Mops/s), t%d %.3fs (%.2f Mops/s), "
       "zipf t%d %.3fs (%.2f Mops/s), hit t%d %.3fs (%.2f Mops/s)\n",
-      shards, result.lookup_t1_s, mops(result.lookup_t1_s, 1, flags.ops),
-      flags.threads, result.lookup_tm_s,
-      mops(result.lookup_tm_s, flags.threads, flags.ops), flags.threads,
-      result.zipf_tm_s, mops(result.zipf_tm_s, flags.threads, flags.ops),
-      flags.threads, result.hit_tm_s,
-      mops(result.hit_tm_s, flags.threads, hit_ops));
+      shards, result.lookup_t1_s, mops(result.lookup_t1_s, 1, size.ops),
+      kThreads, result.lookup_tm_s,
+      mops(result.lookup_tm_s, kThreads, size.ops), kThreads,
+      result.zipf_tm_s, mops(result.zipf_tm_s, kThreads, size.ops),
+      kThreads, result.hit_tm_s, mops(result.hit_tm_s, kThreads, hit_ops));
   return result;
 }
 
 int Run(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
+  const CommandLine line =
+      CommandLine::Parse(argc, argv, /*writes_json=*/true);
+  const Size size = line.quick ? kQuickSize : kFullSize;
   std::printf("bench_concurrency: %d records over %d units, %d threads, "
               "%d ops/thread/phase, %u hardware threads\n",
-              flags.records, kUnits, flags.threads, flags.ops,
+              size.records, kUnits, kThreads, size.ops,
               std::thread::hardware_concurrency());
 
   // Zipfian CDF, exponent 1.2 over record ranks (rank r gets weight
   // 1/(r+1)^1.2): a realistic hot-key skew for view-dependent lookups.
-  std::vector<double> zipf_cdf(static_cast<size_t>(flags.records));
+  std::vector<double> zipf_cdf(static_cast<size_t>(size.records));
   double total = 0;
-  for (int r = 0; r < flags.records; ++r) {
+  for (int r = 0; r < size.records; ++r) {
     total += 1.0 / std::pow(static_cast<double>(r) + 1.0, 1.2);
     zipf_cdf[static_cast<size_t>(r)] = total;
   }
   for (double& value : zipf_cdf) value /= total;
 
-  std::vector<int> shard_counts =
-      flags.shards > 0 ? std::vector<int>{flags.shards}
-                       : std::vector<int>{1, 8};
   std::map<int, ShardResult> results;
-  for (int shards : shard_counts) {
-    results[shards] = RunConfiguration(flags, shards, zipf_cdf);
+  for (int shards : {1, 8}) {
+    results[shards] = RunConfiguration(size, shards, zipf_cdf);
   }
 
   BenchJson json("bench_concurrency");
-  std::string tm = "t" + std::to_string(flags.threads);
+  std::string tm = "t" + std::to_string(kThreads);
   for (const auto& [shards, result] : results) {
     std::string suffix = "_s" + std::to_string(shards) + "_total_s";
     json.Add("lookup_t1" + suffix, result.lookup_t1_s);
@@ -275,26 +246,23 @@ int Run(int argc, char** argv) {
     json.Add("zipf_" + tm + suffix, result.zipf_tm_s);
     json.Add("hit_" + tm + suffix, result.hit_tm_s);
   }
-  if (results.count(1) != 0 && results.count(8) != 0) {
-    // Wall-time ratios (1 shard ÷ 8 shards at M threads): > 1 means the
-    // striped locks win. "ratio" in the name flips bench_diff to
-    // higher-is-better. Target on an ≥8-core machine: ≥ 3.
-    auto ratio = [](double base, double sharded) {
-      return sharded > 0 ? base / sharded : 0.0;
-    };
-    double lookup_ratio =
-        ratio(results[1].lookup_tm_s, results[8].lookup_tm_s);
-    double zipf_ratio = ratio(results[1].zipf_tm_s, results[8].zipf_tm_s);
-    double hit_ratio = ratio(results[1].hit_tm_s, results[8].hit_tm_s);
-    json.Add("lookup_scaling_ratio_s8_over_s1_" + tm, lookup_ratio);
-    json.Add("zipf_scaling_ratio_s8_over_s1_" + tm, zipf_ratio);
-    json.Add("hit_scaling_ratio_s8_over_s1_" + tm, hit_ratio);
-    std::printf(
-        "scaling at %d threads (1-shard time / 8-shard time): "
-        "lookup %.2fx, zipf %.2fx, hit %.2fx\n",
-        flags.threads, lookup_ratio, zipf_ratio, hit_ratio);
-  }
-  if (!json.WriteTo(flags.json_path)) return 1;
+  // Wall-time ratios (1 shard ÷ 8 shards at M threads): > 1 means the
+  // striped locks win. "ratio" in the name flips bench_diff to
+  // higher-is-better. Target on an ≥8-core machine: ≥ 3.
+  auto ratio = [](double base, double sharded) {
+    return sharded > 0 ? base / sharded : 0.0;
+  };
+  double lookup_ratio = ratio(results[1].lookup_tm_s, results[8].lookup_tm_s);
+  double zipf_ratio = ratio(results[1].zipf_tm_s, results[8].zipf_tm_s);
+  double hit_ratio = ratio(results[1].hit_tm_s, results[8].hit_tm_s);
+  json.Add("lookup_scaling_ratio_s8_over_s1_" + tm, lookup_ratio);
+  json.Add("zipf_scaling_ratio_s8_over_s1_" + tm, zipf_ratio);
+  json.Add("hit_scaling_ratio_s8_over_s1_" + tm, hit_ratio);
+  std::printf(
+      "scaling at %d threads (1-shard time / 8-shard time): "
+      "lookup %.2fx, zipf %.2fx, hit %.2fx\n",
+      kThreads, lookup_ratio, zipf_ratio, hit_ratio);
+  if (!json.WriteTo(line.json_path)) return 1;
   return 0;
 }
 

@@ -24,8 +24,13 @@ using workloads::Experiment;
 using workloads::Variant;
 using workloads::VizTestSpec;
 
+// Full size: the paper's mesh and 32 snapshots (§4.2).
+constexpr BenchSize kFullSize{1.0, 32};
+constexpr BenchSize kQuickSize{0.12, 8};
+
 int Run(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
+  BenchFlags flags = BenchFlags::Parse(argc, argv, kFullSize, kQuickSize,
+                                       /*writes_json=*/true);
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

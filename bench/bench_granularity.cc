@@ -159,9 +159,14 @@ Result<GranularityResult> RunWithGranularity(Experiment* experiment,
   return out;
 }
 
+// Full size: a smaller mesh than the paper's, since the ablation runs four
+// configurations, and 32 snapshots.
+constexpr BenchSize kFullSize{0.35, 32};
+constexpr BenchSize kQuickSize{0.12, 8};
+
 int Run(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  if (flags.factor >= 1.0) flags.factor = 0.35;  // ablation runs 4 configs
+  BenchFlags flags = BenchFlags::Parse(argc, argv, kFullSize, kQuickSize,
+                                       /*writes_json=*/false);
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

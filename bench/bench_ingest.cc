@@ -10,19 +10,17 @@
 //   io_overlap_ratio          producer/consumer concurrency (1 = perfectly
 //                             overlapped; "ratio" = higher is better)
 //
-// Flags:
-//   --factor=F      mesh scale factor (default 0.12)
-//   --snapshots=N   snapshots to ingest (default 16)
-//   --scale=S       real seconds per modeled second (default 0.002)
-//   --window=W      max_frontier_lag for the producer (default 4)
-//   --quick         shorthand for --factor=0.06 --snapshots=8
-//   --json=PATH     write metrics for tools/bench_diff
+// Command line (bench_util.h): --quick, --json=PATH. The full size ingests
+// 16 snapshots of a 0.12-scale mesh and then also prints the frontier-lag
+// sweep over producer windows 1, 4 and 8; --quick ingests 8 snapshots of a
+// 0.06-scale mesh. The metrics and JSON always come from the window-4 run.
+// Modeled time runs on scaled sleep at 0.002 real seconds per modeled
+// second.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,38 +49,10 @@ using workloads::SnapshotUnitName;
 
 const std::vector<std::string> kQuantities = {"stress", "velx"};
 
-struct Flags {
-  double factor = 0.12;
-  int snapshots = 16;
-  double scale = 0.002;
-  int window = 4;
-  std::string json_path;
-
-  static Flags Parse(int argc, char** argv) {
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--factor=", 9) == 0) {
-        flags.factor = std::atof(arg + 9);
-      } else if (std::strncmp(arg, "--snapshots=", 12) == 0) {
-        flags.snapshots = std::atoi(arg + 12);
-      } else if (std::strncmp(arg, "--scale=", 8) == 0) {
-        flags.scale = std::atof(arg + 8);
-      } else if (std::strncmp(arg, "--window=", 9) == 0) {
-        flags.window = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.factor = 0.06;
-        flags.snapshots = 8;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        std::exit(2);
-      }
-    }
-    return flags;
-  }
-};
+constexpr BenchSize kFullSize{0.12, 16};
+constexpr BenchSize kQuickSize{0.06, 8};
+constexpr int kWindow = 4;            // the producer's max_frontier_lag
+constexpr double kTimeScale = 0.002;  // real seconds per modeled second
 
 void Check(const Status& status, const char* what) {
   if (!status.ok()) {
@@ -120,12 +90,12 @@ double DemandLoadMs(Gbo* db, const std::string& name,
 
 // Baseline phase: the dataset already exists on disk and nothing else is
 // running — pure demand load latency per snapshot.
-std::vector<double> QuietDemandPhase(const mesh::DatasetSpec& spec,
-                                     double scale) {
+std::vector<double> QuietDemandPhase(const mesh::DatasetSpec& spec) {
   SimEnv env{SimEnv::Options{}};
   auto dataset = mesh::WriteSnapshotDataset(&env, spec, "cold");
   Check(dataset.status(), "write cold dataset");
-  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), scale, &env);
+  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), kTimeScale,
+                                     &env);
 
   Gbo db(DbOptions());
   Check(workloads::DefineBlockSchema(&db), "define schema");
@@ -149,13 +119,13 @@ struct IngestResult {
   double mem_peak_frac = 0;
 };
 
-// Live phase: producer streams snapshots while the consumer follows the
-// frontier, touches every arrival, acks it, and issues a demand reload of
-// the previous snapshot to measure read service under ingest load.
-IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec,
-                             const Flags& flags) {
+// Live phase: producer streams snapshots, at most `window` ahead of the
+// consumer's acks, while the consumer follows the frontier, touches every
+// arrival, acks it, and issues a demand reload of the previous snapshot to
+// measure read service under ingest load.
+IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec, int window) {
   SimEnv env{SimEnv::Options{}};
-  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), flags.scale,
+  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), kTimeScale,
                                      &env);
   mesh::SnapshotDataset dataset =
       mesh::DescribeSnapshotDataset(spec, "live");
@@ -167,7 +137,7 @@ IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec,
       &runtime, &dataset, kQuantities, workloads::SnapshotReadOptions{});
 
   IngestOptions options;
-  options.max_frontier_lag = flags.window;
+  options.max_frontier_lag = window;
   options.quantities = kQuantities;
   IngestProducer producer(&runtime, &db, &dataset, options);
   FrontierWatch watch(&db);
@@ -240,15 +210,16 @@ IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec,
 }
 
 int Run(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
-  mesh::DatasetSpec spec = mesh::DatasetSpec::TitanIVScaled(flags.factor);
-  spec.num_snapshots = flags.snapshots;
+  const CommandLine line =
+      CommandLine::Parse(argc, argv, /*writes_json=*/true);
+  const BenchSize size = line.quick ? kQuickSize : kFullSize;
+  const mesh::DatasetSpec spec = size.Spec();
   std::printf("bench_ingest: factor %.2f, %d snapshots, window %d, "
               "time scale %.4f\n",
-              flags.factor, flags.snapshots, flags.window, flags.scale);
+              size.factor, size.snapshots, kWindow, kTimeScale);
 
-  std::vector<double> quiet_ms = QuietDemandPhase(spec, flags.scale);
-  IngestResult live = LiveIngestPhase(spec, flags);
+  std::vector<double> quiet_ms = QuietDemandPhase(spec);
+  IngestResult live = LiveIngestPhase(spec, kWindow);
 
   double lag_p50 = Percentile(live.lag_s, 0.50);
   double lag_p99 = Percentile(live.lag_s, 0.99);
@@ -276,6 +247,18 @@ int Run(int argc, char** argv) {
   std::printf("demand p99: quiet %.2fms, under ingest %.2fms; peak memory "
               "%.1f%% of limit\n",
               quiet_p99, ingest_p99, 100.0 * live.mem_peak_frac);
+  if (!line.quick) {
+    // The backpressure sweep of EXPERIMENTS.md's "Live ingest" table.
+    std::printf("window sweep:\n  %6s %12s %12s %12s %16s\n", "window",
+                "lag p50(s)", "lag p99(s)", "stalled(s)", "demand p99(ms)");
+    for (int window : {1, kWindow, 8}) {
+      IngestResult run =
+          window == kWindow ? live : LiveIngestPhase(spec, window);
+      std::printf("  %6d %12.4f %12.4f %12.3f %16.2f\n", window,
+                  Percentile(run.lag_s, 0.50), Percentile(run.lag_s, 0.99),
+                  run.stall_s, Percentile(run.demand_ms, 0.99));
+    }
+  }
 
   BenchJson json("bench_ingest");
   json.Add("frontier_lag_p50_s", lag_p50);
@@ -285,7 +268,7 @@ int Run(int argc, char** argv) {
   json.Add("demand_p99_ingest_ms", ingest_p99);
   json.Add("mem_peak_frac", live.mem_peak_frac);
   json.Add("io_overlap_ratio", overlap);
-  if (!json.WriteTo(flags.json_path)) return 1;
+  if (!json.WriteTo(line.json_path)) return 1;
   return 0;
 }
 

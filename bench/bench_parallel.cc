@@ -110,9 +110,14 @@ Result<CellResult> RunPoolCell(Experiment* experiment,
   return RunVoyager(&runtime, config);
 }
 
+// Full size: a half-scale mesh, since each of the four processes holds
+// its own replica of the dataset in RAM, and 32 snapshots.
+constexpr BenchSize kFullSize{0.5, 32};
+constexpr BenchSize kQuickSize{0.12, 8};
+
 int Run(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  if (flags.factor >= 1.0) flags.factor = 0.5;  // 4 dataset replicas in RAM
+  BenchFlags flags = BenchFlags::Parse(argc, argv, kFullSize, kQuickSize,
+                                       /*writes_json=*/true);
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

@@ -21,13 +21,12 @@
 // own virtual t=0, so latencies are exact. A last phase sweeps 100/500
 // sessions submitting planned batch sets through the serving layer.
 //
-// Flags: --factor=F, --snapshots=N, --window=W, --quick
-// (factor 0.12, 8 snapshots), --json=PATH for tools/bench_diff.
+// Command line (bench_util.h): --quick, --json=PATH. The full size slides
+// a 4-snapshot window over 12 snapshots of the paper's mesh, --quick over
+// 8 snapshots of a 0.12-scale mesh.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,39 +61,9 @@ using workloads::Experiment;
 using workloads::ExperimentOptions;
 using workloads::PlatformRuntime;
 
-struct Flags {
-  double factor = 1.0;
-  int snapshots = 12;
-  int window = 4;
-  std::string json_path;
-
-  static Flags Parse(int argc, char** argv) {
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--factor=", 9) == 0) {
-        flags.factor = std::atof(arg + 9);
-      } else if (std::strncmp(arg, "--snapshots=", 12) == 0) {
-        flags.snapshots = std::atoi(arg + 12);
-      } else if (std::strncmp(arg, "--window=", 9) == 0) {
-        flags.window = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.factor = 0.12;
-        flags.snapshots = 8;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        std::exit(2);
-      }
-    }
-    if (flags.window < 1 || flags.window > flags.snapshots) {
-      std::fprintf(stderr, "--window must be in [1, --snapshots]\n");
-      std::exit(2);
-    }
-    return flags;
-  }
-};
+constexpr BenchSize kFullSize{1.0, 12};
+constexpr BenchSize kQuickSize{0.12, 8};
+constexpr int kWindow = 4;  // snapshots each step needs
 
 // The two requested fields; the disp_mag kernel folds dispx/y/z into the
 // same plan, so both paths read the five-quantity union.
@@ -126,7 +95,7 @@ struct PathResult {
 // Unit-at-a-time baseline: one unit per snapshot, per-dataset reads, the
 // trailing snapshot dropped as the window slides.
 bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
-                 const Flags& flags, PathResult* out) {
+                 PathResult* out) {
   Gbo db(DbOptions());
   if (!workloads::DefineBlockSchema(&db).ok()) return false;
   std::vector<std::string> quantities(std::begin(kUnionQuantities),
@@ -136,9 +105,9 @@ bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
 
   runtime->env()->ResetStats();
   int next_to_add = 0;
-  for (int t = 0; t + flags.window <= flags.snapshots; ++t) {
+  for (int t = 0; t + kWindow <= ds.spec.num_snapshots; ++t) {
     Stopwatch step;
-    for (; next_to_add < t + flags.window; ++next_to_add) {
+    for (; next_to_add < t + kWindow; ++next_to_add) {
       Status added = db.AddUnit(workloads::SnapshotUnitName(next_to_add),
                                 read_fn, ds.SnapshotFiles(next_to_add));
       if (!added.ok()) {
@@ -146,7 +115,7 @@ bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
         return false;
       }
     }
-    for (int s = t; s < t + flags.window; ++s) {
+    for (int s = t; s < t + kWindow; ++s) {
       Status wait = db.WaitUnit(workloads::SnapshotUnitName(s));
       if (!wait.ok()) {
         std::fprintf(stderr, "WaitUnit: %s\n", wait.ToString().c_str());
@@ -168,8 +137,7 @@ bool RunUnitPath(PlatformRuntime* runtime, const mesh::SnapshotDataset& ds,
 // against the previous window's resident tail, batched per-file I/O, and
 // the derived field pushed down as each unit lands.
 bool RunQueryPath(PlatformRuntime* runtime,
-                  const mesh::SnapshotDataset& ds, const Flags& flags,
-                  PathResult* out) {
+                  const mesh::SnapshotDataset& ds, PathResult* out) {
   Gbo db(DbOptions());
   if (!workloads::DefineBlockSchema(&db).ok()) return false;
   QueryPlanner planner(&db);
@@ -178,7 +146,7 @@ bool RunQueryPath(PlatformRuntime* runtime,
   workloads::SnapshotExtentsCache extents_cache;
 
   runtime->env()->ResetStats();
-  for (int t = 0; t + flags.window <= flags.snapshots; ++t) {
+  for (int t = 0; t + kWindow <= ds.spec.num_snapshots; ++t) {
     workloads::SnapshotQueryOptions options;
     options.extents_cache = &extents_cache;
     options.fields.assign(std::begin(kFields), std::end(kFields));
@@ -190,7 +158,7 @@ bool RunQueryPath(PlatformRuntime* runtime,
     // disk, where gap bytes are not free).
     options.limits.max_gap = 0;
     options.snapshot_begin = t;
-    options.snapshot_end = t + flags.window;
+    options.snapshot_end = t + kWindow;
     Stopwatch plan_time;
     auto query = workloads::BuildSnapshotQuery(runtime, &ds, options);
     if (!query.ok()) {
@@ -241,18 +209,17 @@ bool RunQueryPath(PlatformRuntime* runtime,
 }
 
 int Run(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
+  const CommandLine line =
+      CommandLine::Parse(argc, argv, /*writes_json=*/true);
+  const BenchSize size = line.quick ? kQuickSize : kFullSize;
   std::printf("bench_query: 2 fields + disp_mag pushdown, window %d over "
-              "%d snapshots\n", flags.window, flags.snapshots);
+              "%d snapshots\n", kWindow, size.snapshots);
   BenchJson json("bench_query_de");
 
   // Generate the dataset once (instant writes into the owned SimEnv);
   // both paths replay reads against the same files and disk model.
   ExperimentOptions experiment_options;
-  experiment_options.spec =
-      (flags.factor >= 1.0) ? mesh::DatasetSpec::TitanIV()
-                            : mesh::DatasetSpec::TitanIVScaled(flags.factor);
-  experiment_options.spec.num_snapshots = flags.snapshots;
+  experiment_options.spec = size.Spec();
   auto experiment = Experiment::Create(experiment_options);
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",
@@ -268,7 +235,7 @@ int Run(int argc, char** argv) {
     DiscreteEventScope scope;
     PlatformRuntime runtime(profile, experiment_options.time_scale,
                             (*experiment)->env());
-    if (!RunUnitPath(&runtime, dataset, flags, &unit)) return 1;
+    if (!RunUnitPath(&runtime, dataset, &unit)) return 1;
   }
 
   PathResult query;
@@ -276,7 +243,7 @@ int Run(int argc, char** argv) {
     DiscreteEventScope scope;
     PlatformRuntime runtime(profile, experiment_options.time_scale,
                             (*experiment)->env());
-    if (!RunQueryPath(&runtime, dataset, flags, &query)) return 1;
+    if (!RunQueryPath(&runtime, dataset, &query)) return 1;
   }
 
   std::printf("  %-14s %10s %12s %10s %10s\n", "path", "reads", "bytes",
@@ -428,7 +395,7 @@ int Run(int argc, char** argv) {
   json.Add("pushdown_computations", static_cast<double>(query.pushdowns));
   json.Add("unit_step_p99_ms", unit.step_ms.Percentile(0.99));
   json.Add("query_step_p99_ms", query.step_ms.Percentile(0.99));
-  if (!json.WriteTo(flags.json_path)) return 1;
+  if (!json.WriteTo(line.json_path)) return 1;
   return (reduction_pct >= 25.0 && query.bytes_saved > 0) ? 0 : 1;
 }
 

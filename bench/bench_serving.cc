@@ -17,12 +17,11 @@
 // of letting interactive latency collapse), the weighted fair-share ratio
 // across classes, and the shed/rejection counters.
 //
-// Flags: --reads=N per-session demand reads, --cost-us=U synthetic read
-// cost, --quick (small mix), --json=PATH for tools/bench_diff.
+// Command line (bench_util.h): --quick, --json=PATH. The full size gives
+// each session 96 demand reads of 300 us synthetic cost, --quick 32 of
+// 150 us.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -43,32 +42,13 @@ using workloads::RunServingWorkload;
 using workloads::ServingOptions;
 using workloads::ServingReport;
 
-struct Flags {
-  int reads = 96;
-  int cost_us = 300;
-  std::string json_path;
-
-  static Flags Parse(int argc, char** argv) {
-    Flags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--reads=", 8) == 0) {
-        flags.reads = std::atoi(arg + 8);
-      } else if (std::strncmp(arg, "--cost-us=", 10) == 0) {
-        flags.cost_us = std::atoi(arg + 10);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.reads = 32;
-        flags.cost_us = 150;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        std::exit(2);
-      }
-    }
-    return flags;
-  }
+// Demand reads per session and the synthetic cost of each read.
+struct Size {
+  int reads;
+  int cost_us;
 };
+constexpr Size kFullSize{96, 300};
+constexpr Size kQuickSize{32, 150};
 
 constexpr int64_t kPayloadBytes = 64 * 1024;
 
@@ -94,14 +74,14 @@ ClassAgg Aggregate(const ServingReport& report, PriorityClass cls) {
   return agg;
 }
 
-ServingOptions MixedOptions(const Flags& flags) {
+ServingOptions MixedOptions(const Size& size) {
   ServingOptions options;
   options.interactive_sessions = 4;
   options.batch_sessions = 4;
   options.background_sessions = 8;  // 16 clients vs a demand window of 8
-  options.reads_per_session = flags.reads;
+  options.reads_per_session = size.reads;
   options.payload_bytes = kPayloadBytes;
-  options.read_cost = std::chrono::microseconds(flags.cost_us);
+  options.read_cost = std::chrono::microseconds(size.cost_us);
   options.server.max_inflight_demand = 8;
   options.server.demand_reserve_interactive = 2;
   options.flood_delay = std::chrono::milliseconds(20);
@@ -109,13 +89,15 @@ ServingOptions MixedOptions(const Flags& flags) {
 }
 
 int Run(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv);
+  const CommandLine line =
+      CommandLine::Parse(argc, argv, /*writes_json=*/true);
+  const Size size = line.quick ? kQuickSize : kFullSize;
   std::printf("bench_serving: %d reads/session, %dus synthetic read cost\n",
-              flags.reads, flags.cost_us);
+              size.reads, size.cost_us);
   BenchJson json("bench_serving_de");
 
   // ----- Scenario 1: uncontended interactive baseline.
-  ServingOptions uncontended = MixedOptions(flags);
+  ServingOptions uncontended = MixedOptions(size);
   uncontended.batch_sessions = 0;
   uncontended.background_sessions = 0;
   GboOptions db_options;
@@ -144,7 +126,7 @@ int Run(int argc, char** argv) {
   // the demand window, and the cold streams (8 clients x 256 units x
   // 64KiB, re-read as the LRU churns) overrun the memory limit so the
   // shed ladder engages.
-  ServingOptions overload = MixedOptions(flags);
+  ServingOptions overload = MixedOptions(size);
   GboOptions pressured = db_options;
   pressured.memory_limit_bytes = 6 * 1024 * 1024;  // ~96 units resident
   ServerStats after;
@@ -192,12 +174,12 @@ int Run(int argc, char** argv) {
   // clients against a window of 8: the scheduler alone decides who
   // progresses. The ratio of the slowest to the fastest session's service
   // rate is the starvation-freedom measure (1.0 = perfectly even).
-  ServingOptions fair = MixedOptions(flags);
+  ServingOptions fair = MixedOptions(size);
   fair.flood_delay = Duration::zero();
   fair.prefetch_ahead = 0;
-  fair.hot_units = flags.reads;  // never wraps: every read is a miss
-  fair.batch_units = flags.reads;
-  fair.cold_units = flags.reads;
+  fair.hot_units = size.reads;  // never wraps: every read is a miss
+  fair.batch_units = size.reads;
+  fair.cold_units = size.reads;
   fair.server.demand_reserve_interactive = 0;  // pure DRR
   double fairness = 0;
   {
@@ -246,7 +228,7 @@ int Run(int argc, char** argv) {
     sweep.background_sessions = sessions - 2 * (sessions / 4);
     sweep.reads_per_session = 12;
     sweep.payload_bytes = 16 * 1024;
-    sweep.read_cost = std::chrono::microseconds(flags.cost_us);
+    sweep.read_cost = std::chrono::microseconds(size.cost_us);
     sweep.prefetch_ahead = 1;
     sweep.hot_units = 16;
     sweep.batch_units = 64;
@@ -317,7 +299,7 @@ int Run(int argc, char** argv) {
            static_cast<double>(bg.reads_rejected));
   json.Add("prefetches_shed", static_cast<double>(after.prefetches_shed));
   json.Add("forced_unpins", static_cast<double>(after.forced_unpins));
-  if (!json.WriteTo(flags.json_path)) return 1;
+  if (!json.WriteTo(line.json_path)) return 1;
   return 0;
 }
 

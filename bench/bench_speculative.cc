@@ -93,10 +93,13 @@ Result<SessionResult> Replay(Experiment* experiment,
   return result;
 }
 
+// Full size: a smaller mesh than the paper's, and 16 snapshots.
+constexpr BenchSize kFullSize{0.3, 16};
+constexpr BenchSize kQuickSize{0.12, 8};
+
 int Run(int argc, char** argv) {
-  BenchFlags flags = BenchFlags::Parse(argc, argv);
-  if (flags.factor >= 1.0) flags.factor = 0.3;
-  if (flags.snapshots > 16) flags.snapshots = 16;
+  BenchFlags flags = BenchFlags::Parse(argc, argv, kFullSize, kQuickSize,
+                                       /*writes_json=*/false);
   auto experiment = Experiment::Create(flags.ToOptions());
   if (!experiment.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

@@ -1,14 +1,17 @@
-// Shared helpers for the benchmark harnesses: tiny flag parsing and
-// experiment construction. A harness that parses BenchFlags measures on
-// the discrete-event virtual clock only: every run replays exactly, so one
-// run gives every number and two runs print the same output. Every such
-// harness accepts:
-//   --factor=F      mesh scale factor (default 1.0 = the paper's mesh)
-//   --snapshots=N   snapshots to process (default 32, as in the paper)
-//   --stride=K      real feature extraction on every Kth block (default 16)
-//   --quick         shorthand for --factor=0.12 --snapshots=8
-//   --json=PATH     also write the headline metrics as JSON (for
-//                   tools/bench_diff regression tracking)
+// Shared helpers for the benchmark harnesses: the one command line,
+// experiment construction, latency percentiles and the JSON writer.
+//
+// Every harness with a command line runs at one of two sizes, named as
+// constants in its own file: its full size and the --quick size CI runs.
+// It takes exactly:
+//   --quick       run the --quick size instead of the full one
+//   --json=PATH   also write the headline metrics as JSON (for
+//                 tools/bench_diff); only harnesses that write JSON
+//                 accept it
+// Anything else exits 2 with "unknown flag". The eight paper harnesses
+// parse it through BenchFlags, which also opens their virtual clock: every
+// run replays exactly, so one run gives every number and two runs print
+// the same output.
 #ifndef GODIVA_BENCH_BENCH_UTIL_H_
 #define GODIVA_BENCH_BENCH_UTIL_H_
 
@@ -16,10 +19,10 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,46 +33,62 @@
 
 namespace godiva::bench {
 
-struct BenchFlags {
-  double factor = 1.0;
-  int snapshots = 32;
-  int stride = 16;
+struct CommandLine {
+  bool quick = false;
   std::string json_path;  // empty = no JSON output
+
+  // `writes_json` = whether the harness writes JSON; one that does not
+  // refuses --json like any other unknown flag.
+  static CommandLine Parse(int argc, char** argv, bool writes_json) {
+    CommandLine line;
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg == "--quick") {
+        line.quick = true;
+      } else if (writes_json && arg.starts_with("--json=")) {
+        line.json_path = arg.substr(7);
+      } else {
+        std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+        std::exit(2);
+      }
+    }
+    return line;
+  }
+};
+
+// A synthetic Titan-IV dataset size.
+struct BenchSize {
+  double factor;  // mesh scale; >= 1 is the paper's mesh
+  int snapshots;
+
+  mesh::DatasetSpec Spec() const {
+    mesh::DatasetSpec spec = factor >= 1.0
+                                 ? mesh::DatasetSpec::TitanIV()
+                                 : mesh::DatasetSpec::TitanIVScaled(factor);
+    spec.num_snapshots = snapshots;
+    return spec;
+  }
+};
+
+// The command line of the eight paper harnesses, which run Voyager
+// experiments with real feature extraction on every 16th block.
+struct BenchFlags {
+  BenchSize size;
+  std::string json_path;
   // The virtual clock every run replays on. It lives as long as the flags,
   // so declare them before anything that spawns godiva::Threads.
   std::unique_ptr<DiscreteEventScope> scope;
 
-  static BenchFlags Parse(int argc, char** argv) {
-    BenchFlags flags;
-    for (int i = 1; i < argc; ++i) {
-      const char* arg = argv[i];
-      if (std::strncmp(arg, "--factor=", 9) == 0) {
-        flags.factor = std::atof(arg + 9);
-      } else if (std::strncmp(arg, "--snapshots=", 12) == 0) {
-        flags.snapshots = std::atoi(arg + 12);
-      } else if (std::strncmp(arg, "--stride=", 9) == 0) {
-        flags.stride = std::atoi(arg + 9);
-      } else if (std::strncmp(arg, "--json=", 7) == 0) {
-        flags.json_path = arg + 7;
-      } else if (std::strcmp(arg, "--quick") == 0) {
-        flags.factor = 0.12;
-        flags.snapshots = 8;
-      } else {
-        std::fprintf(stderr, "unknown flag: %s\n", arg);
-        std::exit(2);
-      }
-    }
-    flags.scope = std::make_unique<DiscreteEventScope>();
-    return flags;
+  static BenchFlags Parse(int argc, char** argv, BenchSize full,
+                          BenchSize quick, bool writes_json) {
+    CommandLine line = CommandLine::Parse(argc, argv, writes_json);
+    return BenchFlags{line.quick ? quick : full, std::move(line.json_path),
+                      std::make_unique<DiscreteEventScope>()};
   }
 
   workloads::ExperimentOptions ToOptions() const {
     workloads::ExperimentOptions options;
-    options.spec = (factor >= 1.0)
-                       ? mesh::DatasetSpec::TitanIV()
-                       : mesh::DatasetSpec::TitanIVScaled(factor);
-    options.spec.num_snapshots = snapshots;
-    options.process.real_work_stride = stride;
+    options.spec = size.Spec();
     return options;
   }
 };

@@ -656,30 +656,30 @@ void GboServer::DispatchLocked() {
     const bool reserve_only =
         options_.max_inflight_demand - inflight_demand_ <=
         options_.demand_reserve_interactive;
-    Ticket* ticket = NextDemandLocked(reserve_only);
-    if (ticket == nullptr) {
+    SessionState* session = NextSessionLocked(kDemandLane, reserve_only);
+    if (session == nullptr) {
       // Batch-query tickets share the demand window but yield to stack
       // demand tickets (a blocked reader beats a decoupled plan).
       if (!GrantBatchLocked(reserve_only)) break;
       continue;
     }
+    Ticket* ticket = session->demand_q.front();
+    session->demand_q.pop_front();
+    --queued_total_;
     ticket->state = TicketState::kGranted;
     ++inflight_demand_;
-    SessionState* session = FindSessionLocked(ticket->session_id);
-    if (session != nullptr) {
-      ++session->inflight;
-      if (options_.record_dispatch_log) {
-        AppendLogLocked(&dispatch_log_,
-                        StrCat("demand ", session->config.name, ":",
-                               ticket->unit_name));
-      }
+    ++session->inflight;
+    if (options_.record_dispatch_log) {
+      AppendLogLocked(&dispatch_log_, StrCat("demand ", session->config.name,
+                                             ":", ticket->unit_name));
     }
     ticket_cv_.NotifyAll();
   }
   // Speculative lane: only while pressure is fully open.
   if (AtLeast(PressureStateNow(), PressureState::kDegraded)) return;
   while (outstanding_prefetch_total_ < options_.max_outstanding_prefetch) {
-    SessionState* session = NextPrefetchSessionLocked();
+    SessionState* session =
+        NextSessionLocked(kPrefetchLane, /*interactive_only=*/false);
     if (session == nullptr) break;
     PrefetchTicket ticket = std::move(session->prefetch_q.front());
     session->prefetch_q.pop_front();
@@ -703,39 +703,37 @@ void GboServer::DispatchLocked() {
   }
 }
 
-GboServer::Ticket* GboServer::NextDemandLocked(bool interactive_only) {
-  if (active_.empty()) return nullptr;
+GboServer::SessionState* GboServer::NextSessionLocked(Lane lane,
+                                                      bool interactive_only) {
   const size_t n = active_.size();
+  size_t& cursor = cursor_[lane];
   // Every session is visited at most twice (once to replenish an empty
   // deficit, once to serve), so 2n scans bound the search.
   for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    SessionState* session = active_[demand_cursor_ % n];
+    SessionState* session = active_[cursor % n];
+    const bool empty = lane == kDemandLane  ? session->demand_q.empty()
+                       : lane == kBatchLane ? session->batch_q.empty()
+                                            : session->prefetch_q.empty();
     const bool blocked =
         (interactive_only &&
          session->config.priority != PriorityClass::kInteractive) ||
-        (session->config.max_inflight_loads > 0 &&
+        (lane != kPrefetchLane && session->config.max_inflight_loads > 0 &&
          session->inflight >= session->config.max_inflight_loads);
-    if (session->demand_q.empty() || blocked) {
-      session->deficit_demand = 0;
-      demand_cursor_ = (demand_cursor_ + 1) % n;
+    int& deficit = session->deficit[lane];
+    if (empty || blocked) {
+      deficit = 0;
+      cursor = (cursor + 1) % n;
       continue;
     }
-    if (session->deficit_demand <= 0) {
-      session->deficit_demand = QuantumFor(*session);
-    }
-    Ticket* ticket = session->demand_q.front();
-    session->demand_q.pop_front();
-    --queued_total_;
-    if (--session->deficit_demand <= 0) {
-      demand_cursor_ = (demand_cursor_ + 1) % n;
-    }
-    return ticket;
+    if (deficit <= 0) deficit = QuantumFor(*session);
+    if (--deficit <= 0) cursor = (cursor + 1) % n;
+    return session;
   }
   return nullptr;
 }
 
 bool GboServer::GrantBatchLocked(bool interactive_only) {
-  SessionState* session = NextBatchSessionLocked(interactive_only);
+  SessionState* session = NextSessionLocked(kBatchLane, interactive_only);
   if (session == nullptr) return false;
   BatchTicket ticket = std::move(session->batch_q.front());
   session->batch_q.pop_front();
@@ -770,54 +768,6 @@ bool GboServer::GrantBatchLocked(bool interactive_only) {
     ticket_cv_.NotifyAll();
   }
   return true;
-}
-
-GboServer::SessionState* GboServer::NextBatchSessionLocked(
-    bool interactive_only) {
-  if (active_.empty()) return nullptr;
-  const size_t n = active_.size();
-  for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    SessionState* session = active_[batch_cursor_ % n];
-    const bool blocked =
-        (interactive_only &&
-         session->config.priority != PriorityClass::kInteractive) ||
-        (session->config.max_inflight_loads > 0 &&
-         session->inflight >= session->config.max_inflight_loads);
-    if (session->batch_q.empty() || blocked) {
-      session->deficit_batch = 0;
-      batch_cursor_ = (batch_cursor_ + 1) % n;
-      continue;
-    }
-    if (session->deficit_batch <= 0) {
-      session->deficit_batch = QuantumFor(*session);
-    }
-    if (--session->deficit_batch <= 0) {
-      batch_cursor_ = (batch_cursor_ + 1) % n;
-    }
-    return session;
-  }
-  return nullptr;
-}
-
-GboServer::SessionState* GboServer::NextPrefetchSessionLocked() {
-  if (active_.empty()) return nullptr;
-  const size_t n = active_.size();
-  for (size_t scanned = 0; scanned < 2 * n; ++scanned) {
-    SessionState* session = active_[prefetch_cursor_ % n];
-    if (session->prefetch_q.empty()) {
-      session->deficit_prefetch = 0;
-      prefetch_cursor_ = (prefetch_cursor_ + 1) % n;
-      continue;
-    }
-    if (session->deficit_prefetch <= 0) {
-      session->deficit_prefetch = QuantumFor(*session);
-    }
-    if (--session->deficit_prefetch <= 0) {
-      prefetch_cursor_ = (prefetch_cursor_ + 1) % n;
-    }
-    return session;
-  }
-  return nullptr;
 }
 
 void GboServer::ApplyPressureLocked(PressureState state) {

@@ -182,6 +182,10 @@ class GboServer {
     std::vector<std::string> resources;
   };
 
+  // The scheduler lanes, each with its own DRR cursor and per-session
+  // deficit. Stack demand and batch tickets share the demand window.
+  enum Lane { kDemandLane, kBatchLane, kPrefetchLane, kNumLanes };
+
   // Server-side state of one session. Members are guarded by the
   // server's mu_ (the struct has no lock of its own, like Gbo::Unit).
   struct SessionState {
@@ -196,9 +200,7 @@ class GboServer {
     // Settle results of batch tickets (grant failures, settles, cancel
     // reasons), consumed by AwaitBatchSettle.
     std::map<std::string, Status> batch_done;
-    int deficit_demand = 0;
-    int deficit_prefetch = 0;
-    int deficit_batch = 0;
+    int deficit[kNumLanes] = {};
     int inflight = 0;  // granted demand reads not yet settled
 
     // unit name -> pins held / bytes charged (bytes counted once per
@@ -267,16 +269,16 @@ class GboServer {
   // of the serving layer — calls Gbo::AddUnit under mu_ (rank-legal:
   // kGboServer < kGboMu).
   void DispatchLocked() REQUIRES(mu_);
-  // Next demand ticket / prefetch owner by weighted deficit round-robin.
-  // Null when every eligible queue is empty. `interactive_only` restricts
-  // the scan to interactive sessions (the reserve slots).
-  Ticket* NextDemandLocked(bool interactive_only) REQUIRES(mu_);
-  SessionState* NextPrefetchSessionLocked() REQUIRES(mu_);
-  // Grants one batch ticket (DRR over sessions with queued batches, same
-  // eligibility rules as demand) and hands its unit to Gbo::AddUnit.
-  // False when no eligible ticket exists.
+  // The session whose `lane` queue is served next by weighted deficit
+  // round-robin, charged one unit of its deficit. Null when every eligible
+  // queue is empty. `interactive_only` restricts the scan to interactive
+  // sessions (the reserve slots); the demand-window lanes also skip
+  // sessions at their max_inflight_loads.
+  SessionState* NextSessionLocked(Lane lane, bool interactive_only)
+      REQUIRES(mu_);
+  // Grants one batch ticket (the batch lane's next session) and hands its
+  // unit to Gbo::AddUnit. False when no eligible ticket exists.
   bool GrantBatchLocked(bool interactive_only) REQUIRES(mu_);
-  SessionState* NextBatchSessionLocked(bool interactive_only) REQUIRES(mu_);
   // The shed ladder for the current pressure state (DESIGN.md §13):
   // cancel queued prefetch lowest-priority-first, then force-unpin idle
   // over-budget sessions. (Demand rejection happens at admission.)
@@ -313,10 +315,9 @@ class GboServer {
   // Counters of released sessions (see stats()).
   ServerStats retired_ GUARDED_BY(mu_);
   // DRR active list: open sessions in creation order (the deterministic
-  // scan order of both scheduler lanes).
+  // scan order of every scheduler lane).
   std::vector<SessionState*> active_ GUARDED_BY(mu_);
-  size_t demand_cursor_ GUARDED_BY(mu_) = 0;
-  size_t prefetch_cursor_ GUARDED_BY(mu_) = 0;
+  size_t cursor_[kNumLanes] GUARDED_BY(mu_) = {};
   int64_t next_session_id_ GUARDED_BY(mu_) = 1;
 
   int inflight_demand_ GUARDED_BY(mu_) = 0;
@@ -325,7 +326,6 @@ class GboServer {
   // owning session id. Each entry holds one demand-window slot, released
   // by the server's watch when the unit settles.
   std::multimap<std::string, int64_t> granted_batches_ GUARDED_BY(mu_);
-  size_t batch_cursor_ GUARDED_BY(mu_) = 0;
   // Prefetch units handed to AddUnit, not yet settled (name -> count).
   std::map<std::string, int> outstanding_prefetch_ GUARDED_BY(mu_);
   int outstanding_prefetch_total_ GUARDED_BY(mu_) = 0;

@@ -46,10 +46,18 @@ GboSession::~GboSession() {
   server_->ReleaseSession(id_);
 }
 
-bool GboSession::InNamespace(const std::string& name) const {
+bool GboSession::InNamespaceView(const std::string& name) const {
   const std::string& ns = config_.unit_namespace;
   return ns.empty() ||
          (name.size() >= ns.size() && name.compare(0, ns.size(), ns) == 0);
+}
+
+Status GboSession::CheckNamespace(const std::string& name,
+                                  std::string_view what) const {
+  if (InNamespaceView(name)) return Status::Ok();
+  return InvalidArgumentError(StrCat(what, " ", name,
+                                     " is outside the session namespace ",
+                                     config_.unit_namespace));
 }
 
 Status GboSession::Read(const std::string& unit_name, Gbo::ReadFn read_fn) {
@@ -66,11 +74,7 @@ Status GboSession::ReadInternal(const std::string& unit_name,
                                 Gbo::ReadFn read_fn,
                                 const TimePoint* deadline) {
   if (unit_name.empty()) return InvalidArgumentError("unit name is empty");
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   Stopwatch stopwatch;
   Status granted = server_->AwaitDemandGrant(id_, unit_name, deadline);
   if (!granted.ok()) return granted;
@@ -88,11 +92,7 @@ Status GboSession::ReadInternal(const std::string& unit_name,
 Status GboSession::Prefetch(const std::string& unit_name,
                             Gbo::ReadFn read_fn) {
   if (unit_name.empty()) return InvalidArgumentError("unit name is empty");
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   return server_->RequestPrefetch(id_, unit_name, std::move(read_fn));
 }
 
@@ -103,12 +103,7 @@ Status GboSession::SubmitBatchSet(std::vector<SessionBatchRequest> batches) {
     if (request.unit_name.empty()) {
       return InvalidArgumentError("unit name is empty");
     }
-    if (!InNamespace(request.unit_name)) {
-      return InvalidArgumentError(
-          StrCat("unit ", request.unit_name,
-                 " is outside the session namespace ",
-                 config_.unit_namespace));
-    }
+    GODIVA_RETURN_IF_ERROR(CheckNamespace(request.unit_name, "unit"));
     tickets.push_back(GboServer::BatchTicket{std::move(request.unit_name),
                                              std::move(request.read_fn),
                                              std::move(request.resources)});
@@ -118,48 +113,28 @@ Status GboSession::SubmitBatchSet(std::vector<SessionBatchRequest> batches) {
 
 Status GboSession::AwaitBatchSettle(const std::string& unit_name,
                                     const TimePoint* deadline) {
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   return server_->AwaitBatchSettle(id_, unit_name, deadline);
 }
 
 Status GboSession::WithdrawBatch(const std::string& unit_name) {
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   return server_->WithdrawBatch(id_, unit_name);
 }
 
 Status GboSession::AdoptPlanPin(const std::string& unit_name,
                                 double elapsed_ms) {
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   return server_->AdoptPlanPin(id_, unit_name, elapsed_ms);
 }
 
 Status GboSession::Finish(const std::string& unit_name) {
-  if (!InNamespace(unit_name)) {
-    return InvalidArgumentError(StrCat("unit ", unit_name,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(unit_name, "unit"));
   return server_->FinishUnitFor(id_, unit_name);
 }
 
 Result<int64_t> GboSession::Watch(const std::string& glob, Gbo::WatchFn fn) {
-  if (!InNamespace(glob)) {
-    return InvalidArgumentError(StrCat("watch glob ", glob,
-                                       " is outside the session namespace ",
-                                       config_.unit_namespace));
-  }
+  GODIVA_RETURN_IF_ERROR(CheckNamespace(glob, "watch glob"));
   return server_->RegisterSessionWatch(id_, glob, std::move(fn));
 }
 

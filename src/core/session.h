@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -183,9 +184,7 @@ class GboSession {
 
   // True iff `name` is inside this session's namespace view (the check
   // every read/watch entry point applies; exposed for the planner).
-  bool InNamespaceView(const std::string& name) const {
-    return InNamespace(name);
-  }
+  bool InNamespaceView(const std::string& name) const;
 
   // Cancels queued demand and prefetch tickets (blocked Read callers
   // return ABORTED), waits for in-flight reads to settle, releases every
@@ -205,8 +204,9 @@ class GboSession {
   Status ReadInternal(const std::string& unit_name, Gbo::ReadFn read_fn,
                       const TimePoint* deadline);
 
-  // True iff `name` is inside this session's namespace view.
-  bool InNamespace(const std::string& name) const;
+  // OK iff `name` is inside this session's namespace view; otherwise
+  // INVALID_ARGUMENT naming `what` ("unit", "watch glob") and `name`.
+  Status CheckNamespace(const std::string& name, std::string_view what) const;
 
   // Called by the server (under its lock) when a demand read settles
   // successfully: appends to the latency sample ring.

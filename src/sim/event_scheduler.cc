@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <string_view>
 
 namespace godiva {
 
@@ -565,30 +564,5 @@ DiscreteEventScope::DiscreteEventScope(EventScheduler::Options options)
 }
 
 DiscreteEventScope::~DiscreteEventScope() { scheduler_.Deactivate(); }
-
-SimMode SimModeFromEnv() {
-  const char* env = std::getenv("GODIVA_SIM_MODE");
-  if (env == nullptr || env[0] == '\0') return SimMode::kScaledSleep;
-  const std::string_view name = env;
-  if (name == "de" || name == "discrete" || name == "discrete-event") {
-    return SimMode::kDiscreteEvent;
-  }
-  if (name == "scaled" || name == "sleep" || name == "scaled-sleep") {
-    return SimMode::kScaledSleep;
-  }
-  std::fprintf(stderr, "godiva: unrecognized GODIVA_SIM_MODE=%s (ignored)\n",
-               env);
-  return SimMode::kScaledSleep;
-}
-
-const char* SimModeName(SimMode mode) {
-  switch (mode) {
-    case SimMode::kScaledSleep:
-      return "scaled-sleep";
-    case SimMode::kDiscreteEvent:
-      return "discrete-event";
-  }
-  return "unknown";
-}
 
 }  // namespace godiva

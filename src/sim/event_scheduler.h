@@ -190,13 +190,6 @@ class DiscreteEventScope {
   EventScheduler scheduler_;
 };
 
-// Parses GODIVA_SIM_MODE: "de"/"discrete"/"discrete-event" or
-// "scaled"/"sleep"/"scaled-sleep". Returns kScaledSleep when unset or
-// unrecognized (with a warning). Test fixtures use this so one env var
-// flips a whole suite into discrete-event mode.
-SimMode SimModeFromEnv();
-const char* SimModeName(SimMode mode);
-
 }  // namespace godiva
 
 #endif  // GODIVA_SIM_EVENT_SCHEDULER_H_

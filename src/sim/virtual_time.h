@@ -24,8 +24,8 @@
 
 namespace godiva {
 
-// How modeled time executes, as named by GODIVA_SIM_MODE. Nothing stores
-// it: the one runtime switch is whether a DiscreteEventScope is active.
+// How modeled time executes. Nothing stores it: the one runtime switch is
+// whether a DiscreteEventScope is active.
 enum class SimMode {
   kScaledSleep,
   kDiscreteEvent,

@@ -424,12 +424,9 @@ TEST(ServerTest, DispatchOrderIsDeterministicAcrossShardCounts) {
 }
 
 // Discrete-event session sweep: 200 mixed-priority closed-loop clients
-// replay on the virtual clock in real milliseconds, deterministically.
-// The wall bound is deliberately generous (the point is "interactive",
-// not a precise cost model of the host), and is measured on the raw OS
-// clock — godiva::Now() reads the virtual clock inside the scope.
-TEST(ServerTest, TwoHundredSessionDiscreteEventSweepIsFast) {
-  const auto wall_start = std::chrono::steady_clock::now();
+// replay on the virtual clock, deterministically. Its host cost is
+// bench_serving's session sweep's wall(s) column, not a verdict here.
+TEST(ServerTest, TwoHundredSessionDiscreteEventSweep) {
   int64_t reads_ok = 0;
   double virtual_a = 0;
   double virtual_b = 0;
@@ -461,11 +458,6 @@ TEST(ServerTest, TwoHundredSessionDiscreteEventSweepIsFast) {
   // Deterministic: both sweeps end at the identical virtual instant.
   EXPECT_GT(virtual_a, 0);
   EXPECT_EQ(virtual_a, virtual_b);
-  double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  EXPECT_LT(wall_seconds, 5.0);
 }
 
 TEST(ServerTest, ServerTotalsOutliveTheirSessions) {

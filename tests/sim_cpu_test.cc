@@ -1,13 +1,12 @@
 // Tests for the virtual CPU: modeled durations, slot contention, and the
 // competitor load used by the TG1 experiment.
 //
-// Timing assertions are mode-aware (GODIVA_SIM_MODE): under scaled sleep
-// they are loose wall-clock bounds (host scheduling noise is real); under
-// the discrete-event scheduler the same scenarios assert exact virtual
-// durations — the whole point of that mode is that there is no noise.
+// Every modeled duration is asserted exactly on the discrete-event virtual
+// clock, where the scenarios have no noise. On scaled sleep only what
+// holds on any host is asserted: a scaled sleep lasts at least its scaled
+// duration.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <vector>
@@ -24,10 +23,8 @@ namespace {
 
 using std::chrono::milliseconds;
 
-bool DeMode() { return SimModeFromEnv() == SimMode::kDiscreteEvent; }
-
 TEST(TimeScaleTest, ScalesSleeps) {
-  if (DeMode()) {
+  {
     // Under the scheduler, SleepModeled advances the virtual clock by the
     // full modeled duration regardless of scale.
     DiscreteEventScope scope;
@@ -36,78 +33,62 @@ TEST(TimeScaleTest, ScalesSleeps) {
     scale.SleepModeled(std::chrono::seconds(1));
     EXPECT_NEAR(sw.ElapsedSeconds(), 1.0, 1e-9);
     EXPECT_NEAR(scale.WallToModeledSeconds(FromSeconds(1.0)), 1.0, 1e-9);
-    return;
   }
   TimeScale scale(0.01);
   Stopwatch sw;
   scale.SleepModeled(std::chrono::seconds(1));  // 10 ms wall
-  double wall = sw.ElapsedSeconds();
-  EXPECT_GE(wall, 0.009);
-  EXPECT_LT(wall, 0.2);
+  EXPECT_GE(sw.ElapsedSeconds(), 0.009);
   EXPECT_NEAR(scale.WallToModeledSeconds(FromSeconds(0.01)), 1.0, 1e-9);
 }
 
-TEST(SimCpuTest, ComputeTakesModeledTime) {
+// Seconds `modeled` of compute takes on a one-slot CPU: virtual seconds
+// under a DiscreteEventScope when `de`, scaled wall seconds otherwise.
+double ComputeSeconds(Duration modeled, bool de) {
   std::optional<DiscreteEventScope> scope;
-  if (DeMode()) scope.emplace();
+  if (de) scope.emplace();
   TimeScale scale(0.01);
   SimCpu cpu(SimCpu::Options{.slots = 1, .quantum = milliseconds(20)},
              &scale);
   Stopwatch sw;
-  cpu.Compute(milliseconds(500));  // 5 ms wall / 500 ms virtual
-  if (DeMode()) {
-    EXPECT_NEAR(sw.ElapsedSeconds(), 0.5, 1e-9);
-  } else {
-    EXPECT_GE(sw.ElapsedSeconds(), 0.004);
-  }
-  EXPECT_NEAR(cpu.TotalComputeSeconds(), 0.5, 1e-9);
+  cpu.Compute(modeled);
+  EXPECT_NEAR(cpu.TotalComputeSeconds(), ToSeconds(modeled), 1e-9);
+  return sw.ElapsedSeconds();
 }
 
-// Runs two threads of 300 modeled-ms each on a `slots`-slot CPU and
-// returns the best measured time of `attempts` attempts. Scaled-sleep
-// callers pass 3 (host scheduling noise can inflate any single run);
-// discrete-event callers pass 1 — every run measures identically.
-double TwoThreadSeconds(int slots, int attempts) {
+TEST(SimCpuTest, ComputeTakesModeledTime) {
+  EXPECT_NEAR(ComputeSeconds(milliseconds(500), /*de=*/true), 0.5, 1e-9);
+  // 500 modeled ms = 5 ms wall.
+  EXPECT_GE(ComputeSeconds(milliseconds(500), /*de=*/false), 0.004);
+}
+
+// Seconds two threads of 300 modeled ms each take on a `slots`-slot CPU,
+// on the clock `de` picks.
+double TwoThreadSeconds(int slots, bool de) {
+  std::optional<DiscreteEventScope> scope;
+  if (de) scope.emplace();
   TimeScale scale(0.01);
-  double best = 1e9;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<DiscreteEventScope> scope;
-    if (DeMode()) scope.emplace();
-    SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(10)},
-               &scale);
-    Stopwatch sw;
-    std::vector<Thread> threads;
-    for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&cpu] { cpu.Compute(milliseconds(300)); });
-    }
-    for (auto& th : threads) th.join();
-    best = std::min(best, sw.ElapsedSeconds());
+  SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(10)},
+             &scale);
+  Stopwatch sw;
+  std::vector<Thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&cpu] { cpu.Compute(milliseconds(300)); });
   }
-  return best;
+  for (auto& th : threads) th.join();
+  return sw.ElapsedSeconds();
 }
 
 TEST(SimCpuTest, SingleSlotSerializesTwoThreads) {
-  if (DeMode()) {
-    // Exact: 600 modeled ms, fully serialized, zero scheduler overhead on
-    // the virtual clock.
-    EXPECT_NEAR(TwoThreadSeconds(1, 1), 0.600, 1e-9);
-    return;
-  }
+  // Exact: 600 modeled ms, fully serialized, zero scheduler overhead on
+  // the virtual clock.
+  EXPECT_NEAR(TwoThreadSeconds(1, /*de=*/true), 0.600, 1e-9);
   // 600 ms of modeled work on one slot → ≥ 6 ms wall.
-  EXPECT_GE(TwoThreadSeconds(1, 3), 0.0055);
+  EXPECT_GE(TwoThreadSeconds(1, /*de=*/false), 0.0055);
 }
 
 TEST(SimCpuTest, TwoSlotsRunTwoThreadsConcurrently) {
-  if (DeMode()) {
-    // Exact: both threads overlap perfectly in virtual time.
-    EXPECT_NEAR(TwoThreadSeconds(2, 1), 0.300, 1e-9);
-    return;
-  }
-  // Compare directly against the serialized run: absolute thresholds are
-  // fragile under host scheduling noise.
-  double serialized = TwoThreadSeconds(1, 3);
-  double concurrent = TwoThreadSeconds(2, 3);
-  EXPECT_LT(concurrent, serialized * 0.8);
+  // Exact: both threads overlap perfectly in virtual time.
+  EXPECT_NEAR(TwoThreadSeconds(2, /*de=*/true), 0.300, 1e-9);
 }
 
 TEST(SimCpuTest, ZeroDurationIsNoop) {
@@ -117,57 +98,39 @@ TEST(SimCpuTest, ZeroDurationIsNoop) {
   EXPECT_EQ(cpu.TotalComputeSeconds(), 0.0);
 }
 
-// Measured time for 200 modeled ms of work on a `slots`-slot CPU,
-// optionally with a competitor occupying one slot. Best-of mitigates host
-// scheduling noise in scaled mode; discrete-event runs once.
-double CompetitorSeconds(int slots, bool with_competitor, int attempts) {
+// Virtual seconds 200 modeled ms of work take on a `slots`-slot CPU,
+// optionally with a competitor occupying one slot.
+double CompetitorSeconds(int slots, bool with_competitor) {
+  DiscreteEventScope scope;
   TimeScale scale(0.01);
-  double best = 1e9;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    std::optional<DiscreteEventScope> scope;
-    if (DeMode()) scope.emplace();
-    SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(5)},
-               &scale);
-    std::optional<CompetitorLoad> competitor;
-    if (with_competitor) competitor.emplace(&cpu);
-    Stopwatch sw;
-    cpu.Compute(milliseconds(200));
-    best = std::min(best, sw.ElapsedSeconds());
-  }
-  return best;
+  SimCpu cpu(SimCpu::Options{.slots = slots, .quantum = milliseconds(5)},
+             &scale);
+  std::optional<CompetitorLoad> competitor;
+  if (with_competitor) competitor.emplace(&cpu);
+  Stopwatch sw;
+  cpu.Compute(milliseconds(200));
+  return sw.ElapsedSeconds();
 }
 
 TEST(CompetitorLoadTest, SlowsSharedSlotWork) {
   // One slot: the competitor and the measured work alternate quanta, so
   // the measured work takes roughly twice as long as when running alone.
-  if (DeMode()) {
-    double alone = CompetitorSeconds(1, false, 1);
-    double contended = CompetitorSeconds(1, true, 1);
-    EXPECT_NEAR(alone, 0.200, 1e-9);
-    // Strict 1:1 quantum alternation on the virtual clock: the contended
-    // run takes 1.9x–2.1x the solo run (the exact factor depends only on
-    // who holds the final quantum, not on host scheduling).
-    EXPECT_GT(contended, alone * 1.9);
-    EXPECT_LT(contended, alone * 2.1);
-    // And it is deterministic: a second run measures the same value.
-    EXPECT_EQ(contended, CompetitorSeconds(1, true, 1));
-    return;
-  }
-  double alone_seconds = CompetitorSeconds(1, false, 3);
-  double contended_seconds = CompetitorSeconds(1, true, 3);
-  EXPECT_GT(contended_seconds, alone_seconds * 1.4);
+  double alone = CompetitorSeconds(1, false);
+  double contended = CompetitorSeconds(1, true);
+  EXPECT_NEAR(alone, 0.200, 1e-9);
+  // Strict 1:1 quantum alternation on the virtual clock: the contended
+  // run takes 1.9x–2.1x the solo run (the exact factor depends only on
+  // who holds the final quantum, not on host scheduling).
+  EXPECT_GT(contended, alone * 1.9);
+  EXPECT_LT(contended, alone * 2.1);
+  // And it is deterministic: a second run measures the same value.
+  EXPECT_EQ(contended, CompetitorSeconds(1, true));
 }
 
 TEST(CompetitorLoadTest, DoesNotBlockSecondSlot) {
   // Identical work under a competitor: with two slots the work proceeds
-  // on the free slot; with one it must share.
-  if (DeMode()) {
-    EXPECT_NEAR(CompetitorSeconds(2, true, 1), 0.200, 1e-9);
-    return;
-  }
-  double two_slot_seconds = CompetitorSeconds(2, true, 3);
-  double one_slot_seconds = CompetitorSeconds(1, true, 3);
-  EXPECT_GT(one_slot_seconds, two_slot_seconds * 1.35);
+  // on the free slot.
+  EXPECT_NEAR(CompetitorSeconds(2, true), 0.200, 1e-9);
 }
 
 TEST(PlatformProfileTest, PresetsMatchThePaperTestbeds) {

@@ -136,32 +136,33 @@ TEST(SimEnvTest, SeparateFilesAlwaysSeek) {
 }
 
 TEST(SimEnvTest, ModeledTimeMatchesDiskModel) {
-  const bool de = SimModeFromEnv() == SimMode::kDiscreteEvent;
-  std::optional<DiscreteEventScope> scope;
-  if (de) scope.emplace();
-  TimeScale scale(0.001);  // 1 modeled second = 1ms wall (scaled mode)
-  SimEnv::Options options;
-  options.disk.seek_time = std::chrono::milliseconds(500);  // huge, modeled
-  options.disk.bytes_per_second = 1024.0 * 1024;
-  options.time_scale = &scale;
-  SimEnv env(options);
-  WriteAndClose(&env, "f", std::string(1024 * 1024, 'x'));
-  auto file = env.NewRandomAccessFile("f");
-  ASSERT_TRUE(file.ok());
-  std::vector<char> buf(1024 * 1024);
-  Stopwatch sw;
-  // seek (0.5 s modeled) + 1 MiB at 1 MiB/s (1 s modeled) = 1.5 s modeled
-  // = 1.5 ms wall at scale 0.001, or exactly 1.5 virtual seconds in
-  // discrete-event mode (the access is paid unbatched on the clock).
-  ASSERT_TRUE((*file)->Read(0, 1024 * 1024, buf.data()).ok());
-  double measured = sw.ElapsedSeconds();
-  if (de) {
-    EXPECT_NEAR(measured, 1.5, 1e-9);
-  } else {
-    EXPECT_GE(measured, 0.0014);
+  for (bool de : {true, false}) {
+    SCOPED_TRACE(de ? "discrete-event" : "scaled-sleep");
+    std::optional<DiscreteEventScope> scope;
+    if (de) scope.emplace();
+    TimeScale scale(0.001);  // 1 modeled second = 1ms wall (scaled mode)
+    SimEnv::Options options;
+    options.disk.seek_time = std::chrono::milliseconds(500);  // huge, modeled
+    options.disk.bytes_per_second = 1024.0 * 1024;
+    options.time_scale = &scale;
+    SimEnv env(options);
+    WriteAndClose(&env, "f", std::string(1024 * 1024, 'x'));
+    auto file = env.NewRandomAccessFile("f");
+    ASSERT_TRUE(file.ok());
+    std::vector<char> buf(1024 * 1024);
+    Stopwatch sw;
+    // seek (0.5 s modeled) + 1 MiB at 1 MiB/s (1 s modeled) = 1.5 s
+    // modeled = 1.5 ms wall at scale 0.001, or exactly 1.5 virtual seconds
+    // in discrete-event mode (the access is paid unbatched on the clock).
+    ASSERT_TRUE((*file)->Read(0, 1024 * 1024, buf.data()).ok());
+    double measured = sw.ElapsedSeconds();
+    if (de) {
+      EXPECT_NEAR(measured, 1.5, 1e-9);
+    } else {
+      EXPECT_GE(measured, 0.0014);
+    }
+    EXPECT_EQ(env.stats().modeled_read_seconds, 1.5);
   }
-  DiskStats stats = env.stats();
-  EXPECT_NEAR(stats.modeled_read_seconds, 1.5, de ? 1e-9 : 0.01);
 }
 
 // The active scope alone is the mode: an env built from default Options

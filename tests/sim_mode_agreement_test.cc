@@ -6,6 +6,8 @@
 // exists (the O and G variants are single-threaded); the paper's
 // qualitative curve shapes hold in both modes; and discrete-event numbers
 // are bit-identical run to run, which is the property the mode exists for.
+// Time is compared only where the host cannot move the verdict: exactly
+// on the virtual clock, and on scaled sleep only as a lower bound.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -96,11 +98,14 @@ TEST(SimModeAgreementTest, MultiThreadTotalsAgree) {
 }
 
 // The paper's qualitative curves hold in each mode independently: G cuts
-// read volume and seeks vs O (redundant-read elimination), and TG hides
-// visible I/O behind computation vs G (background prefetch).
+// read volume and seeks vs O (redundant-read elimination), and TG
+// prefetches in the background. That TG hides visible I/O behind
+// computation vs G is a timing claim, asserted on the virtual clock: on
+// scaled sleep a loaded host stretches visible I/O arbitrarily.
 TEST(SimModeAgreementTest, CurveShapesHoldInBothModes) {
   for (SimMode mode : {SimMode::kScaledSleep, SimMode::kDiscreteEvent}) {
-    SCOPED_TRACE(SimModeName(mode));
+    const bool de = mode == SimMode::kDiscreteEvent;
+    SCOPED_TRACE(de ? "discrete-event" : "scaled-sleep");
     CellResult o = RunCellInMode(mode, PlatformProfile::Engle(),
                                  VizTestSpec::Simple(), Variant::kOriginal);
     CellResult g =
@@ -118,14 +123,17 @@ TEST(SimModeAgreementTest, CurveShapesHoldInBothModes) {
     CellResult tg = RunCellInMode(mode, PlatformProfile::Turing(), medium,
                                   Variant::kGodivaMultiThread);
     EXPECT_GT(tg.gbo.units_prefetched, 0);
-    EXPECT_LT(tg.visible_io_seconds, g_medium.visible_io_seconds * 0.6);
+    if (de) {
+      EXPECT_LT(tg.visible_io_seconds, g_medium.visible_io_seconds * 0.6);
+    }
   }
 }
 
 // Where modeled time dominates, the scaled-sleep wall measurement must
 // land on the same curve the discrete-event clock computes exactly. The
 // scaled number reads high by whatever the host adds (real processing
-// work, sleep granularity) — bounded here, not eliminated.
+// work, sleep granularity, load from other processes), so only the lower
+// bound is a verdict.
 TEST(SimModeAgreementTest, ScaledTotalsTrackDiscreteEventTotals) {
   // Disk-dominated cell at a coarse time scale: disk delays batch to
   // >= 1ms of wall per sleep, and at 0.05 wall-seconds per modeled second
@@ -144,7 +152,6 @@ TEST(SimModeAgreementTest, ScaledTotalsTrackDiscreteEventTotals) {
                                     Variant::kGodivaSingleThread, 0.05);
   EXPECT_GT(de.total_seconds, 0);
   EXPECT_GT(scaled.total_seconds, de.total_seconds * 0.9);
-  EXPECT_LT(scaled.total_seconds, de.total_seconds * 1.8);
 }
 
 // Fig 3b (the TG1 scenario): a compute-bound competitor occupies a CPU

@@ -6,9 +6,14 @@
 // never torn data, stale epochs, a deadlock, or an audit failure — and
 // that a rewrite is re-admitted after ResetFileHealth.
 //
+// Every test runs on both clocks: scaled sleep, where producer, readers
+// and the I/O pool overlap on real threads, and the discrete-event
+// scheduler, where every sleep, timed wait and modeled disk delay lands on
+// the virtual clock and the interleaving replays identically.
+//
 // The crash matrix samples byte offsets with a stride by default; set
 // GODIVA_CRASH_MATRIX_FULL=1 to sweep power loss at every byte (CI does
-// this in the sanitizer job).
+// this in the sanitizer job, on the scaled-sleep instance).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,13 +48,10 @@ namespace {
 using std::chrono::milliseconds;
 using std::chrono::seconds;
 
-class IngestTest : public ::testing::Test {
+class IngestTest : public ::testing::TestWithParam<SimMode> {
  protected:
   void SetUp() override {
-    // GODIVA_SIM_MODE=de runs the whole suite on the discrete-event
-    // scheduler: every sleep, timed wait and modeled disk delay lands on
-    // the virtual clock and the interleaving replays identically.
-    if (SimModeFromEnv() == SimMode::kDiscreteEvent) scope_.emplace();
+    if (GetParam() == SimMode::kDiscreteEvent) scope_.emplace();
     spec_ = mesh::DatasetSpec::Tiny();
     spec_.num_snapshots = 6;
     spec_.checksums = true;
@@ -97,6 +99,14 @@ class IngestTest : public ::testing::Test {
   mesh::SnapshotDataset dataset_;
 };
 
+INSTANTIATE_TEST_SUITE_P(
+    Clocks, IngestTest,
+    ::testing::Values(SimMode::kScaledSleep, SimMode::kDiscreteEvent),
+    [](const ::testing::TestParamInfo<SimMode>& info) {
+      return info.param == SimMode::kDiscreteEvent ? "DiscreteEvent"
+                                                   : "ScaledSleep";
+    });
+
 // Every block of `snapshot` must be resolvable through the key index.
 void ExpectSnapshotComplete(Gbo* db, const mesh::DatasetSpec& spec,
                             int snapshot) {
@@ -108,7 +118,7 @@ void ExpectSnapshotComplete(Gbo* db, const mesh::DatasetSpec& spec,
   }
 }
 
-TEST_F(IngestTest, ReadersFollowTheAdvancingFrontier) {
+TEST_P(IngestTest, ReadersFollowTheAdvancingFrontier) {
   Gbo db(DbOptions());
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
@@ -170,7 +180,7 @@ TEST_F(IngestTest, ReadersFollowTheAdvancingFrontier) {
   EXPECT_EQ(gbo.units_superseded, spec_.num_snapshots);
 }
 
-TEST_F(IngestTest, BlockPolicyStallsTheProducerUntilAcked) {
+TEST_P(IngestTest, BlockPolicyStallsTheProducerUntilAcked) {
   Gbo db(DbOptions());
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
@@ -204,7 +214,7 @@ TEST_F(IngestTest, BlockPolicyStallsTheProducerUntilAcked) {
   EXPECT_EQ(stats.snapshots_dropped, 0);
 }
 
-TEST_F(IngestTest, DropOldestPolicyBoundsLagWithoutStalling) {
+TEST_P(IngestTest, DropOldestPolicyBoundsLagWithoutStalling) {
   Gbo db(DbOptions());
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
@@ -229,7 +239,7 @@ TEST_F(IngestTest, DropOldestPolicyBoundsLagWithoutStalling) {
   EXPECT_TRUE(db.CheckInvariants().ok()) << db.CheckInvariants();
 }
 
-TEST_F(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
+TEST_P(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
   // Power loss once, mid-stream of snapshot 2's first temp file. The
   // producer's error hook "reboots" the path and the rewrite publishes;
   // readers at the final path never observe a torn file (tmp+rename).
@@ -279,7 +289,7 @@ TEST_F(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
   EXPECT_GE(fault_->stats().crashes_injected, 1);
 }
 
-TEST_F(IngestTest, ExhaustedWriteAttemptsAbandonTheSnapshot) {
+TEST_P(IngestTest, ExhaustedWriteAttemptsAbandonTheSnapshot) {
   // A permanently dead path: every attempt crashes, the hook keeps
   // requesting retries, and the producer abandons the snapshot after
   // max_write_attempts without publishing it.
@@ -323,7 +333,7 @@ int CrashMatrixStride(int64_t file_size) {
   return static_cast<int>(std::max<int64_t>(1, file_size / 24));
 }
 
-TEST_F(IngestTest, TornWriteCrashMatrixSalvagesOrQuarantinesNeverTorn) {
+TEST_P(IngestTest, TornWriteCrashMatrixSalvagesOrQuarantinesNeverTorn) {
   const int kSnapshot = 1;
   const std::vector<std::string> files = dataset_.SnapshotFiles(kSnapshot);
   const std::string& torn_file = files.back();
