@@ -62,7 +62,6 @@ int Run(int argc, char** argv) {
       cells[test.name][std::string(workloads::VariantName(variant))] =
           *cell;
       workloads::PrintResilience(*cell);
-      workloads::PrintPoolStats(*cell);
     }
   }
   workloads::PrintFigure("Figure 3(a) — Engle workstation", rows);

@@ -74,7 +74,6 @@ int Run(int argc, char** argv) {
                             cell->visible_io_seconds});
       cells[test.name][cell_spec.label] = *cell;
       workloads::PrintResilience(*cell);
-      workloads::PrintPoolStats(*cell);
     }
   }
   workloads::PrintFigure("Figure 3(b) — Turing cluster node", rows);

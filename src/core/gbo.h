@@ -296,9 +296,7 @@ class Gbo {
   // state). Matching watchers get a kInvalidated event when a live unit
   // was superseded, then the usual kReady/kFailed when the new version
   // settles. Requires background_io (the reload path needs the pool);
-  // FAILED_PRECONDITION otherwise. Subject to the ingest admission gate
-  // (PressurePolicy::queue_limit): blocks or returns RESOURCE_EXHAUSTED
-  // per PressurePolicy::admission, ABORTED on shutdown while blocked.
+  // FAILED_PRECONDITION otherwise.
   // lint: holds_on_entry(none)
   Status SupersedeUnit(const std::string& unit_name, ReadFn read_fn,
                        std::vector<std::string> resources = {})
@@ -583,13 +581,6 @@ class Gbo {
   // under the locks). The unit stays kLoading until this runs.
   // lint: holds_on_entry(none)
   void HandleStaleSettle(Shard& s, Unit* unit) EXCLUDES(mu_);
-
-  // The ingest admission gate (SupersedeUnit only): waits until the
-  // queued-unit backlog (demand + speculative) is below
-  // the resolved PressurePolicy::queue_limit and memory is below the
-  // high-water fraction, or rejects, per the policy's admission mode. OK /
-  // RESOURCE_EXHAUSTED / ABORTED on shutdown.
-  Status AdmitIngestLocked() REQUIRES(mu_);
 
   // --- circuit breaker.
 

@@ -29,6 +29,14 @@
 #include "core/unit_context.h"
 
 namespace godiva {
+namespace {
+
+// RetryPolicy's backoff shape: each delay is kBackoffMultiplier times the
+// last, and a uniform random share of up to kBackoffJitter is taken off.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kBackoffJitter = 0.25;
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // Memory accounting and eviction.
@@ -192,8 +200,7 @@ Status Gbo::RunReadFn(Unit* unit) {
 }
 
 Duration Gbo::JitteredBackoffLocked(Duration base) {
-  double jitter = std::clamp(options_.retry.jitter, 0.0, 1.0);
-  double factor = 1.0 - jitter * retry_rng_.NextDouble();
+  double factor = 1.0 - kBackoffJitter * retry_rng_.NextDouble();
   auto scaled = std::chrono::duration_cast<Duration>(base * factor);
   return std::max(scaled, Duration::zero());
 }
@@ -379,7 +386,7 @@ Status Gbo::ExecuteRead(Shard& s, Unit* unit, const TimePoint* deadline,
     }
     base_backoff =
         std::min(std::chrono::duration_cast<Duration>(
-                     base_backoff * policy.backoff_multiplier),
+                     base_backoff * kBackoffMultiplier),
                  policy.max_backoff);
   }
 }

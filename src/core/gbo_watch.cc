@@ -1,7 +1,6 @@
 // Gbo: the live-ingest surface (DESIGN.md §11) — the watch registry,
 // SupersedeUnit (publish a new version of a unit, invalidating the cached
-// one), staleness-epoch conversion of superseded units, and the ingest
-// admission gate that bounds how far a producer may outrun the I/O pool.
+// one), and staleness-epoch conversion of superseded units.
 //
 // Locking: the watch registry lives under watch_mu_ (rank kGboWatch, above
 // the shard range), but callbacks are always invoked with no Gbo lock held
@@ -9,12 +8,10 @@
 // runs them after releasing it, so a callback may re-enter any public
 // method. Staleness transitions follow the standard mu_ → shard order.
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/logging.h"
 #include "common/mutex.h"
 #include "common/strings.h"
@@ -159,65 +156,6 @@ void Gbo::HandleStaleSettle(Shard& s, Unit* unit)
 }
 
 // ---------------------------------------------------------------------
-// Ingest admission.
-
-Status Gbo::AdmitIngestLocked() {
-  // The ingest gate and the serving layer share one threshold table
-  // (PressurePolicy, DESIGN.md §13).
-  const PressurePolicy& pressure = options_.pressure;
-  if (pressure.queue_limit <= 0) return Status::Ok();
-  const double fraction = std::clamp(pressure.high_water_fraction, 0.0, 1.0);
-  auto over_memory = [this, fraction]() {
-    int64_t limit = memory_limit_.load(std::memory_order_relaxed);
-    int64_t high_water =
-        static_cast<int64_t>(static_cast<double>(limit) * fraction);
-    return memory_used_.load(std::memory_order_relaxed) >= high_water;
-  };
-  // Called under mu_ (lambdas are opaque to -Wthread-safety; the enclosing
-  // function's REQUIRES(mu_) is the real contract).
-  auto backlog_full = [this, &pressure]() {
-    return static_cast<int>(demand_queue_.size() + prefetch_queue_.size()) >=
-           pressure.queue_limit;
-  };
-  // Prefer making room to blocking: above the high-water mark, evict cold
-  // finished units (typically the producer's own older snapshots).
-  while (over_memory() && EvictOneLocked()) {
-  }
-  if (!backlog_full() && !over_memory()) return Status::Ok();
-  if (pressure.admission == IngestAdmission::kReject) {
-    ++counters_.publishes_rejected;
-    return ResourceExhaustedError(StrCat(
-        "ingest admission rejected: ",
-        demand_queue_.size() + prefetch_queue_.size(), " units queued (limit ",
-        pressure.queue_limit, "), memory ",
-        FormatBytes(memory_used_.load(std::memory_order_relaxed)), " of ",
-        FormatBytes(memory_limit_.load(std::memory_order_relaxed))));
-  }
-  // Block until the pool drains the backlog below the window. Queue pops
-  // are only signalled indirectly (memory_cv_ fires when a load settles),
-  // so the wait is a bounded poll; the waiter count makes FinishUnit's
-  // shard-only fast path re-take mu_ to deliver wakeups.
-  ++counters_.ingest_admission_stalls;
-  Stopwatch stopwatch;
-  memory_gate_waiters_.fetch_add(1, std::memory_order_relaxed);
-  while (!shutdown_.load(std::memory_order_acquire)) {
-    while (over_memory() && EvictOneLocked()) {
-    }
-    if (!backlog_full() && !over_memory()) break;
-    // lint: discard_ok(bounded poll: the loop re-checks backlog, memory
-    // and shutdown whether the wait timed out or was notified)
-    (void)memory_cv_.WaitUntil(&mu_, Now() +
-                                         std::chrono::milliseconds(2));
-  }
-  memory_gate_waiters_.fetch_sub(1, std::memory_order_relaxed);
-  counters_.ingest_stall_seconds += stopwatch.ElapsedSeconds();
-  if (shutdown_.load(std::memory_order_acquire)) {
-    return AbortedError("database is shutting down");
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------
 // SupersedeUnit.
 
 Status Gbo::SupersedeUnit(const std::string& unit_name, ReadFn read_fn,
@@ -236,11 +174,6 @@ Status Gbo::SupersedeUnit(const std::string& unit_name, ReadFn read_fn,
   int64_t epoch = 0;
   Unit* unit = nullptr;
   mu_.Lock();
-  Status admitted = AdmitIngestLocked();
-  if (!admitted.ok()) {
-    mu_.Unlock();
-    return admitted;
-  }
   s.mu.Lock();
   auto it = s.units.find(unit_name);
   Unit* existing = it != s.units.end() ? it->second.get() : nullptr;

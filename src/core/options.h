@@ -2,10 +2,8 @@
 #ifndef GODIVA_CORE_OPTIONS_H_
 #define GODIVA_CORE_OPTIONS_H_
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -24,25 +22,20 @@ enum class EvictionPolicy {
 // records are rolled back, so read functions need no internal retry logic
 // (they just need to be re-runnable, which rollback guarantees for record
 // operations). Backoff sleeps are interruptible: shutdown and DeleteUnit
-// cancel them promptly.
+// cancel them promptly. Each backoff grows by kBackoffMultiplier up to
+// max_backoff and is shortened by a random share of up to kBackoffJitter
+// (gbo_units.cc), so synchronized retry storms decorrelate.
 struct RetryPolicy {
   // Total attempts including the first one; 1 disables retries.
   int max_attempts = 3;
   Duration initial_backoff = std::chrono::milliseconds(1);
   Duration max_backoff = std::chrono::milliseconds(100);
-  double backoff_multiplier = 2.0;
-  // Each backoff is scaled by a uniform factor in [1 - jitter, 1], so
-  // synchronized retry storms decorrelate.
-  double jitter = 0.25;
+
   // Which failure codes are worth re-running the read function for.
   // UNAVAILABLE: transient storage hiccup. DATA_LOSS: torn/corrupt read —
   // re-reading a shared filesystem often succeeds.
-  std::vector<StatusCode> retryable_codes = {StatusCode::kUnavailable,
-                                             StatusCode::kDataLoss};
-
-  bool IsRetryable(StatusCode code) const {
-    return std::find(retryable_codes.begin(), retryable_codes.end(), code) !=
-           retryable_codes.end();
+  static bool IsRetryable(StatusCode code) {
+    return code == StatusCode::kUnavailable || code == StatusCode::kDataLoss;
   }
 
   static RetryPolicy None() {
@@ -50,48 +43,6 @@ struct RetryPolicy {
     policy.max_attempts = 1;
     return policy;
   }
-};
-
-// What Gbo::SupersedeUnit does when the ingest admission gate is closed
-// (too many superseded units still queued for reload, or memory above the
-// ingest high-water mark): block the producer until the backlog drains, or
-// reject the publish so the producer can drop/skip per its own policy.
-enum class IngestAdmission {
-  kBlock,
-  kReject,
-};
-
-// The single source of truth for memory-pressure thresholds (DESIGN.md
-// §13). Both throttled producers consult it: the ingest admission gate
-// (Gbo::SupersedeUnit) keys on queue_limit / high_water_fraction /
-// admission, and the serving layer (GboServer) maps the three fractions
-// onto its admission states — below degrade_fraction everything is
-// admitted; past it the server stops feeding speculative prefetch; past
-// high_water_fraction it sheds queued prefetch and rejects background
-// demand; past critical_fraction only interactive demand is admitted and
-// idle over-budget sessions are force-unpinned. Fractions are of
-// memory_limit_bytes and are clamped to [0, 1] at the point of use;
-// callers should keep degrade ≤ high_water ≤ critical.
-struct PressurePolicy {
-  // Maximum units allowed to sit in the I/O queues (demand + speculative)
-  // before ingest publishes are throttled — the frontier-lag window.
-  // 0 disables the ingest gate (the serving layer has its own queue
-  // bounds and is unaffected).
-  int queue_limit = 0;
-
-  // Serving layer stops admitting new speculative prefetch.
-  double degrade_fraction = 0.75;
-
-  // Ingest publishes throttle; serving layer sheds queued prefetch and
-  // rejects background-class demand.
-  double high_water_fraction = 0.9;
-
-  // Serving layer admits only interactive demand and force-unpins idle
-  // sessions past their pin budget.
-  double critical_fraction = 0.95;
-
-  // Blocking vs rejecting ingest admission; see IngestAdmission.
-  IngestAdmission admission = IngestAdmission::kBlock;
 };
 
 struct GboOptions {
@@ -136,10 +87,6 @@ struct GboOptions {
   // functions, until Gbo::ResetFileHealth. 0 disables the breaker. Units
   // that declare no resources never participate.
   int quarantine_threshold = 3;
-
-  // Memory-pressure thresholds shared by the ingest admission gate and
-  // the serving layer; see PressurePolicy.
-  PressurePolicy pressure;
 
   static GboOptions SingleThread() {
     GboOptions options;

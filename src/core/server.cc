@@ -14,6 +14,19 @@ constexpr PriorityClass kShedOrder[] = {PriorityClass::kBackground,
                                         PriorityClass::kBatch,
                                         PriorityClass::kInteractive};
 
+// The pressure ladder (DESIGN.md §13): the fractions of the Gbo's memory
+// limit at which the server enters kDegraded, kSaturated and kCritical.
+constexpr double kDegradeFraction = 0.75;
+constexpr double kHighWaterFraction = 0.9;
+constexpr double kCriticalFraction = 0.95;
+
+// Aggregate queued tickets (demand + prefetch) across all sessions;
+// admission rejects past it.
+constexpr int kMaxQueuedTotal = 4096;
+
+// Entries each dispatch log keeps (ServerOptions::record_dispatch_log).
+constexpr size_t kLogLimit = 65536;
+
 bool AtLeast(GboServer::PressureState state, GboServer::PressureState floor) {
   return static_cast<int>(state) >= static_cast<int>(floor);
 }
@@ -48,9 +61,7 @@ std::string_view PressureStateName(GboServer::PressureState state) {
 }
 
 GboServer::GboServer(Gbo* db, ServerOptions options)
-    : db_(db),
-      options_(std::move(options)),
-      pressure_(db->options().pressure) {
+    : db_(db), options_(std::move(options)) {
   {
     MutexLock lock(&mu_);
     paused_ = options_.start_paused;
@@ -119,11 +130,9 @@ GboServer::PressureState GboServer::PressureStateNow() const {
   if (limit <= 0) return PressureState::kOpen;
   const double fraction = static_cast<double>(db_->memory_usage()) /
                           static_cast<double>(limit);
-  if (fraction >= pressure_.critical_fraction) return PressureState::kCritical;
-  if (fraction >= pressure_.high_water_fraction) {
-    return PressureState::kSaturated;
-  }
-  if (fraction >= pressure_.degrade_fraction) return PressureState::kDegraded;
+  if (fraction >= kCriticalFraction) return PressureState::kCritical;
+  if (fraction >= kHighWaterFraction) return PressureState::kSaturated;
+  if (fraction >= kDegradeFraction) return PressureState::kDegraded;
   return PressureState::kOpen;
 }
 
@@ -224,11 +233,10 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
                session->config.name, " already has ",
                session->demand_q.size(), " reads queued"));
   }
-  if (queued_total_ >= options_.max_queued_total) {
+  if (queued_total_ >= kMaxQueuedTotal) {
     ++session->counters.reads_rejected;
-    return ResourceExhaustedError(StrCat("server queue full (",
-                                         options_.max_queued_total,
-                                         " tickets)"));
+    return ResourceExhaustedError(
+        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
   }
 
   // Queue the ticket (it lives on this stack frame; we do not return
@@ -317,11 +325,10 @@ Status GboServer::RequestPrefetch(int64_t session_id,
         StrCat("prefetch rejected: memory pressure is ",
                PressureStateName(state)));
   }
-  if (queued_total_ >= options_.max_queued_total) {
+  if (queued_total_ >= kMaxQueuedTotal) {
     ++session->counters.prefetches_shed;
-    return ResourceExhaustedError(StrCat("server queue full (",
-                                         options_.max_queued_total,
-                                         " tickets)"));
+    return ResourceExhaustedError(
+        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
   }
   session->prefetch_q.push_back(PrefetchTicket{unit_name, std::move(read_fn)});
   ++queued_total_;
@@ -383,12 +390,10 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
                session->config.name, " has ", queued_here,
                " tickets queued and the plan adds ", batches.size()));
   }
-  if (queued_total_ + static_cast<int>(batches.size()) >
-      options_.max_queued_total) {
+  if (queued_total_ + static_cast<int>(batches.size()) > kMaxQueuedTotal) {
     ++session->counters.reads_rejected;
-    return ResourceExhaustedError(StrCat("server queue full (",
-                                         options_.max_queued_total,
-                                         " tickets)"));
+    return ResourceExhaustedError(
+        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
   }
 
   for (BatchTicket& ticket : batches) {
@@ -862,7 +867,7 @@ void GboServer::ReleasePinsLocked(SessionState* session, bool forced) {
 
 void GboServer::AppendLogLocked(std::vector<std::string>* log,
                                 std::string entry) {
-  if (log->size() >= options_.log_limit) return;
+  if (log->size() >= kLogLimit) return;
   log->push_back(std::move(entry));
 }
 

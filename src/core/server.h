@@ -5,7 +5,7 @@
 //
 //  - Admission control: session opens and demand reads are admitted or
 //    rejected with typed Statuses from the aggregate memory-pressure
-//    state (PressurePolicy — the same thresholds the ingest gate uses).
+//    state (the ladder's fractions are constants in server.cc).
 //  - Fairness: demand grants and prefetch dispatches are scheduled by
 //    weighted deficit round-robin across sessions (quantum per priority
 //    class), over a two-level queue — demand tickets always before
@@ -69,20 +69,15 @@ struct ServerOptions {
   // settled (observed through the server's own watch).
   int max_outstanding_prefetch = 16;
 
-  // Aggregate queued tickets (demand + prefetch) across all sessions;
-  // admission rejects past it.
-  int max_queued_total = 4096;
-
   // Start with dispatch paused (tickets queue but nothing is granted)
   // until ResumeDispatch — determinism tests enqueue a whole request set
   // first, then release it in one scheduling burst.
   bool start_paused = false;
 
   // Record the dispatch order ("session:unit" per demand grant and
-  // prefetch dispatch) and the shed ladder's victims. Bounded by
-  // log_limit; for tests and the serving driver.
+  // prefetch dispatch) and the shed ladder's victims, up to kLogLimit
+  // (server.cc) entries each; for tests.
   bool record_dispatch_log = false;
-  size_t log_limit = 65536;
 };
 
 // Aggregate admission and shedding activity of one server: its open
@@ -119,10 +114,11 @@ class GboServer {
   Result<std::unique_ptr<GboSession>> OpenSession(SessionConfig config)
       EXCLUDES(mu_);
 
-  // Aggregate memory-pressure admission state, from the Gbo's
-  // PressurePolicy fractions (DESIGN.md §13 ladder).
+  // Aggregate memory-pressure admission state: the Gbo's memory usage as
+  // a fraction of its limit, against the ladder constants in server.cc
+  // (DESIGN.md §13).
   enum class PressureState {
-    kOpen = 0,       // below degrade_fraction: everything admitted
+    kOpen = 0,       // below kDegradeFraction: everything admitted
     kDegraded = 1,   // prefetch dispatch stops; new prefetch rejected
     kSaturated = 2,  // queued prefetch shed; background demand rejected
     kCritical = 3,   // only interactive demand; idle over-budget sessions
@@ -301,8 +297,6 @@ class GboServer {
   // lint: unguarded(set at construction, read-only afterwards)
   Gbo* db_;
   const ServerOptions options_;
-  // Pressure thresholds, copied from the Gbo's options.
-  const PressurePolicy pressure_;
   // lint: unguarded(written once in the constructor, read in ~GboServer)
   int64_t watch_id_ = 0;
 

@@ -12,6 +12,10 @@ namespace godiva {
 
 namespace {
 
+// Demand-latency samples each session keeps behind its stats()
+// percentiles: the most recent reads.
+constexpr size_t kLatencySampleCapacity = 4096;
+
 // Linear-interpolated percentile over an unsorted sample set (the same
 // rank convention the bench harnesses use). 0 on an empty set.
 double PercentileOf(std::vector<double> samples, double p) {
@@ -152,16 +156,13 @@ SessionStats GboSession::stats() const {
 
 void GboSession::RecordDemandLatency(double ms) {
   MutexLock lock(&mu_);
-  const size_t capacity = config_.latency_sample_capacity > 0
-                              ? static_cast<size_t>(
-                                    config_.latency_sample_capacity)
-                              : 1;
-  if (samples_.size() < capacity) {
+  if (samples_.size() < kLatencySampleCapacity) {
     samples_.push_back(ms);
   } else {
     // Overwrite the oldest sample: the window always holds the most
-    // recent `capacity` demand reads.
-    samples_[static_cast<size_t>(samples_seen_) % capacity] = ms;
+    // recent kLatencySampleCapacity demand reads.
+    samples_[static_cast<size_t>(samples_seen_) % kLatencySampleCapacity] =
+        ms;
   }
   ++samples_seen_;
 }

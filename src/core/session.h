@@ -53,9 +53,6 @@ struct SessionConfig {
                                  // force-unpins idle sessions past it
   int max_queued_demand = 16;    // demand tickets waiting for a grant
   int max_inflight_loads = 4;    // granted demand reads not yet settled
-
-  // Bounded demand-latency sample ring behind stats() percentiles.
-  int latency_sample_capacity = 4096;
 };
 
 // Per-session observability, assembled by GboSession::stats(): scheduler

@@ -29,9 +29,6 @@ std::string GboStats::ToString() const {
       "] ingest[superseded=", units_superseded,
       " invalidated=", units_invalidated,
       " notifications=", watch_notifications,
-      " stalls=", ingest_admission_stalls,
-      " stall_time=", FormatSeconds(ingest_stall_seconds),
-      " rejected=", publishes_rejected,
       "] invariant_checks=", invariant_checks,
       " records[created=", records_created,
       " committed=", records_committed, "] lookups[", key_lookups, "/",

@@ -51,17 +51,11 @@ struct GboStats {
   int64_t reads_short_circuited = 0;   // unit reads failed fast against a
                                        // quarantined file (no read-fn call)
 
-  // Live ingest (PR 6): SupersedeUnit / watch registry / ingest admission.
+  // Live ingest: SupersedeUnit and the watch registry.
   int64_t units_superseded = 0;   // SupersedeUnit publishes accepted
   int64_t units_invalidated = 0;  // live (kReady/kLoading) units marked
                                   // stale by a supersede
   int64_t watch_notifications = 0;   // watch callbacks delivered
-  int64_t ingest_admission_stalls = 0;  // publishes that had to block in
-                                        // the admission gate
-  double ingest_stall_seconds = 0;   // total producer time spent blocked
-                                     // in the admission gate
-  int64_t publishes_rejected = 0;    // publishes refused outright
-                                     // (IngestAdmission::kReject)
 
   // Debug-build consistency audits that ran (GODIVA_DEBUG_INVARIANTS; see
   // Gbo::CheckInvariants). Stays 0 when the checks are compiled out.

@@ -38,6 +38,9 @@ struct EventScheduler::Rec {
 
 namespace {
 
+// Events a trace keeps; later ones are counted as dropped.
+constexpr size_t kTraceLimit = size_t{1} << 20;
+
 // Which scheduler objects are still alive — consulted by thread_local
 // destructors of lazily-registered threads, which can run after the
 // scheduler (a stack object) is gone. g_live_mu is always acquired before
@@ -174,7 +177,7 @@ int EventScheduler::ObjIdLocked(const void* obj) {
 void EventScheduler::TraceLocked(const char* event, const Rec* rec,
                                  const void* obj) {
   if (!options_.trace) return;
-  if (trace_.size() >= options_.trace_limit) {
+  if (trace_.size() >= kTraceLimit) {
     ++trace_dropped_;
     return;
   }

@@ -59,7 +59,6 @@ class EventScheduler final : public detail::SimSchedulerHooks {
     // a non-empty GODIVA_SIM_TRACE (whose value names the dump file
     // appended at scope exit).
     bool trace = false;
-    size_t trace_limit = 1 << 20;
   };
 
   EventScheduler();

@@ -12,20 +12,17 @@
 
 namespace godiva {
 
-// Appends into the backing vector; optionally charges sequential transfer.
+// Appends into the backing vector. Writes cost no modeled time: dataset
+// generation is instant, which is what the experiments want.
 class SimWritableFile : public WritableFile {
  public:
-  SimWritableFile(SimEnv* env, std::shared_ptr<SimEnv::FileData> data)
-      : env_(env), data_(std::move(data)) {}
+  explicit SimWritableFile(std::shared_ptr<SimEnv::FileData> data)
+      : data_(std::move(data)) {}
 
   Status Append(const void* bytes, int64_t size) override {
     if (closed_) return FailedPreconditionError("file closed");
     const uint8_t* p = static_cast<const uint8_t*>(bytes);
-    int64_t offset = static_cast<int64_t>(data_->bytes.size());
     data_->bytes.insert(data_->bytes.end(), p, p + size);
-    if (env_->charge_writes_) {
-      env_->ChargeRead(data_.get(), offset, size);
-    }
     return Status::Ok();
   }
 
@@ -42,7 +39,6 @@ class SimWritableFile : public WritableFile {
   }
 
  private:
-  SimEnv* env_;
   std::shared_ptr<SimEnv::FileData> data_;
   bool closed_ = false;
 };
@@ -78,9 +74,7 @@ class SimRandomAccessFile : public RandomAccessFile {
 };
 
 SimEnv::SimEnv(Options options)
-    : charge_writes_(options.charge_writes),
-      disk_(options.disk),
-      time_scale_(options.time_scale) {
+    : disk_(options.disk), time_scale_(options.time_scale) {
   if (disk_.queue_depth > 1) {
     disk_gate_ = std::make_unique<Semaphore>(disk_.queue_depth);
   }
@@ -92,7 +86,7 @@ Result<std::unique_ptr<WritableFile>> SimEnv::NewWritableFile(
   auto data = std::make_shared<FileData>();
   files_[path] = data;  // truncating create
   return std::unique_ptr<WritableFile>(
-      std::make_unique<SimWritableFile>(this, std::move(data)));
+      std::make_unique<SimWritableFile>(std::move(data)));
 }
 
 Result<std::unique_ptr<RandomAccessFile>> SimEnv::NewRandomAccessFile(

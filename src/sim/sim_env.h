@@ -50,9 +50,6 @@ class SimEnv : public Env {
     // If null, no delays are charged (instant in-memory reads) — handy for
     // unit tests that only care about contents.
     const TimeScale* time_scale = nullptr;
-    // Charge the disk model on writes too (off: dataset generation is
-    // instant, which is what the experiments want).
-    bool charge_writes = false;
     // Ignored: an active DiscreteEventScope decides how delays are paid;
     // delete with the next perfbench change.
     SimMode sim_mode = SimMode::kScaledSleep;
@@ -113,9 +110,6 @@ class SimEnv : public Env {
   // pays transfer, sleeps the scaled total, updates stats.
   void ChargeRead(const FileData* file, int64_t offset, int64_t size)
       EXCLUDES(disk_mutex_);
-
-  // Immutable after construction; read lock-free on the write path.
-  const bool charge_writes_;
 
   mutable Mutex fs_mutex_{lock_rank::kSimFilesystem, "SimEnv::fs_mutex_"};
   std::map<std::string, std::shared_ptr<FileData>> files_

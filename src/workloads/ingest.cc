@@ -24,18 +24,6 @@ IngestProducer::IngestProducer(PlatformRuntime* runtime, Gbo* db,
 bool IngestProducer::AwaitWindowSlot() {
   MutexLock lock(&mu_);
   if (options_.max_frontier_lag <= 0) return !stop_requested_;
-  if (options_.policy == IngestBackpressure::kDropOldest) {
-    while (static_cast<int>(unacked_.size()) >= options_.max_frontier_lag) {
-      int victim = *unacked_.begin();
-      unacked_.erase(unacked_.begin());
-      ++stats_.snapshots_dropped;
-      // Best-effort: a pinned victim refuses deletion and simply ages out
-      // of the database later; the producer's window shrinks either way.
-      // lint: discard_ok(best-effort eviction; see comment above)
-      (void)db_->DeleteUnit(SnapshotUnitName(victim));
-    }
-    return !stop_requested_;
-  }
   if (static_cast<int>(unacked_.size()) >= options_.max_frontier_lag &&
       !stop_requested_) {
     ++stats_.backpressure_stalls;

@@ -5,9 +5,8 @@
 //  - IngestProducer publishes each snapshot into a Gbo with SupersedeUnit
 //    as soon as its files land, under a bounded frontier-lag window:
 //    consumers acknowledge snapshots they are done with, and the producer
-//    either blocks or drops the oldest unacknowledged snapshot when the
-//    window fills (the ingest-side analogue of the paper's fixed-size
-//    prefetch window).
+//    blocks while the window is full (the ingest-side analogue of the
+//    paper's fixed-size prefetch window).
 //  - FrontierWatch is the consumer-side companion: a Gbo watch over the
 //    snapshot units that tracks the ready frontier and lets a reader block
 //    until a specific snapshot is loadable.
@@ -31,22 +30,15 @@
 
 namespace godiva::workloads {
 
-// What the producer does when the frontier-lag window is full.
-enum class IngestBackpressure {
-  kBlock,       // wait for an AckFinished before publishing more
-  kDropOldest,  // forget (and best-effort delete) the oldest unacked
-                // snapshot so ingest never stalls
-};
-
 struct IngestOptions {
   // Snapshot range to ingest: [start_snapshot, start_snapshot + snapshots).
   int start_snapshot = 0;
   int snapshots = 0;  // 0 → spec.num_snapshots - start_snapshot
 
-  // Maximum published-but-unacknowledged snapshots before backpressure
-  // engages. 0 disables the window (publish as fast as writes complete).
+  // Maximum published-but-unacknowledged snapshots; the producer waits
+  // for an AckFinished before publishing more. 0 disables the window
+  // (publish as fast as writes complete).
   int max_frontier_lag = 4;
-  IngestBackpressure policy = IngestBackpressure::kBlock;
 
   // Writer knobs forwarded to mesh::WriteOneSnapshot.
   bool atomic_writes = true;
@@ -71,7 +63,6 @@ struct IngestOptions {
 
 struct IngestStats {
   int64_t snapshots_published = 0;
-  int64_t snapshots_dropped = 0;    // kDropOldest evictions from the window
   int64_t snapshots_abandoned = 0;  // write attempts exhausted, unpublished
   int64_t write_failures = 0;       // failed WriteOneSnapshot attempts
   int64_t rewrites = 0;             // successful writes that needed retries
@@ -114,7 +105,7 @@ class IngestProducer {
   IngestStats stats() const EXCLUDES(mu_);
 
  private:
-  // Blocks or drops until the window has room. Returns false on stop.
+  // Blocks until the window has room. Returns false on stop.
   bool AwaitWindowSlot() EXCLUDES(mu_);
 
   // lint: unguarded(set at construction, read-only afterwards)
@@ -127,8 +118,8 @@ class IngestProducer {
   // lint: unguarded(built at construction, read-only afterwards)
   std::vector<mesh::MeshBlock> blocks_;
 
-  // Ranked below Gbo::mu_ so drop-oldest may hold it across the
-  // best-effort DeleteUnit of the evicted snapshot.
+  // Ranked below Gbo::mu_: Run() holds it across SupersedeUnit so that
+  // publish and window bookkeeping are one critical section.
   mutable Mutex mu_{lock_rank::kIngestProducer, "IngestProducer::mu_"};
   CondVar cv_;
   bool stop_requested_ GUARDED_BY(mu_) = false;

@@ -85,31 +85,4 @@ void PrintResilience(const CellResult& result) {
   if (!text.empty()) std::printf("%s", text.c_str());
 }
 
-std::string FormatPoolStats(const CellResult& result) {
-  const GboStats& gbo = result.gbo;
-  size_t threads = gbo.io_thread_busy_seconds.size();
-  if (threads <= 1 && gbo.demand_promotions == 0 &&
-      result.coalesced_reads == 0) {
-    return "";
-  }
-  std::string per_thread;
-  for (size_t i = 0; i < threads; ++i) {
-    if (i > 0) per_thread += "/";
-    per_thread += StrFormat("%.1f", gbo.io_thread_busy_seconds[i]);
-  }
-  return StrCat("  ", result.test, "(", result.variant, "): pool: ", threads,
-                threads == 1 ? " thread" : " threads", ", queue high-water ",
-                gbo.queue_depth_high_water, ", ", gbo.demand_promotions,
-                " demand promotions, ", result.coalesced_reads,
-                " reads coalesced, busy ",
-                StrFormat("%.1fs", gbo.io_busy_seconds),
-                per_thread.empty() ? "" : StrCat(" (", per_thread, ")"),
-                "\n");
-}
-
-void PrintPoolStats(const CellResult& result) {
-  std::string text = FormatPoolStats(result);
-  if (!text.empty()) std::printf("%s", text.c_str());
-}
-
 }  // namespace godiva::workloads

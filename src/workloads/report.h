@@ -45,17 +45,6 @@ std::string FormatResilience(const CellResult& result);
 // Prints FormatResilience(result) when non-empty.
 void PrintResilience(const CellResult& result);
 
-// Formats the I/O pool counters of one cell, e.g.
-//   simple(TG): pool: 4 threads, queue high-water 8, 7 demand promotions,
-//   1180 reads coalesced, busy 42.1s (10.6/10.5/10.5/10.5)
-// Returns "" for runs that used neither a pool (> 1 thread) nor
-// coalescing, so paper-faithful runs stay silent. Separated from
-// PrintPoolStats for testability.
-std::string FormatPoolStats(const CellResult& result);
-
-// Prints FormatPoolStats(result) when non-empty.
-void PrintPoolStats(const CellResult& result);
-
 // Section header.
 void PrintHeader(const std::string& title);
 

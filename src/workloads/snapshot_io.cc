@@ -69,15 +69,13 @@ Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
   return salvaged;
 }
 
-// Coalesced load of one snapshot file: creates all block records and field
-// buffers first, then gathers every dataset into a single ReadBatch so the
-// reader can merge file-adjacent payloads into one transfer each. Commits
-// the records only after the whole batch landed (and verified).
-Status LoadFileCoalesced(PlatformRuntime* runtime, const gsdf::Reader& reader,
-                         const std::vector<int32_t>& blocks, int snapshot,
-                         const std::vector<std::string>& quantities,
-                         bool verify, SnapshotReadCounters* counters,
-                         Gbo* db) {
+}  // namespace
+
+Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
+                     const std::vector<int32_t>& blocks, int snapshot,
+                     const std::vector<std::string>& fields,
+                     const gsdf::BatchOptions& options,
+                     SnapshotReadCounters* counters, Gbo* db) {
   std::vector<gsdf::BatchRequest> batch;
   std::vector<Record*> records;
   records.reserve(blocks.size());
@@ -105,16 +103,14 @@ Status LoadFileCoalesced(PlatformRuntime* runtime, const gsdf::Reader& reader,
         gather(mesh::BlockDatasetName(block_id, "z"), kFieldZ));
     GODIVA_RETURN_IF_ERROR(
         gather(mesh::BlockDatasetName(block_id, "conn"), kFieldConn));
-    for (const std::string& quantity : quantities) {
+    for (const std::string& field : fields) {
       GODIVA_RETURN_IF_ERROR(
-          gather(mesh::BlockDatasetName(block_id, quantity), quantity));
+          gather(mesh::BlockDatasetName(block_id, field), field));
     }
     records.push_back(record);
   }
-  gsdf::BatchOptions batch_options;
-  batch_options.verify = verify;
   GODIVA_ASSIGN_OR_RETURN(gsdf::BatchStats stats,
-                          reader.ReadBatch(batch, batch_options));
+                          reader.ReadBatch(batch, options));
   runtime->ChargeDecode(total_bytes);
   if (counters != nullptr) {
     counters->coalesced_reads.fetch_add(stats.coalesced,
@@ -125,8 +121,6 @@ Status LoadFileCoalesced(PlatformRuntime* runtime, const gsdf::Reader& reader,
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
                                const mesh::SnapshotDataset* dataset,
@@ -148,9 +142,12 @@ Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
       GODIVA_RETURN_IF_ERROR(
           ReadDatasetIntoVector(runtime, *reader, "blocks", &blocks, verify));
       if (options.coalesce) {
-        GODIVA_RETURN_IF_ERROR(LoadFileCoalesced(runtime, *reader, blocks,
-                                                 snapshot, quantities, verify,
-                                                 options.counters, db));
+        gsdf::BatchOptions batch_options;
+        batch_options.verify = verify;
+        GODIVA_RETURN_IF_ERROR(LoadFileBatch(runtime, *reader, blocks,
+                                             snapshot, quantities,
+                                             batch_options, options.counters,
+                                             db));
         continue;
       }
       for (int32_t block_id : blocks) {

@@ -2,6 +2,9 @@
 //  - MakeSnapshotReadFn: the developer-supplied GODIVA read function (G/TG)
 //    that loads one snapshot unit — mesh plus the union of test quantities
 //    — into the database exactly once.
+//  - LoadFileBatch: one file's blocks through a single gsdf ReadBatch,
+//    shared by the coalescing read function and the query planner's
+//    per-file units.
 //  - ReadPassDirect: the original Voyager's coupled read (O), invoked once
 //    per render pass, re-reading the coordinate arrays each time (the
 //    redundancy GODIVA eliminates; paper §4.2).
@@ -16,6 +19,7 @@
 
 #include "common/status.h"
 #include "core/gbo.h"
+#include "gsdf/reader.h"
 #include "mesh/snapshot_writer.h"
 #include "workloads/platform_runtime.h"
 
@@ -70,6 +74,18 @@ Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
                                const mesh::SnapshotDataset* dataset,
                                std::vector<std::string> quantities,
                                SnapshotReadOptions options = {});
+
+// Loads `blocks` of one snapshot file into the database: creates each
+// block record (x/y/z/conn plus `fields`) and its field buffers, gathers
+// every dataset into one ReadBatch with `options`, so the reader merges
+// file-adjacent payloads into single transfers, charges decode CPU for the
+// whole batch, and commits the records only after it landed (and
+// verified). Adds the batch's merged-away reads to `counters` if non-null.
+Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
+                     const std::vector<int32_t>& blocks, int snapshot,
+                     const std::vector<std::string>& fields,
+                     const gsdf::BatchOptions& options,
+                     SnapshotReadCounters* counters, Gbo* db);
 
 // Plain buffers for the original Voyager's per-pass reads.
 struct PlainBlock {

@@ -1,7 +1,6 @@
 #include "workloads/snapshot_query.h"
 
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <span>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "core/record.h"
 #include "gsdf/reader.h"
 #include "workloads/block_schema.h"
+#include "workloads/snapshot_io.h"
 
 namespace godiva::workloads {
 namespace {
@@ -72,41 +72,12 @@ Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
           limits](Gbo* db, const std::string&) -> Status {
     GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
                             gsdf::Reader::Open(runtime->io_env(), path));
-    std::vector<gsdf::BatchRequest> batch;
-    std::vector<Record*> records;
-    records.reserve(blocks.size());
-    int64_t total_bytes = 0;
-    for (int32_t block_id : blocks) {
-      GODIVA_ASSIGN_OR_RETURN(Record * record,
-                              db->NewRecord(kBlockRecordType));
-      std::memcpy(*record->FieldBuffer(kFieldBlockId), &block_id, 4);
-      int32_t snapshot_id = snapshot;
-      std::memcpy(*record->FieldBuffer(kFieldSnapshotId), &snapshot_id, 4);
-      const std::vector<std::string> names =
-          BlockDatasetNames(block_id, fields);
-      const char* mesh_fields[] = {kFieldX, kFieldY, kFieldZ, kFieldConn};
-      for (size_t i = 0; i < names.size(); ++i) {
-        const std::string field =
-            i < 4 ? std::string(mesh_fields[i]) : fields[i - 4];
-        GODIVA_ASSIGN_OR_RETURN(const gsdf::DatasetInfo* info,
-                                reader->Find(names[i]));
-        GODIVA_ASSIGN_OR_RETURN(
-            void* buffer, db->AllocFieldBuffer(record, field, info->nbytes));
-        batch.push_back({names[i], buffer, info->nbytes});
-        total_bytes += info->nbytes;
-      }
-      records.push_back(record);
-    }
     gsdf::BatchOptions batch_options;
     batch_options.max_gap = limits.max_gap;
     batch_options.max_transfer = limits.max_transfer;
     batch_options.verify = verify;
-    GODIVA_RETURN_IF_ERROR(reader->ReadBatch(batch, batch_options).status());
-    runtime->ChargeDecode(total_bytes);
-    for (Record* record : records) {
-      GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
-    }
-    return Status::Ok();
+    return LoadFileBatch(runtime, *reader, blocks, snapshot, fields,
+                         batch_options, /*counters=*/nullptr, db);
   };
 }
 

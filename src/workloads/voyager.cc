@@ -164,18 +164,15 @@ Status RunGodiva(PlatformRuntime* runtime, const RunConfig& config,
 
   for (int snapshot : snapshots) {
     std::string unit = SnapshotUnitName(snapshot);
-    Status wait = config.unit_wait_deadline > Duration::zero()
-                      ? db.WaitUnitFor(unit, config.unit_wait_deadline)
-                      : db.WaitUnit(unit);
+    Status wait = db.WaitUnit(unit);
     if (!wait.ok()) {
       if (!config.skip_failed_snapshots) return wait;
       // Prefer the unit's own terminal error (the one that exhausted the
       // retry policy) over the wait status when both exist.
       Status cause = db.GetUnitError(unit);
       result->skipped.push_back({snapshot, cause.ok() ? wait : cause});
-      // Best-effort drop of the failed unit's bookkeeping; a unit still
-      // mid-read after a deadline expiry refuses deletion, which is fine —
-      // the sweep moves on either way.
+      // Best-effort drop of the failed unit's bookkeeping; the sweep moves
+      // on whether or not the delete succeeds.
       // lint: discard_ok(best-effort drop; see comment above)
       (void)db.DeleteUnit(unit);
       continue;

@@ -13,7 +13,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/status.h"
 #include "core/options.h"
 #include "core/stats.h"
@@ -56,9 +55,6 @@ struct RunConfig {
   // CellResult::skipped and keep rendering the remaining frames instead of
   // aborting the sweep. Also honored by the O variant (per-snapshot skip).
   bool skip_failed_snapshots = false;
-  // Upper bound for each per-snapshot wait; zero means wait indefinitely.
-  // Expiry counts as a failure (skipped or fatal per the flag above).
-  Duration unit_wait_deadline = Duration::zero();
   // Reopen structurally torn snapshot files (DATA_LOSS on open) with the
   // gsdf salvage scanner and serve the checksum-valid datasets that
   // survive. See SnapshotReadOptions::salvage.

@@ -260,7 +260,7 @@ TEST_F(FaultPipelineTest, PermanentFailurePreservesErrorAndRollsBack) {
 TEST_F(FaultPipelineTest, NonRetryableErrorFailsWithoutRetry) {
   FaultRule rule;
   rule.op = FaultOp::kOpen;
-  rule.error_code = StatusCode::kIoError;  // not in retryable_codes
+  rule.error_code = StatusCode::kIoError;  // not retryable
   fault_->AddRule(rule);
 
   Gbo db(GboOptions::SingleThread());

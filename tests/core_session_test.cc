@@ -239,7 +239,7 @@ TEST(ServerTest, SessionCapAndCriticalAdmission) {
 
 TEST(ServerTest, PressureLadderRejectsByClass) {
   // 4 MiB limit; ~66 KiB filler units step usage in ~1.6% increments, so
-  // the saturated band (90%..95%) is reachable exactly.
+  // a point inside each rung's band is reachable exactly.
   auto db = MakeDb(4 * 1024 * 1024);
   GboServer server(db.get());
   SessionConfig bg;
@@ -257,6 +257,27 @@ TEST(ServerTest, PressureLadderRejectsByClass) {
 
   // Warm one unit everybody can hit without allocating.
   ASSERT_TRUE((*inter_session)->Read("fill/warmed", FastRead()).ok());
+  const double limit = static_cast<double>(db->memory_limit());
+
+  FillPinned(db.get(), 0.73);
+  ASSERT_LT(static_cast<double>(db->memory_usage()), 0.75 * limit);
+  ASSERT_EQ(server.pressure_state(), GboServer::PressureState::kOpen);
+  // Open: even background prefetch is accepted. Let it settle so its
+  // unit's bytes are counted before the next rung.
+  EXPECT_TRUE((*bg_session)->Prefetch("fill/open", FastRead()).ok());
+  EXPECT_TRUE(PollFor([&db] {
+    Result<UnitState> state = db->GetUnitState("fill/open");
+    return state.ok() && *state == UnitState::kReady;
+  }));
+
+  FillPinned(db.get(), 0.755);
+  ASSERT_LT(static_cast<double>(db->memory_usage()), 0.9 * limit);
+  ASSERT_EQ(server.pressure_state(), GboServer::PressureState::kDegraded);
+  // Degraded: prefetch is refused, background demand is still served.
+  EXPECT_EQ((*bg_session)->Prefetch("fill/degraded", FastRead()).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE((*bg_session)->Read("fill/warmed", FastRead()).ok());
+  EXPECT_TRUE((*bg_session)->Finish("fill/warmed").ok());
 
   FillPinned(db.get(), 0.905);
   ASSERT_EQ(server.pressure_state(), GboServer::PressureState::kSaturated);

@@ -1,8 +1,7 @@
 // Tests for the live-ingest surface of Gbo (DESIGN.md §11): the watch
 // registry (kReady/kFailed/kInvalidated events), SupersedeUnit's staleness
 // protocol (in-place swap of queued units, immediate reload of unpinned
-// cached units, deferred conversion of pinned/loading units), and the
-// ingest admission gate (block and reject policies).
+// cached units, deferred conversion of pinned/loading units).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -282,73 +281,6 @@ TEST(WatchTest, DeleteUnitCancelsPendingPublish) {
   std::this_thread::sleep_for(milliseconds(20));
   EXPECT_EQ(*db.GetUnitState("u0"), UnitState::kDeleted);
   EXPECT_TRUE(db.CheckInvariants().ok()) << db.CheckInvariants();
-}
-
-TEST(WatchTest, AdmissionRejectPolicyReturnsResourceExhausted) {
-  GboOptions options = BackgroundNoRetry(/*io_threads=*/1);
-  options.pressure.queue_limit = 1;
-  options.pressure.admission = IngestAdmission::kReject;
-  Gbo db(options);
-  DefineUnitSchema(&db);
-  std::atomic<bool> gate{false};
-  // Occupy the pool, then fill the queue to the limit.
-  ASSERT_TRUE(db.AddUnit("u_block", GatedValueReadFn(&gate, 0.0)).ok());
-  for (int i = 0; i < 2000; ++i) {
-    if (*db.GetUnitState("u_block") == UnitState::kLoading) break;
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  ASSERT_EQ(*db.GetUnitState("u_block"), UnitState::kLoading);
-  ASSERT_TRUE(db.SupersedeUnit("u0", ValueReadFn(1.0)).ok());
-
-  Status overflow = db.SupersedeUnit("u1", ValueReadFn(2.0));
-  EXPECT_EQ(overflow.code(), StatusCode::kResourceExhausted) << overflow;
-  EXPECT_GE(db.stats().publishes_rejected, 1);
-
-  gate.store(true, std::memory_order_release);
-  ASSERT_TRUE(db.WaitUnit("u0").ok());
-  ASSERT_TRUE(db.FinishUnit("u0").ok());
-  // With the backlog drained the publish is admitted.
-  ASSERT_TRUE(db.SupersedeUnit("u1", ValueReadFn(2.0)).ok());
-  ASSERT_TRUE(db.WaitUnit("u1").ok());
-  ASSERT_TRUE(db.FinishUnit("u1").ok());
-  ASSERT_TRUE(db.WaitUnit("u_block").ok());
-  ASSERT_TRUE(db.FinishUnit("u_block").ok());
-}
-
-TEST(WatchTest, AdmissionBlockPolicyStallsUntilBacklogDrains) {
-  GboOptions options = BackgroundNoRetry(/*io_threads=*/1);
-  options.pressure.queue_limit = 1;
-  options.pressure.admission = IngestAdmission::kBlock;
-  Gbo db(options);
-  DefineUnitSchema(&db);
-  std::atomic<bool> gate{false};
-  ASSERT_TRUE(db.AddUnit("u_block", GatedValueReadFn(&gate, 0.0)).ok());
-  for (int i = 0; i < 2000; ++i) {
-    if (*db.GetUnitState("u_block") == UnitState::kLoading) break;
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  ASSERT_EQ(*db.GetUnitState("u_block"), UnitState::kLoading);
-  ASSERT_TRUE(db.SupersedeUnit("u0", ValueReadFn(1.0)).ok());
-
-  std::atomic<bool> published{false};
-  std::thread producer([&db, &published] {
-    ASSERT_TRUE(db.SupersedeUnit("u1", ValueReadFn(2.0)).ok());
-    published.store(true, std::memory_order_release);
-  });
-  std::this_thread::sleep_for(milliseconds(50));
-  EXPECT_FALSE(published.load(std::memory_order_acquire));
-
-  gate.store(true, std::memory_order_release);
-  producer.join();
-  EXPECT_TRUE(published.load(std::memory_order_acquire));
-  GboStats stats = db.stats();
-  EXPECT_GE(stats.ingest_admission_stalls, 1);
-  EXPECT_GT(stats.ingest_stall_seconds, 0.0);
-  ASSERT_TRUE(db.WaitUnit("u1").ok());
-  EXPECT_EQ(*PayloadValue(&db, "u1"), 2.0);
-  ASSERT_TRUE(db.FinishUnit("u1").ok());
-  ASSERT_TRUE(db.WaitUnit("u_block").ok());
-  ASSERT_TRUE(db.FinishUnit("u_block").ok());
 }
 
 TEST(WatchTest, RepeatedSupersedesUnderConcurrentReadersConverge) {

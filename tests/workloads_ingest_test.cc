@@ -123,7 +123,6 @@ TEST_P(IngestTest, ReadersFollowTheAdvancingFrontier) {
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
   options.max_frontier_lag = 2;
-  options.policy = IngestBackpressure::kBlock;
   IngestProducer producer(runtime_.get(), &db, &dataset_, options);
   FrontierWatch watch(&db);
 
@@ -169,7 +168,6 @@ TEST_P(IngestTest, ReadersFollowTheAdvancingFrontier) {
 
   IngestStats stats = producer.stats();
   EXPECT_EQ(stats.snapshots_published, spec_.num_snapshots);
-  EXPECT_EQ(stats.snapshots_dropped, 0);
   EXPECT_EQ(stats.write_failures, 0);
   EXPECT_EQ(producer.frontier(), spec_.num_snapshots - 1);
   EXPECT_LE(max_lag.load(), options.max_frontier_lag);
@@ -185,7 +183,6 @@ TEST_P(IngestTest, BlockPolicyStallsTheProducerUntilAcked) {
   ASSERT_TRUE(DefineBlockSchema(&db).ok());
   IngestOptions options = ProducerOptions();
   options.max_frontier_lag = 1;
-  options.policy = IngestBackpressure::kBlock;
   IngestProducer producer(runtime_.get(), &db, &dataset_, options);
 
   Thread runner([&producer] { EXPECT_TRUE(producer.Run().ok()); });
@@ -211,32 +208,6 @@ TEST_P(IngestTest, BlockPolicyStallsTheProducerUntilAcked) {
   IngestStats stats = producer.stats();
   EXPECT_GE(stats.backpressure_stalls, 1);
   EXPECT_GT(stats.stall_seconds, 0.0);
-  EXPECT_EQ(stats.snapshots_dropped, 0);
-}
-
-TEST_P(IngestTest, DropOldestPolicyBoundsLagWithoutStalling) {
-  Gbo db(DbOptions());
-  ASSERT_TRUE(DefineBlockSchema(&db).ok());
-  IngestOptions options = ProducerOptions();
-  options.max_frontier_lag = 2;
-  options.policy = IngestBackpressure::kDropOldest;
-  IngestProducer producer(runtime_.get(), &db, &dataset_, options);
-
-  // No consumer acks anything; the producer must still finish the range.
-  ASSERT_TRUE(producer.Run().ok());
-  IngestStats stats = producer.stats();
-  EXPECT_EQ(stats.snapshots_published, spec_.num_snapshots);
-  EXPECT_EQ(stats.snapshots_dropped, spec_.num_snapshots - 2);
-  EXPECT_EQ(stats.backpressure_stalls, 0);
-  EXPECT_LE(producer.lag(), 2);
-
-  // The two youngest snapshots are still live and readable.
-  for (int s = spec_.num_snapshots - 2; s < spec_.num_snapshots; ++s) {
-    ASSERT_TRUE(db.WaitUnitFor(SnapshotUnitName(s), seconds(30)).ok());
-    ExpectSnapshotComplete(&db, spec_, s);
-    ASSERT_TRUE(db.FinishUnit(SnapshotUnitName(s)).ok());
-  }
-  EXPECT_TRUE(db.CheckInvariants().ok()) << db.CheckInvariants();
 }
 
 TEST_P(IngestTest, WriteCrashIsRetriedThroughTheHookAndPublishes) {
