@@ -239,10 +239,9 @@ Result<Record*> Gbo::NewRecord(const std::string& record_type) {
   if (const std::string* unit_name = internal_unit_context::Current(this)) {
     Shard& s = ShardOfUnitName(*unit_name);
     MutexLock shard_lock(&s.mu);
-    auto unit_it = s.units.find(*unit_name);
-    if (unit_it != s.units.end()) {
-      unit_it->second->records.push_back(raw);
-      unit_it->second->memory_bytes += raw->MemoryUsage();
+    if (Unit* unit = FindUnitLocked(s, *unit_name)) {
+      unit->records.push_back(raw);
+      unit->memory_bytes += raw->MemoryUsage();
       raw->unit_ = *unit_name;
     }
   }
@@ -284,8 +283,8 @@ Result<void*> Gbo::AllocFieldBuffer(Record* record,
   if (!record->unit_.empty()) {
     Shard& s = ShardOfUnitName(record->unit_);
     MutexLock shard_lock(&s.mu);
-    auto unit_it = s.units.find(record->unit_);
-    if (unit_it != s.units.end()) unit_it->second->memory_bytes += charged;
+    Unit* unit = FindUnitLocked(s, record->unit_);
+    if (unit != nullptr) unit->memory_bytes += charged;
   }
   ChargeMemoryLocked(charged);
   EvictToLimitLocked();
@@ -357,14 +356,25 @@ Status Gbo::EncodeLookupKey(const RecordType& type,
   return Status::Ok();
 }
 
-Result<Record*> Gbo::FindRecordShardLocked(Shard& s, const RecordType* type,
-                                           const std::string& record_type,
-                                           const std::string& key) {
+template <typename R, typename ReadRecord>
+R Gbo::LookupRecord(const std::string& record_type,
+                    const std::vector<std::string>& key_values,
+                    ReadRecord read) {
+  GODIVA_ASSIGN_OR_RETURN(RecordType * type,
+                          ResolveCommittedType(record_type));
+  if (type->key_member_indices().empty()) {
+    return FailedPreconditionError(
+        StrCat("record type ", record_type, " has no key fields"));
+  }
+  std::string key;
+  GODIVA_RETURN_IF_ERROR(EncodeLookupKey(*type, key_values, &key));
+  Shard& s = *shards_[ShardIndexOfKey(type, key)];
+  MutexLock lock(&s.mu);
   s.key_lookups.fetch_add(1, std::memory_order_relaxed);
   auto index_it = s.indexes.find(type);
   if (index_it != s.indexes.end()) {
     auto it = index_it->second.find(key);
-    if (it != index_it->second.end()) return it->second;
+    if (it != index_it->second.end()) return read(it->second);
   }
   s.failed_lookups.fetch_add(1, std::memory_order_relaxed);
   return NotFoundError(
@@ -373,84 +383,46 @@ Result<Record*> Gbo::FindRecordShardLocked(Shard& s, const RecordType* type,
 
 Result<Record*> Gbo::FindRecord(const std::string& record_type,
                                 const std::vector<std::string>& key_values) {
-  GODIVA_ASSIGN_OR_RETURN(RecordType * type,
-                          ResolveCommittedType(record_type));
-  if (type->key_member_indices().empty()) {
-    return FailedPreconditionError(
-        StrCat("record type ", record_type, " has no key fields"));
-  }
-  std::string key;
-  GODIVA_RETURN_IF_ERROR(EncodeLookupKey(*type, key_values, &key));
-  Shard& s = *shards_[ShardIndexOfKey(type, key)];
-  MutexLock lock(&s.mu);
-  return FindRecordShardLocked(s, type, record_type, key);
+  return LookupRecord<Result<Record*>>(record_type, key_values,
+                                       [](Record* record) { return record; });
 }
 
 Result<void*> Gbo::GetFieldBuffer(const std::string& record_type,
                                   const std::string& field_name,
                                   const std::vector<std::string>& key_values) {
-  GODIVA_ASSIGN_OR_RETURN(RecordType * type,
-                          ResolveCommittedType(record_type));
-  if (type->key_member_indices().empty()) {
-    return FailedPreconditionError(
-        StrCat("record type ", record_type, " has no key fields"));
-  }
-  std::string key;
-  GODIVA_RETURN_IF_ERROR(EncodeLookupKey(*type, key_values, &key));
-  Shard& s = *shards_[ShardIndexOfKey(type, key)];
-  MutexLock lock(&s.mu);
-  GODIVA_ASSIGN_OR_RETURN(Record * record,
-                          FindRecordShardLocked(s, type, record_type, key));
-  return record->FieldBuffer(field_name);
+  return LookupRecord<Result<void*>>(
+      record_type, key_values,
+      [&](Record* record) { return record->FieldBuffer(field_name); });
 }
 
 Result<int64_t> Gbo::GetFieldBufferSize(
     const std::string& record_type, const std::string& field_name,
     const std::vector<std::string>& key_values) {
-  GODIVA_ASSIGN_OR_RETURN(RecordType * type,
-                          ResolveCommittedType(record_type));
-  if (type->key_member_indices().empty()) {
-    return FailedPreconditionError(
-        StrCat("record type ", record_type, " has no key fields"));
-  }
-  std::string key;
-  GODIVA_RETURN_IF_ERROR(EncodeLookupKey(*type, key_values, &key));
-  Shard& s = *shards_[ShardIndexOfKey(type, key)];
-  MutexLock lock(&s.mu);
-  GODIVA_ASSIGN_OR_RETURN(Record * record,
-                          FindRecordShardLocked(s, type, record_type, key));
-  return record->FieldBufferSize(field_name);
+  return LookupRecord<Result<int64_t>>(
+      record_type, key_values,
+      [&](Record* record) { return record->FieldBufferSize(field_name); });
 }
 
 Result<Gbo::RawField> Gbo::GetFieldRaw(
     const std::string& record_type, const std::string& field_name,
     const std::vector<std::string>& key_values, int64_t elem_size) {
-  GODIVA_ASSIGN_OR_RETURN(RecordType * type,
-                          ResolveCommittedType(record_type));
-  if (type->key_member_indices().empty()) {
-    return FailedPreconditionError(
-        StrCat("record type ", record_type, " has no key fields"));
-  }
-  std::string key;
-  GODIVA_RETURN_IF_ERROR(EncodeLookupKey(*type, key_values, &key));
-  Shard& s = *shards_[ShardIndexOfKey(type, key)];
-  MutexLock lock(&s.mu);
-  GODIVA_ASSIGN_OR_RETURN(Record * record,
-                          FindRecordShardLocked(s, type, record_type, key));
-  int index = record->type().FindMemberIndex(field_name);
-  if (index < 0) {
-    return NotFoundError(StrCat("no field named ", field_name));
-  }
-  const FieldTypeDef* field = record->type().members()[index].field;
-  if (elem_size != SizeOf(field->type)) {
-    return InvalidArgumentError(StrCat(
-        "element type size mismatch for field ", field_name));
-  }
-  if (!record->slot_allocated(index)) {
-    return FailedPreconditionError(StrCat(
-        "field buffer not allocated: ", field_name));
-  }
-  return RawField{record->slot_data(index), record->slot_size(index)};
+  return LookupRecord<Result<RawField>>(
+      record_type, key_values, [&](Record* record) -> Result<RawField> {
+        int index = record->type().FindMemberIndex(field_name);
+        if (index < 0) {
+          return NotFoundError(StrCat("no field named ", field_name));
+        }
+        const FieldTypeDef* field = record->type().members()[index].field;
+        if (elem_size != SizeOf(field->type)) {
+          return InvalidArgumentError(StrCat(
+              "element type size mismatch for field ", field_name));
+        }
+        if (!record->slot_allocated(index)) {
+          return FailedPreconditionError(StrCat(
+              "field buffer not allocated: ", field_name));
+        }
+        return RawField{record->slot_data(index), record->slot_size(index)};
+      });
 }
 
 Result<std::vector<Record*>> Gbo::ListRecords(const std::string& record_type) {
@@ -476,16 +448,6 @@ Result<std::vector<Record*>> Gbo::ListRecords(const std::string& record_type) {
   out.reserve(keyed.size());
   for (const auto& [key, record] : keyed) out.push_back(record);
   return out;
-}
-
-Result<std::vector<Record*>> Gbo::RecordsInUnit(const std::string& unit_name) {
-  Shard& s = ShardOfUnitName(unit_name);
-  MutexLock lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) {
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  return it->second->records;
 }
 
 // ---------------------------------------------------------------------

@@ -44,6 +44,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -455,11 +456,14 @@ class Gbo {
   static Status EncodeLookupKey(const RecordType& type,
                                 const std::vector<std::string>& key_values,
                                 std::string* key);
-  // Index lookup in `s`, bumping the shard's lookup counters.
-  Result<Record*> FindRecordShardLocked(Shard& s, const RecordType* type,
-                                        const std::string& record_type,
-                                        const std::string& key)
-      REQUIRES(s.mu);
+  // The keyed lookups' one body: resolves the type, encodes the key, finds
+  // the record in its key shard (bumping the shard's lookup counters) and
+  // returns `read(record)`, still under that shard's lock. Defined in
+  // gbo.cc, the only file that instantiates it.
+  template <typename R, typename ReadRecord>
+  R LookupRecord(const std::string& record_type,
+                 const std::vector<std::string>& key_values, ReadRecord read)
+      EXCLUDES(mu_);
   // Shared body of GetFieldSpan: resolves, looks up, type-checks.
   Result<RawField> GetFieldRaw(const std::string& record_type,
                                const std::string& field_name,
@@ -488,14 +492,19 @@ class Gbo {
   // Rolls a failed load's partial records back. No locks held on entry or
   // exit.
   void RollbackRecords(Shard& s, Unit* unit) EXCLUDES(mu_);
+  void MakeEvictableLocked(Shard& s, Unit* unit) REQUIRES(s.mu);
+  void PinLocked(Shard& s, Unit* unit) REQUIRES(s.mu);
+  // A cache hit: pins `unit` and counts the hit if it is kReady and fresh
+  // (a stale unit's data belongs to a superseded epoch and is never handed
+  // to a new reader). False, touching nothing, otherwise — `unit` may be
+  // null.
+  bool PinCacheHitLocked(Shard& s, Unit* unit) REQUIRES(s.mu);
   // Deletes/evicts a unit. Entry: mu_ and s.mu held. Exit: only mu_ held
   // (s.mu is released so the record purge can lock key shards in order).
   // lint: holds_on_entry(Gbo::mu_, Gbo::Shard::mu)
   // lint: on_exit_releases(Gbo::Shard::mu)
   void EvictUnitLocked(Shard& s, Unit* unit, bool explicit_delete)
       NO_THREAD_SAFETY_ANALYSIS;
-  void MakeEvictableLocked(Shard& s, Unit* unit) REQUIRES(s.mu);
-  void PinLocked(Shard& s, Unit* unit) REQUIRES(s.mu);
 
   // --- read execution.
 
@@ -521,11 +530,21 @@ class Gbo {
   // Blocking load on the caller's thread (foreground read / single-thread
   // WaitUnit). Entry: mu_ and s.mu held. Exit: only s.mu held (mu_ is
   // released before the read runs and not re-taken, so the caller can pin
-  // the settled unit in the same s.mu critical section).
+  // the settled unit in the same s.mu critical section). Settles the unit
+  // and stores the watch event to raise in `*settled` — unless a publish
+  // superseded it mid-load, in which case it stays kLoading and stale for
+  // the caller to convert (HandleStaleSettle).
   // lint: holds_on_entry(Gbo::mu_, Gbo::Shard::mu)
   // lint: on_exit_releases(Gbo::mu_)
-  Status LoadInlineAndLock(Shard& s, Unit* unit, const TimePoint* deadline)
+  Status LoadInlineAndLock(Shard& s, Unit* unit, const TimePoint* deadline,
+                           std::optional<WatchEvent>* settled)
       NO_THREAD_SAFETY_ANALYSIS;
+
+  // The one settle: moves `unit` to kReady (`status` OK) or kFailed with
+  // `status` preserved, stamps its completion order and wakes its waiters.
+  // Returns the watch event the caller raises once it holds no Gbo lock.
+  WatchEvent SettleUnitLocked(Shard& s, Unit* unit, Status status)
+      REQUIRES(s.mu);
 
   // Waits until `unit` leaves Queued/Loading (or `deadline`, if non-null,
   // passes). Returns the unit's terminal status or DEADLINE_EXCEEDED.
@@ -538,27 +557,53 @@ class Gbo {
   // caller to take over the load). Requires the owning shard's lock.
   bool UnitSettled(const Unit& unit) const;
 
-  // Finds the existing entry for `unit_name` in `s` or creates one, and
-  // resets its lifecycle fields for a fresh load. Caller sets read_fn and
-  // (for AddUnit) resources.
-  Unit* EmplaceUnitLocked(Shard& s, const std::string& unit_name)
+  // The unit named `unit_name` in `s`, or null.
+  Unit* FindUnitLocked(Shard& s, const std::string& unit_name) const
+      REQUIRES(s.mu);
+  // True for a present unit that is neither deleted nor failed. A name
+  // without a live unit is added, published or read afresh; WaitUnit has
+  // nothing to wait for. Requires the unit's shard lock.
+  static bool IsLive(const Unit* unit);
+
+  // Resets `unit` for a fresh load by `read_fn`: kQueued, no error, pin,
+  // retry or staleness state. Its resources and epoch are the caller's.
+  void ResetForLoadLocked(Shard& s, Unit* unit, ReadFn read_fn)
       REQUIRES(s.mu);
 
+  // Finds the existing entry for `unit_name` in `s` or creates one, starts
+  // a new staleness epoch and resets it for a fresh load by `read_fn`.
+  Unit* EmplaceUnitLocked(Shard& s, const std::string& unit_name,
+                          ReadFn read_fn) REQUIRES(s.mu);
+
+  // AddUnit's body (also SupersedeUnit's for a name with no live unit):
+  // emplaces the unit and queues it at the back of the speculative FIFO.
+  Unit* AddUnitLocked(Shard& s, const std::string& unit_name, ReadFn read_fn,
+                      std::vector<std::string> resources) REQUIRES(mu_, s.mu);
+
+  // The one body of ReadUnit(For) and WaitUnit(For): a cache hit pins the
+  // unit; a queued or loading unit is waited for as a demand miss; the G
+  // build loads a queued unit inline. They differ only in what an absent,
+  // deleted or failed unit means: with a `read_fn` it is loaded inline on
+  // the calling thread, without one the answer is NOT_FOUND or the stored
+  // error. Pins the unit on success.
   // lint: holds_on_entry(none)
-  Status ReadUnitInternal(const std::string& unit_name, ReadFn read_fn,
-                          const TimePoint* deadline) EXCLUDES(mu_);
-  // lint: holds_on_entry(none)
-  Status WaitUnitInternal(const std::string& unit_name,
-                          const TimePoint* deadline) EXCLUDES(mu_);
+  Status AcquireUnit(const std::string& unit_name, ReadFn* read_fn,
+                     const TimePoint* deadline) EXCLUDES(mu_);
+
+  // The by-name getters' one lookup: `read(unit)` under the unit's shard
+  // lock, or NOT_FOUND if no unit of that name exists. Defined in
+  // gbo_units.cc, the only file that instantiates it.
+  template <typename R, typename ReadField>
+  R ReadUnitField(const std::string& unit_name, ReadField read) const
+      EXCLUDES(mu_);
 
   // --- live ingest (watch registry + staleness; DESIGN.md §11).
 
-  // Delivers one event to every watcher whose glob matches `unit_name`.
+  // Delivers `event` to every watcher whose glob matches its unit name.
   // Must be called with NO Gbo locks held (callbacks may re-enter the
   // public API); snapshots the matching callbacks under watch_mu_ and
   // invokes them after releasing it.
-  void NotifyWatchers(const std::string& unit_name, WatchEventKind kind,
-                      int64_t epoch) EXCLUDES(mu_, watch_mu_);
+  void NotifyWatchers(const WatchEvent& event) EXCLUDES(mu_, watch_mu_);
 
   // Converts a stale unit that still holds records (a superseded kReady
   // unit whose last pin just drained, or a stale load that completed) into
@@ -570,10 +615,6 @@ class Gbo {
   // lint: on_exit_releases(Gbo::Shard::mu)
   void RequeueStaleUnitLocked(Shard& s, Unit* unit)
       NO_THREAD_SAFETY_ANALYSIS;
-
-  // RequeueStaleUnitLocked for a unit with no records: resets it to
-  // kQueued with the pending read fn and requeues. Keeps both locks.
-  void ResetForReloadLocked(Shard& s, Unit* unit) REQUIRES(mu_, s.mu);
 
   // Called with no locks held after a load settled on a unit that a
   // concurrent publish marked stale: rolls partial records back and
@@ -592,8 +633,9 @@ class Gbo {
       REQUIRES(mu_);
   // Fails `unit` fast with DATA_LOSS naming the quarantined `path`, without
   // running its read function. The unit must not hold records. Requires
-  // mu_ and the unit's shard lock.
-  void ShortCircuitUnitLocked(Shard& s, Unit* unit, const std::string& path)
+  // mu_ and the unit's shard lock. Returns the kFailed watch event.
+  WatchEvent ShortCircuitUnitLocked(Shard& s, Unit* unit,
+                                    const std::string& path)
       REQUIRES(mu_, s.mu);
 
   // --- I/O pool.
@@ -604,7 +646,8 @@ class Gbo {
   void IoThreadMain(size_t thread_index) EXCLUDES(mu_);
   // Fails `unit` with ABORTED to break a detected deadlock. Takes the
   // unit's shard lock internally; no shard lock may be held on entry.
-  void ResolveDeadlockLocked(Unit* unit) REQUIRES(mu_);
+  // Returns the kFailed watch event.
+  WatchEvent ResolveDeadlockLocked(Unit* unit) REQUIRES(mu_);
   // A queued unit some thread is blocked on (deadlock candidate), if any.
   // Scans the demand queue first, then the speculative queue, peeking
   // each unit's shard lock. No shard lock may be held on entry.
@@ -617,11 +660,14 @@ class Gbo {
   // is blocked on those), then the speculative prefetch FIFO. Null when
   // both queues are empty.
   Unit* PopNextQueuedLocked() REQUIRES(mu_);
-  // Moves a still-queued unit a thread just blocked on from the
-  // speculative queue to the back of the demand queue. Only active with
-  // io_threads > 1 — with a single I/O thread the paper's strict FIFO
-  // order is preserved byte for byte.
-  void PromoteToDemandLocked(Unit* unit) REQUIRES(mu_);
+  // Queue placement under the demand-promotion rule (DESIGN.md §8). A
+  // unit some thread is blocked on (`blocked`) is a demand miss: with more
+  // than one I/O thread it goes to the back of the demand queue, ahead of
+  // speculative prefetches — moved there from the speculative FIFO if it
+  // is already `queued`. Otherwise an unqueued unit joins the back of the
+  // FIFO and a queued one keeps its place, so a single I/O thread keeps
+  // the paper's strict FIFO order byte for byte.
+  void QueueUnitLocked(Unit* unit, bool queued, bool blocked) REQUIRES(mu_);
   // Records the current queued-unit count into the high-water stat.
   void NoteQueueDepthLocked() REQUIRES(mu_);
 

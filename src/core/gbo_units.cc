@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +80,15 @@ void Gbo::PinLocked(Shard& s, Unit* unit) {
     s.evictable.erase(pos);
     s.lru_touches.fetch_add(1, std::memory_order_relaxed);
   }
+}
+
+bool Gbo::PinCacheHitLocked(Shard& s, Unit* unit) {
+  if (unit == nullptr || unit->state != UnitState::kReady || unit->stale) {
+    return false;
+  }
+  PinLocked(s, unit);
+  s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void Gbo::ReleaseRecordsLocked(const std::vector<Record*>& victims,
@@ -232,17 +242,15 @@ const std::string* Gbo::QuarantinedResourceLocked(const Unit& unit) const {
   return nullptr;
 }
 
-void Gbo::ShortCircuitUnitLocked(Shard& s, Unit* unit,
-                                 const std::string& path) {
+Gbo::WatchEvent Gbo::ShortCircuitUnitLocked(Shard& s, Unit* unit,
+                                            const std::string& path) {
   RemoveFromQueuesLocked(unit);
-  unit->error = DataLossError(
-      StrCat("unit ", unit->name, ": file ", path,
-             " is quarantined after repeated permanent failures "
-             "(ResetFileHealth to retry)"));
-  unit->state = UnitState::kFailed;
-  unit->ready_seq = next_ready_seq_.fetch_add(1, std::memory_order_relaxed);
   ++counters_.reads_short_circuited;
-  s.unit_cv.NotifyAll();
+  return SettleUnitLocked(
+      s, unit,
+      DataLossError(StrCat("unit ", unit->name, ": file ", path,
+                           " is quarantined after repeated permanent "
+                           "failures (ResetFileHealth to retry)")));
 }
 
 bool Gbo::IsFileQuarantined(const std::string& path) const {
@@ -299,12 +307,17 @@ Gbo::Unit* Gbo::PopNextQueuedLocked() {
   return nullptr;
 }
 
-void Gbo::PromoteToDemandLocked(Unit* unit) {
-  auto pos = std::find(prefetch_queue_.begin(), prefetch_queue_.end(), unit);
-  if (pos == prefetch_queue_.end()) return;  // already demand or dequeued
-  prefetch_queue_.erase(pos);
-  demand_queue_.push_back(unit);
-  ++counters_.demand_promotions;
+void Gbo::QueueUnitLocked(Unit* unit, bool queued, bool blocked) {
+  const bool demand = blocked && options_.io_threads > 1;
+  if (queued) {
+    if (!demand) return;
+    auto pos = std::find(prefetch_queue_.begin(), prefetch_queue_.end(), unit);
+    if (pos == prefetch_queue_.end()) return;  // already in the demand queue
+    prefetch_queue_.erase(pos);
+    ++counters_.demand_promotions;
+  }
+  (demand ? demand_queue_ : prefetch_queue_).push_back(unit);
+  NoteQueueDepthLocked();  // a promotion leaves the depth unchanged
   queue_cv_.NotifyOne();
 }
 
@@ -394,13 +407,12 @@ Status Gbo::ExecuteRead(Shard& s, Unit* unit, const TimePoint* deadline,
 // Entry: mu_ and s.mu held. Exit: only s.mu held — mu_ is dropped before
 // the read runs and not re-taken, so the caller can pin the settled unit
 // in the same s.mu critical section that observes the terminal state.
-Status Gbo::LoadInlineAndLock(Shard& s, Unit* unit,
-                              const TimePoint* deadline) {
+Status Gbo::LoadInlineAndLock(Shard& s, Unit* unit, const TimePoint* deadline,
+                              std::optional<WatchEvent>* settled) {
   if (const std::string* quarantined = QuarantinedResourceLocked(*unit)) {
-    ShortCircuitUnitLocked(s, unit, *quarantined);
-    Status error = unit->error;
+    *settled = ShortCircuitUnitLocked(s, unit, *quarantined);
     mu_.Unlock();
-    return error;
+    return unit->error;
   }
   unit->state = UnitState::kLoading;
   RemoveFromQueuesLocked(unit);
@@ -415,17 +427,21 @@ Status Gbo::LoadInlineAndLock(Shard& s, Unit* unit,
     ++counters_.units_read_foreground;
   }
   s.mu.Lock();
-  if (unit->stale) {
-    // A publish superseded the unit mid-load: the result belongs to the
-    // old epoch. Leave it kLoading — the caller converts it to the
-    // pending version (HandleStaleSettle) and waits for the reload.
-    return status;
-  }
-  unit->error = status;
-  unit->state = status.ok() ? UnitState::kReady : UnitState::kFailed;
+  // A publish that superseded the unit mid-load makes the result belong
+  // to the old epoch: it stays kLoading for the caller to convert.
+  if (!unit->stale) *settled = SettleUnitLocked(s, unit, status);
+  return status;
+}
+
+Gbo::WatchEvent Gbo::SettleUnitLocked(Shard& s, Unit* unit, Status status) {
+  unit->error = std::move(status);
+  unit->state = unit->error.ok() ? UnitState::kReady : UnitState::kFailed;
   unit->ready_seq = next_ready_seq_.fetch_add(1, std::memory_order_relaxed);
   s.unit_cv.NotifyAll();
-  return status;
+  return WatchEvent{unit->name,
+                    unit->error.ok() ? WatchEventKind::kReady
+                                     : WatchEventKind::kFailed,
+                    unit->epoch};
 }
 
 bool Gbo::UnitSettled(const Unit& unit) const {
@@ -476,14 +492,19 @@ Status Gbo::AwaitReadyLocked(Shard& s, Unit* unit,
   return AbortedError("database is shutting down");
 }
 
-Gbo::Unit* Gbo::EmplaceUnitLocked(Shard& s, const std::string& unit_name) {
-  auto [it, inserted] = s.units.try_emplace(unit_name);
-  if (inserted) {
-    it->second = std::make_unique<Unit>();
-    it->second->name = unit_name;
-    it->second->shard_index = ShardIndexOfUnitName(unit_name);
-  }
-  Unit* unit = it->second.get();
+Gbo::Unit* Gbo::FindUnitLocked(Shard& s, const std::string& unit_name) const {
+  auto it = s.units.find(unit_name);
+  return it == s.units.end() ? nullptr : it->second.get();
+}
+
+bool Gbo::IsLive(const Unit* unit) {
+  return unit != nullptr && unit->state != UnitState::kDeleted &&
+         unit->state != UnitState::kFailed;
+}
+
+void Gbo::ResetForLoadLocked(Shard& s, Unit* unit, ReadFn read_fn) {
+  (void)s;  // present for the REQUIRES(s.mu) contract
+  unit->read_fn = std::move(read_fn);
   unit->state = UnitState::kQueued;
   unit->error = Status::Ok();
   unit->ready_seq = -1;
@@ -492,12 +513,33 @@ Gbo::Unit* Gbo::EmplaceUnitLocked(Shard& s, const std::string& unit_name) {
   unit->finished = false;
   unit->attempt = 0;
   unit->cancel_requested = false;
-  // Every (re)publish of a name is a new staleness epoch; terminal states
-  // are never stale, so the flags only need resetting defensively.
-  ++unit->epoch;
   unit->stale = false;
   unit->pending_read_fn = nullptr;
   unit->pending_resources.clear();
+}
+
+Gbo::Unit* Gbo::EmplaceUnitLocked(Shard& s, const std::string& unit_name,
+                                  ReadFn read_fn) {
+  auto [it, inserted] = s.units.try_emplace(unit_name);
+  if (inserted) {
+    it->second = std::make_unique<Unit>();
+    it->second->name = unit_name;
+    it->second->shard_index = ShardIndexOfUnitName(unit_name);
+  }
+  Unit* unit = it->second.get();
+  // Every (re)publish of a name is a new staleness epoch.
+  ++unit->epoch;
+  ResetForLoadLocked(s, unit, std::move(read_fn));
+  return unit;
+}
+
+Gbo::Unit* Gbo::AddUnitLocked(Shard& s, const std::string& unit_name,
+                              ReadFn read_fn,
+                              std::vector<std::string> resources) {
+  Unit* unit = EmplaceUnitLocked(s, unit_name, std::move(read_fn));
+  unit->resources = std::move(resources);
+  ++counters_.units_added;
+  QueueUnitLocked(unit, /*queued=*/false, /*blocked=*/false);
   return unit;
 }
 
@@ -516,50 +558,55 @@ Status Gbo::AddUnit(const std::string& unit_name, ReadFn read_fn,
   {
     MutexLock lock(&mu_);
     MutexLock shard_lock(&s.mu);
-    auto it = s.units.find(unit_name);
-    if (it != s.units.end() && it->second->state != UnitState::kDeleted &&
-        it->second->state != UnitState::kFailed) {
+    if (IsLive(FindUnitLocked(s, unit_name))) {
       return AlreadyExistsError(StrCat("unit already added: ", unit_name));
     }
-    Unit* unit = EmplaceUnitLocked(s, unit_name);
-    unit->read_fn = std::move(read_fn);
-    unit->resources = std::move(resources);
-    prefetch_queue_.push_back(unit);
-    ++counters_.units_added;
-    NoteQueueDepthLocked();
-    queue_cv_.NotifyOne();
+    AddUnitLocked(s, unit_name, std::move(read_fn), std::move(resources));
   }
   CheckInvariantsDebug();
   return Status::Ok();
 }
 
 Status Gbo::ReadUnit(const std::string& unit_name, ReadFn read_fn) {
-  return ReadUnitInternal(unit_name, std::move(read_fn), nullptr);
+  return AcquireUnit(unit_name, &read_fn, nullptr);
 }
 
 Status Gbo::ReadUnitFor(const std::string& unit_name, ReadFn read_fn,
                         Duration timeout) {
   TimePoint deadline = Now() + timeout;
-  return ReadUnitInternal(unit_name, std::move(read_fn), &deadline);
+  return AcquireUnit(unit_name, &read_fn, &deadline);
 }
 
-Status Gbo::ReadUnitInternal(const std::string& unit_name, ReadFn read_fn,
-                             const TimePoint* deadline)
-    NO_THREAD_SAFETY_ANALYSIS {
-  if (unit_name.empty()) return InvalidArgumentError("unit name is empty");
+Status Gbo::WaitUnit(const std::string& unit_name) {
+  return AcquireUnit(unit_name, nullptr, nullptr);
+}
+
+Status Gbo::WaitUnitFor(const std::string& unit_name, Duration timeout) {
+  TimePoint deadline = Now() + timeout;
+  return AcquireUnit(unit_name, nullptr, &deadline);
+}
+
+Status Gbo::AcquireUnit(const std::string& unit_name, ReadFn* read_fn,
+                        const TimePoint* deadline) NO_THREAD_SAFETY_ANALYSIS {
+  if (read_fn != nullptr && unit_name.empty()) {
+    return InvalidArgumentError("unit name is empty");
+  }
   Shard& s = ShardOfUnitName(unit_name);
+  // WaitUnit's answer for a unit that is not live.
+  auto not_waitable = [&unit_name](const Unit* unit) {
+    return unit == nullptr || unit->state == UnitState::kDeleted
+               ? NotFoundError(StrCat("no unit named ", unit_name))
+               : unit->error;
+  };
 
   // Hot path: the unit is resident — one shard lock, no mu_, no queue or
-  // memory work. A stale unit's data belongs to a superseded epoch, so it
-  // is never served to a new reader.
+  // memory work.
   {
     MutexLock shard_lock(&s.mu);
-    auto hot = s.units.find(unit_name);
-    if (hot != s.units.end() && hot->second->state == UnitState::kReady &&
-        !hot->second->stale) {
-      PinLocked(s, hot->second.get());
-      s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
+    Unit* resident = FindUnitLocked(s, unit_name);
+    if (PinCacheHitLocked(s, resident)) return Status::Ok();
+    if (read_fn == nullptr && !IsLive(resident)) {
+      return not_waitable(resident);
     }
   }
 
@@ -567,170 +614,57 @@ Status Gbo::ReadUnitInternal(const std::string& unit_name, ReadFn read_fn,
   // memory budget need it), then the shard lock; re-check under both.
   mu_.Lock();
   s.mu.Lock();
-  auto it = s.units.find(unit_name);
-  // Deleted and failed units are re-readable (ReadUnit retries a failed
-  // load with the new read function).
-  Unit* unit =
-      (it != s.units.end() && it->second->state != UnitState::kDeleted &&
-       it->second->state != UnitState::kFailed)
-          ? it->second.get()
-          : nullptr;
-
-  if (unit != nullptr && unit->state == UnitState::kReady && !unit->stale) {
-    // Raced: the unit settled between the hot-path check and relocking.
-    PinLocked(s, unit);
-    s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
+  Unit* unit = FindUnitLocked(s, unit_name);
+  const bool load_fresh = !IsLive(unit);
+  if (PinCacheHitLocked(s, unit) ||
+      (load_fresh && (read_fn == nullptr || !*read_fn))) {
+    // A cache hit raced in between the two lookups, or there is nothing
+    // to wait for (WaitUnit) or to load with (a null read function).
+    Status early = !load_fresh          ? Status::Ok()
+                   : read_fn == nullptr ? not_waitable(unit)
+                                        : InvalidArgumentError(
+                                              "read function is null");
     s.mu.Unlock();
     mu_.Unlock();
-    return Status::Ok();
+    return early;
   }
 
   Stopwatch stopwatch;
   Status status;
-  bool loaded_inline = false;
-  if (unit == nullptr) {
-    // Fresh (or previously deleted/failed) unit: blocking foreground read.
-    if (!read_fn) {
-      s.mu.Unlock();
-      mu_.Unlock();
-      return InvalidArgumentError("read function is null");
+  std::optional<WatchEvent> settled;  // raised once no Gbo lock is held
+  if (load_fresh ||
+      (unit->state == UnitState::kQueued && !options_.background_io)) {
+    // A fresh (or previously deleted/failed) unit is read on the calling
+    // thread; so is a queued one in the single-thread library (paper
+    // §4.2: the read happens inside the wait).
+    if (load_fresh) {
+      unit = EmplaceUnitLocked(s, unit_name, std::move(*read_fn));
     }
-    unit = EmplaceUnitLocked(s, unit_name);
-    unit->read_fn = std::move(read_fn);
-    status = LoadInlineAndLock(s, unit, deadline);  // exit: only s.mu held
-    loaded_inline = true;
-  } else if (unit->state == UnitState::kQueued && !options_.background_io) {
-    status = LoadInlineAndLock(s, unit, deadline);
-    loaded_inline = true;
-  } else {
-    // Queued (multi-thread) or already loading: wait for it. With a pool
-    // (> 1 thread) a still-queued unit is a demand miss — promote it past
-    // the speculative queue. A single I/O thread keeps strict FIFO order
-    // so the paper's TG library stays byte-for-byte reproducible.
-    if (unit->state == UnitState::kQueued && options_.io_threads > 1) {
-      PromoteToDemandLocked(unit);
+    status = LoadInlineAndLock(s, unit, deadline, &settled);  // exit: s.mu
+    if (!settled) {
+      // A publish superseded the unit while our inline load ran: discard
+      // this epoch's result, install the pending version, and wait for
+      // its reload (SupersedeUnit requires background_io, so a pool
+      // thread will pick it up).
+      s.mu.Unlock();
+      HandleStaleSettle(s, unit);
+      mu_.Lock();
+      s.mu.Lock();
+    }
+  }
+  if (!settled) {
+    // Queued (with a pool) or already loading: a demand miss.
+    if (unit->state == UnitState::kQueued) {
+      QueueUnitLocked(unit, /*queued=*/true, /*blocked=*/true);
     }
     mu_.Unlock();
     status = AwaitReadyLocked(s, unit, deadline);  // s.mu held throughout
   }
-  bool settled_here = loaded_inline;
-  if (loaded_inline && unit->state == UnitState::kLoading && unit->stale) {
-    // A publish superseded the unit while our inline load ran: discard
-    // this epoch's result, install the pending version, and wait for its
-    // reload (SupersedeUnit requires background_io, so a pool thread will
-    // pick it up).
-    settled_here = false;
-    s.mu.Unlock();
-    HandleStaleSettle(s, unit);
-    mu_.Lock();
-    s.mu.Lock();
-    if (unit->state == UnitState::kQueued && options_.io_threads > 1) {
-      PromoteToDemandLocked(unit);
-    }
-    mu_.Unlock();
-    status = AwaitReadyLocked(s, unit, deadline);
-  }
   // s.mu has been held continuously since the terminal state was
   // observed, so the pin cannot race an eviction.
   if (status.ok()) PinLocked(s, unit);
-  WatchEventKind settled_kind = WatchEventKind::kReady;
-  int64_t settled_epoch = 0;
-  if (settled_here) {
-    settled_kind = unit->state == UnitState::kReady
-                       ? WatchEventKind::kReady
-                       : WatchEventKind::kFailed;
-    settled_epoch = unit->epoch;
-  }
   s.mu.Unlock();
-  if (settled_here) NotifyWatchers(unit_name, settled_kind, settled_epoch);
-  visible_io_time_.Add(stopwatch.Elapsed());
-  CheckInvariantsDebug();
-  return status;
-}
-
-Status Gbo::WaitUnit(const std::string& unit_name) {
-  return WaitUnitInternal(unit_name, nullptr);
-}
-
-Status Gbo::WaitUnitFor(const std::string& unit_name, Duration timeout) {
-  TimePoint deadline = Now() + timeout;
-  return WaitUnitInternal(unit_name, &deadline);
-}
-
-Status Gbo::WaitUnitInternal(const std::string& unit_name,
-                             const TimePoint* deadline)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Shard& s = ShardOfUnitName(unit_name);
-
-  // Hot path: settled unit — one shard lock, no mu_.
-  {
-    MutexLock shard_lock(&s.mu);
-    auto hot = s.units.find(unit_name);
-    if (hot == s.units.end() ||
-        hot->second->state == UnitState::kDeleted) {
-      return NotFoundError(StrCat("no unit named ", unit_name));
-    }
-    Unit* resident = hot->second.get();
-    if (resident->state == UnitState::kReady && !resident->stale) {
-      PinLocked(s, resident);
-      s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    if (resident->state == UnitState::kFailed) return resident->error;
-  }
-
-  mu_.Lock();
-  s.mu.Lock();
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end() || it->second->state == UnitState::kDeleted) {
-    s.mu.Unlock();
-    mu_.Unlock();
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  Unit* unit = it->second.get();
-  if (unit->state == UnitState::kReady && !unit->stale) {
-    PinLocked(s, unit);
-    s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
-    s.mu.Unlock();
-    mu_.Unlock();
-    return Status::Ok();
-  }
-  if (unit->state == UnitState::kFailed) {
-    Status error = unit->error;
-    s.mu.Unlock();
-    mu_.Unlock();
-    return error;
-  }
-
-  Stopwatch stopwatch;
-  Status status;
-  bool settled_here = false;
-  if (unit->state == UnitState::kQueued && !options_.background_io) {
-    // Single-thread library: the read happens inside the wait (paper §4.2).
-    // SupersedeUnit is rejected without background_io, so the settled unit
-    // cannot be stale here.
-    status = LoadInlineAndLock(s, unit, deadline);
-    settled_here = true;
-  } else {
-    // Demand miss: with an I/O pool, jump the unit ahead of speculative
-    // prefetches (single-thread pools keep the paper's FIFO order).
-    if (unit->state == UnitState::kQueued && options_.io_threads > 1) {
-      PromoteToDemandLocked(unit);
-    }
-    mu_.Unlock();
-    status = AwaitReadyLocked(s, unit, deadline);
-  }
-  if (status.ok()) PinLocked(s, unit);
-  WatchEventKind settled_kind = WatchEventKind::kReady;
-  int64_t settled_epoch = 0;
-  if (settled_here) {
-    settled_kind = unit->state == UnitState::kReady
-                       ? WatchEventKind::kReady
-                       : WatchEventKind::kFailed;
-    settled_epoch = unit->epoch;
-  }
-  s.mu.Unlock();
-  if (settled_here) NotifyWatchers(unit_name, settled_kind, settled_epoch);
+  if (settled) NotifyWatchers(*settled);
   visible_io_time_.Add(stopwatch.Elapsed());
   CheckInvariantsDebug();
   return status;
@@ -741,11 +675,10 @@ Status Gbo::FinishUnit(const std::string& unit_name) {
   Unit* drained_stale = nullptr;
   {
     MutexLock shard_lock(&s.mu);
-    auto it = s.units.find(unit_name);
-    if (it == s.units.end() || it->second->state == UnitState::kDeleted) {
+    Unit* unit = FindUnitLocked(s, unit_name);
+    if (unit == nullptr || unit->state == UnitState::kDeleted) {
       return NotFoundError(StrCat("no unit named ", unit_name));
     }
-    Unit* unit = it->second.get();
     if (unit->state != UnitState::kReady) {
       return FailedPreconditionError(
           StrCat("unit ", unit_name, " is not ready (state ",
@@ -785,13 +718,12 @@ Status Gbo::DeleteUnit(const std::string& unit_name)
   for (;;) {
     mu_.Lock();
     s.mu.Lock();
-    auto it = s.units.find(unit_name);
-    if (it == s.units.end() || it->second->state == UnitState::kDeleted) {
+    Unit* unit = FindUnitLocked(s, unit_name);
+    if (unit == nullptr || unit->state == UnitState::kDeleted) {
       s.mu.Unlock();
       mu_.Unlock();
       return NotFoundError(StrCat("no unit named ", unit_name));
     }
-    Unit* unit = it->second.get();
     if (unit->state == UnitState::kLoading) {
       if (!unit->in_backoff) {
         s.mu.Unlock();
@@ -843,52 +775,54 @@ Status Gbo::SetMemSpace(int64_t bytes) {
   return Status::Ok();
 }
 
-Result<UnitState> Gbo::GetUnitState(const std::string& unit_name) const {
+// ---------------------------------------------------------------------
+// By-name unit getters (shard lock only).
+
+template <typename R, typename ReadField>
+R Gbo::ReadUnitField(const std::string& unit_name, ReadField read) const {
   Shard& s = ShardOfUnitName(unit_name);
   MutexLock shard_lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) {
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  return it->second->state;
+  const Unit* unit = FindUnitLocked(s, unit_name);
+  if (unit == nullptr) return NotFoundError(StrCat("no unit named ", unit_name));
+  return read(*unit);
+}
+
+Result<UnitState> Gbo::GetUnitState(const std::string& unit_name) const {
+  return ReadUnitField<Result<UnitState>>(
+      unit_name, [](const Unit& unit) { return unit.state; });
 }
 
 Result<int64_t> Gbo::UnitMemoryBytes(const std::string& unit_name) const {
-  Shard& s = ShardOfUnitName(unit_name);
-  MutexLock shard_lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) {
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  return it->second->memory_bytes;
+  return ReadUnitField<Result<int64_t>>(
+      unit_name, [](const Unit& unit) { return unit.memory_bytes; });
 }
 
 Status Gbo::GetUnitError(const std::string& unit_name) const {
-  Shard& s = ShardOfUnitName(unit_name);
-  MutexLock shard_lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) {
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  return it->second->error;
+  return ReadUnitField<Status>(unit_name,
+                               [](const Unit& unit) { return unit.error; });
+}
+
+Result<int64_t> Gbo::GetUnitEpoch(const std::string& unit_name) const {
+  return ReadUnitField<Result<int64_t>>(
+      unit_name, [](const Unit& unit) { return unit.epoch; });
+}
+
+Result<std::vector<Record*>> Gbo::RecordsInUnit(const std::string& unit_name) {
+  return ReadUnitField<Result<std::vector<Record*>>>(
+      unit_name, [](const Unit& unit) { return unit.records; });
 }
 
 Gbo::UnitProbe Gbo::ProbeUnitForPlan(const std::string& unit_name) {
   Shard& s = ShardOfUnitName(unit_name);
   MutexLock shard_lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) return UnitProbe::kAbsent;
-  Unit* unit = it->second.get();
+  Unit* unit = FindUnitLocked(s, unit_name);
+  if (unit == nullptr) return UnitProbe::kAbsent;
+  // Mirror the ReadUnit hot path: pin under the single shard lock and
+  // count the hit, with no queue round-trip.
+  if (PinCacheHitLocked(s, unit)) return UnitProbe::kResident;
   switch (unit->state) {
-    case UnitState::kReady:
-      // A stale ready unit is awaiting its reload; the new epoch will
-      // settle on its own, so the planner should wait, not pin old data.
-      if (unit->stale) return UnitProbe::kInFlight;
-      // Mirror the ReadUnit hot path: pin under the single shard lock and
-      // count the hit, with no queue round-trip.
-      PinLocked(s, unit);
-      s.unit_cache_hits.fetch_add(1, std::memory_order_relaxed);
-      return UnitProbe::kResident;
+    case UnitState::kReady:  // stale: the reload settles on its own, so
+                             // the planner should wait, not pin old data
     case UnitState::kQueued:
     case UnitState::kLoading:
       return UnitProbe::kInFlight;
@@ -915,7 +849,7 @@ Gbo::Unit* Gbo::FindBlockedQueuedUnitLocked() {
   return nullptr;
 }
 
-void Gbo::ResolveDeadlockLocked(Unit* unit) {
+Gbo::WatchEvent Gbo::ResolveDeadlockLocked(Unit* unit) {
   // Invariant on entry: memory is exhausted, nothing is evictable, and an
   // application thread is blocked waiting for `unit`, which is still
   // queued. The blocked thread cannot free memory (it would have to call
@@ -930,14 +864,14 @@ void Gbo::ResolveDeadlockLocked(Unit* unit) {
       FormatBytes(memory_limit_.load(std::memory_order_relaxed)),
       ") and no finished units are evictable"));
   Shard& s = *shards_[unit->shard_index];
+  WatchEvent failed;
   {
     MutexLock shard_lock(&s.mu);
-    unit->state = UnitState::kFailed;
-    unit->error = error;
-    s.unit_cv.NotifyAll();
+    failed = SettleUnitLocked(s, unit, error);
   }
   ++counters_.deadlocks_detected;
   GODIVA_LOG(kError) << error.message();
+  return failed;
 }
 
 void Gbo::IoThreadMain(size_t thread_index) NO_THREAD_SAFETY_ANALYSIS {
@@ -959,7 +893,11 @@ void Gbo::IoThreadMain(size_t thread_index) NO_THREAD_SAFETY_ANALYSIS {
       if (EvictOneLocked()) continue;  // re-evaluate with freed memory
       if (loads_in_flight_ == 0) {
         if (Unit* blocked = FindBlockedQueuedUnitLocked()) {
-          ResolveDeadlockLocked(blocked);
+          WatchEvent failed = ResolveDeadlockLocked(blocked);
+          // Watchers are notified with no Gbo lock held.
+          mu_.Unlock();
+          NotifyWatchers(failed);
+          mu_.Lock();
           continue;
         }
       }
@@ -980,8 +918,7 @@ void Gbo::IoThreadMain(size_t thread_index) NO_THREAD_SAFETY_ANALYSIS {
     Unit* unit = PopNextQueuedLocked();
     if (unit == nullptr) continue;
     Shard& s = *shards_[unit->shard_index];
-    bool short_circuited = false;
-    int64_t short_circuit_epoch = 0;
+    std::optional<WatchEvent> short_circuited;
     {
       MutexLock shard_lock(&s.mu);
       if (unit->state != UnitState::kQueued) continue;  // raced with delete
@@ -989,18 +926,14 @@ void Gbo::IoThreadMain(size_t thread_index) NO_THREAD_SAFETY_ANALYSIS {
       // prefetcher never spends an I/O slot (or a retry budget) on it.
       if (const std::string* quarantined =
               QuarantinedResourceLocked(*unit)) {
-        ShortCircuitUnitLocked(s, unit, *quarantined);
-        short_circuited = true;
-        short_circuit_epoch = unit->epoch;
+        short_circuited = ShortCircuitUnitLocked(s, unit, *quarantined);
       } else {
         unit->state = UnitState::kLoading;
       }
     }
     if (short_circuited) {
-      // Watchers are notified with no Gbo lock held.
-      std::string name = unit->name;
       mu_.Unlock();
-      NotifyWatchers(name, WatchEventKind::kFailed, short_circuit_epoch);
+      NotifyWatchers(*short_circuited);
       mu_.Lock();
       continue;
     }
@@ -1019,32 +952,19 @@ void Gbo::IoThreadMain(size_t thread_index) NO_THREAD_SAFETY_ANALYSIS {
     // taken to settle it. A load that was superseded mid-flight stays
     // kLoading and converts to the pending publish instead — its result
     // (success or failure) belongs to a dead epoch.
-    bool went_stale = false;
-    int64_t settled_epoch = 0;
+    std::optional<WatchEvent> settled;
     {
       MutexLock shard_lock(&s.mu);
-      if (unit->stale) {
-        went_stale = true;
-      } else {
-        unit->error = status;
-        unit->state = status.ok() ? UnitState::kReady : UnitState::kFailed;
-        unit->ready_seq =
-            next_ready_seq_.fetch_add(1, std::memory_order_relaxed);
-        settled_epoch = unit->epoch;
-        s.unit_cv.NotifyAll();
-      }
+      if (!unit->stale) settled = SettleUnitLocked(s, unit, status);
     }
-    if (went_stale) {
+    if (!settled) {
       HandleStaleSettle(s, unit);
     } else {
       if (!status.ok()) {
         GODIVA_LOG(kWarning) << "prefetch of unit " << unit->name
                              << " failed: " << status;
       }
-      NotifyWatchers(unit->name,
-                     status.ok() ? WatchEventKind::kReady
-                                 : WatchEventKind::kFailed,
-                     settled_epoch);
+      NotifyWatchers(*settled);
     }
     CheckInvariantsDebug();
 

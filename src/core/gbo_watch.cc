@@ -53,24 +53,18 @@ Status Gbo::UnregisterWatch(int64_t watch_id) {
   return Status::Ok();
 }
 
-void Gbo::NotifyWatchers(const std::string& unit_name, WatchEventKind kind,
-                         int64_t epoch) {
+void Gbo::NotifyWatchers(const WatchEvent& event) {
   // Snapshot the matching callbacks so they run lock-free: a callback may
   // block, take arbitrarily long, or call back into this database.
   std::vector<std::pair<int64_t, WatchFn>> matched;
   {
     MutexLock lock(&watch_mu_);
     for (const Watcher& watcher : watchers_) {
-      if (GlobMatch(watcher.glob, unit_name)) {
+      if (GlobMatch(watcher.glob, event.unit_name)) {
         matched.emplace_back(watcher.id, watcher.fn);
       }
     }
   }
-  if (matched.empty()) return;
-  WatchEvent event;
-  event.unit_name = unit_name;
-  event.kind = kind;
-  event.epoch = epoch;
   for (const auto& [id, fn] : matched) {
     // Mark the delivery in flight only at the moment it starts, re-checking
     // registration first: a watch unregistered since the snapshot is skipped
@@ -98,32 +92,6 @@ void Gbo::NotifyWatchers(const std::string& unit_name, WatchEventKind kind,
 // Staleness conversion: a superseded unit becomes a fresh kQueued load of
 // its pending read function once nothing holds its old version anymore.
 
-void Gbo::ResetForReloadLocked(Shard& s, Unit* unit) {
-  (void)s;  // present for the REQUIRES(s.mu) contract
-  unit->read_fn = std::move(unit->pending_read_fn);
-  unit->pending_read_fn = nullptr;
-  unit->resources = std::move(unit->pending_resources);
-  unit->pending_resources.clear();
-  unit->stale = false;
-  unit->state = UnitState::kQueued;
-  unit->error = Status::Ok();
-  unit->ready_seq = -1;
-  unit->lru_seq = -1;
-  unit->refcount = 0;
-  unit->finished = false;
-  unit->attempt = 0;
-  unit->cancel_requested = false;
-  // A thread already blocked on the new version makes this a demand miss;
-  // single-thread pools keep the paper's strict FIFO order.
-  if (unit->waiters > 0 && options_.io_threads > 1) {
-    demand_queue_.push_back(unit);
-  } else {
-    prefetch_queue_.push_back(unit);
-  }
-  NoteQueueDepthLocked();
-  queue_cv_.NotifyOne();
-}
-
 // Entry: mu_ and s.mu held. Exit: only mu_ held (the record purge locks
 // key shards, so s.mu must be free — same shape as EvictUnitLocked).
 void Gbo::RequeueStaleUnitLocked(Shard& s, Unit* unit) {
@@ -131,7 +99,10 @@ void Gbo::RequeueStaleUnitLocked(Shard& s, Unit* unit) {
   victims.swap(unit->records);
   int64_t freed = unit->memory_bytes;
   unit->memory_bytes = 0;
-  ResetForReloadLocked(s, unit);
+  unit->resources = std::move(unit->pending_resources);
+  ResetForLoadLocked(s, unit, std::move(unit->pending_read_fn));
+  // A thread already blocked on the new version makes this a demand miss.
+  QueueUnitLocked(unit, /*queued=*/false, /*blocked=*/unit->waiters > 0);
   s.mu.Unlock();
   ReleaseRecordsLocked(victims, freed);
 }
@@ -171,25 +142,15 @@ Status Gbo::SupersedeUnit(const std::string& unit_name, ReadFn read_fn,
   Shard& s = ShardOfUnitName(unit_name);
   bool invalidated = false;       // a live unit was superseded
   bool convert_now = false;       // …and nothing pins it: requeue here
-  int64_t epoch = 0;
-  Unit* unit = nullptr;
   mu_.Lock();
   s.mu.Lock();
-  auto it = s.units.find(unit_name);
-  Unit* existing = it != s.units.end() ? it->second.get() : nullptr;
-  if (existing == nullptr || existing->state == UnitState::kDeleted ||
-      existing->state == UnitState::kFailed) {
+  Unit* unit = FindUnitLocked(s, unit_name);
+  if (!IsLive(unit)) {
     // No live version: behaves like AddUnit (a failed unit's next epoch
     // simply starts queued; its terminal error is reset).
-    unit = EmplaceUnitLocked(s, unit_name);
-    unit->read_fn = std::move(read_fn);
-    unit->resources = std::move(resources);
-    prefetch_queue_.push_back(unit);
-    ++counters_.units_added;
-    NoteQueueDepthLocked();
-    queue_cv_.NotifyOne();
+    unit = AddUnitLocked(s, unit_name, std::move(read_fn),
+                         std::move(resources));
   } else {
-    unit = existing;
     ++unit->epoch;
     switch (unit->state) {
       case UnitState::kQueued:
@@ -228,25 +189,15 @@ Status Gbo::SupersedeUnit(const std::string& unit_name, ReadFn read_fn,
     }
   }
   ++counters_.units_superseded;
-  epoch = unit->epoch;
+  const int64_t epoch = unit->epoch;
   s.mu.Unlock();
   mu_.Unlock();
   if (convert_now) HandleStaleSettle(s, unit);
   if (invalidated) {
-    NotifyWatchers(unit_name, WatchEventKind::kInvalidated, epoch);
+    NotifyWatchers(WatchEvent{unit_name, WatchEventKind::kInvalidated, epoch});
   }
   CheckInvariantsDebug();
   return Status::Ok();
-}
-
-Result<int64_t> Gbo::GetUnitEpoch(const std::string& unit_name) const {
-  Shard& s = ShardOfUnitName(unit_name);
-  MutexLock shard_lock(&s.mu);
-  auto it = s.units.find(unit_name);
-  if (it == s.units.end()) {
-    return NotFoundError(StrCat("no unit named ", unit_name));
-  }
-  return it->second->epoch;
 }
 
 }  // namespace godiva

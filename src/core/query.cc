@@ -198,46 +198,28 @@ Status QueryTicket::ConsumeUnit(size_t index) {
   bool pinned_now = false;
   if (cancelled) {
     result = cancel_reason;
-  } else if (disposition == QueryDisposition::kResident) {
-    // Pinned at plan time; nothing to wait for.
-    result = Status::Ok();
-    // pinned flag already set at submit.
-  } else if (session_ != nullptr &&
-             disposition == QueryDisposition::kBatched) {
-    // Session path: the settle wait goes through the server so a deadline
-    // can withdraw a still-queued ticket (releasing its quota slot).
-    result = session_->AwaitBatchSettle(
-        name, has_deadline_ ? &deadline_ : nullptr);
-    if (result.ok()) {
-      result = WaitOnDb(name);  // pins on success
-      if (result.ok()) {
-        pinned_now = true;
-        Status adopted = session_->AdoptPlanPin(
-            name, stopwatch.ElapsedSeconds() * 1e3);
-        if (!adopted.ok()) {
-          // The session refused the pin (closed under us): don't leak a
-          // db-side pin outside the session's accounting.
-          // lint: discard_ok(rolling back an unadoptable pin)
-          (void)db_->FinishUnit(name);
-          pinned_now = false;
-          result = adopted;
-        }
-      }
+  } else if (disposition != QueryDisposition::kResident) {
+    // (A resident unit was pinned at plan time: nothing to wait for.) A
+    // batch ticket's settle wait goes through the server, so a deadline
+    // can withdraw a still-queued ticket (releasing its quota slot); then
+    // every load — batched, direct-mode or joined in flight — is waited
+    // for on the database, which pins on success.
+    if (session_ != nullptr && disposition == QueryDisposition::kBatched) {
+      result = session_->AwaitBatchSettle(
+          name, has_deadline_ ? &deadline_ : nullptr);
     }
-  } else {
-    // Direct-mode load or a joined in-flight load: wait on the database.
-    result = WaitOnDb(name);  // pins on success
-    if (result.ok()) {
-      pinned_now = true;
-      if (session_ != nullptr) {
-        Status adopted = session_->AdoptPlanPin(
-            name, stopwatch.ElapsedSeconds() * 1e3);
-        if (!adopted.ok()) {
-          // lint: discard_ok(rolling back an unadoptable pin)
-          (void)db_->FinishUnit(name);
-          pinned_now = false;
-          result = adopted;
-        }
+    if (result.ok()) result = WaitOnDb(name);
+    pinned_now = result.ok();
+    if (pinned_now && session_ != nullptr) {
+      Status adopted =
+          session_->AdoptPlanPin(name, stopwatch.ElapsedSeconds() * 1e3);
+      if (!adopted.ok()) {
+        // The session refused the pin (closed under us): don't leak a
+        // db-side pin outside the session's accounting.
+        // lint: discard_ok(rolling back an unadoptable pin)
+        (void)db_->FinishUnit(name);
+        pinned_now = false;
+        result = adopted;
       }
     }
   }

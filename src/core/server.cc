@@ -95,15 +95,10 @@ Result<std::unique_ptr<GboSession>> GboServer::OpenSession(
     SessionConfig config) {
   MutexLock lock(&mu_);
   if (shutdown_) return FailedPreconditionError("server is shutting down");
-  if (options_.max_sessions > 0) {
-    int open = 0;
-    for (const auto& [id, session] : sessions_) {
-      if (!session->closed) ++open;
-    }
-    if (open >= options_.max_sessions) {
-      return ResourceExhaustedError(
-          StrCat("session limit reached (", options_.max_sessions, ")"));
-    }
+  if (options_.max_sessions > 0 &&
+      OpenSessionsLocked() >= options_.max_sessions) {
+    return ResourceExhaustedError(
+        StrCat("session limit reached (", options_.max_sessions, ")"));
   }
   const PressureState state = PressureStateNow();
   if (AtLeast(state, PressureState::kCritical) &&
@@ -169,11 +164,7 @@ std::vector<std::string> GboServer::ShedLog() const {
 
 int GboServer::open_sessions() const {
   MutexLock lock(&mu_);
-  int open = 0;
-  for (const auto& [id, session] : sessions_) {
-    if (!session->closed) ++open;
-  }
-  return open;
+  return OpenSessionsLocked();
 }
 
 ServerStats GboServer::stats() const {
@@ -192,52 +183,9 @@ Status GboServer::AwaitDemandGrant(int64_t session_id,
                                    const std::string& unit_name,
                                    const TimePoint* deadline) {
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
-  if (shutdown_) return AbortedError("server is shutting down");
-
-  const PressureState state = PressureStateNow();
-  ApplyPressureLocked(state);
-  // Pressure-based admission, lowest classes refused first (the demand
-  // rungs of the shed ladder).
-  const PriorityClass priority = session->config.priority;
-  const bool refused =
-      (priority == PriorityClass::kBackground &&
-       AtLeast(state, PressureState::kSaturated)) ||
-      (priority != PriorityClass::kInteractive &&
-       AtLeast(state, PressureState::kCritical));
-  if (refused) {
-    ++session->counters.reads_rejected;
-    return ResourceExhaustedError(
-        StrCat("demand read rejected: memory pressure is ",
-               PressureStateName(state), " and session ",
-               session->config.name, " is ", PriorityClassName(priority)));
-  }
-  // Per-session quotas.
-  if (session->config.max_pinned_bytes > 0 &&
-      session->pinned_bytes >= session->config.max_pinned_bytes) {
-    ++session->counters.quota_rejections;
-    return ResourceExhaustedError(
-        StrCat("pin budget exhausted: session ", session->config.name,
-               " holds ", FormatBytes(session->pinned_bytes), " of ",
-               FormatBytes(session->config.max_pinned_bytes)));
-  }
-  if (session->config.max_queued_demand > 0 &&
-      static_cast<int>(session->demand_q.size()) >=
-          session->config.max_queued_demand) {
-    ++session->counters.quota_rejections;
-    return ResourceExhaustedError(
-        StrCat("demand queue quota exhausted: session ",
-               session->config.name, " already has ",
-               session->demand_q.size(), " reads queued"));
-  }
-  if (queued_total_ >= kMaxQueuedTotal) {
-    ++session->counters.reads_rejected;
-    return ResourceExhaustedError(
-        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
-  }
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
+  GODIVA_RETURN_IF_ERROR(AdmitDemandLocked(session, 1, "demand read"));
 
   // Queue the ticket (it lives on this stack frame; we do not return
   // while it is still queued) and wait for the scheduler.
@@ -290,18 +238,7 @@ void GboServer::NoteDemandResult(int64_t session_id,
   SessionState* session = FindSessionLocked(session_id);
   if (session != nullptr) {
     --session->inflight;
-    if (result.ok()) {
-      SessionState::PinEntry& entry = session->pinned[unit_name];
-      if (entry.pins == 0) {
-        Result<int64_t> bytes = db_->UnitMemoryBytes(unit_name);
-        entry.bytes = bytes.ok() ? bytes.value() : 0;
-        session->pinned_bytes += entry.bytes;
-      }
-      ++entry.pins;
-      if (session->handle != nullptr) {
-        session->handle->RecordDemandLatency(elapsed_ms);
-      }
-    }
+    if (result.ok()) AdoptPinLocked(session, unit_name, elapsed_ms);
   }
   ticket_cv_.NotifyAll();
   DispatchLocked();
@@ -311,10 +248,8 @@ Status GboServer::RequestPrefetch(int64_t session_id,
                                   const std::string& unit_name,
                                   Gbo::ReadFn read_fn) {
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
   if (shutdown_) return AbortedError("server is shutting down");
   ++session->counters.prefetches_requested;
   const PressureState state = PressureStateNow();
@@ -340,61 +275,16 @@ Status GboServer::SubmitBatchSet(int64_t session_id,
                                  std::vector<BatchTicket> batches) {
   if (batches.empty()) return Status::Ok();
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
-  if (shutdown_) return AbortedError("server is shutting down");
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
   if (!db_->options().background_io) {
     return FailedPreconditionError(
         "batch tickets require a background I/O pool (the grant path hands "
         "units to it; a poolless Gbo would never settle them)");
   }
-
-  const PressureState state = PressureStateNow();
-  ApplyPressureLocked(state);
-  // Same demand-class pressure admission as AwaitDemandGrant, applied to
-  // the plan as a whole: a plan is never half-admitted.
-  const PriorityClass priority = session->config.priority;
-  const bool refused =
-      (priority == PriorityClass::kBackground &&
-       AtLeast(state, PressureState::kSaturated)) ||
-      (priority != PriorityClass::kInteractive &&
-       AtLeast(state, PressureState::kCritical));
-  if (refused) {
-    ++session->counters.reads_rejected;
-    return ResourceExhaustedError(
-        StrCat("batch set rejected: memory pressure is ",
-               PressureStateName(state), " and session ",
-               session->config.name, " is ", PriorityClassName(priority)));
-  }
-  if (session->config.max_pinned_bytes > 0 &&
-      session->pinned_bytes >= session->config.max_pinned_bytes) {
-    ++session->counters.quota_rejections;
-    return ResourceExhaustedError(
-        StrCat("pin budget exhausted: session ", session->config.name,
-               " holds ", FormatBytes(session->pinned_bytes), " of ",
-               FormatBytes(session->config.max_pinned_bytes)));
-  }
-  // Quota accounting per plan: all of the plan's tickets count against
-  // the queued-demand quota together (batch tickets share it with stack
-  // demand tickets).
-  const int queued_here = static_cast<int>(session->demand_q.size()) +
-                          static_cast<int>(session->batch_q.size());
-  if (session->config.max_queued_demand > 0 &&
-      queued_here + static_cast<int>(batches.size()) >
-          session->config.max_queued_demand) {
-    ++session->counters.quota_rejections;
-    return ResourceExhaustedError(
-        StrCat("demand queue quota exhausted: session ",
-               session->config.name, " has ", queued_here,
-               " tickets queued and the plan adds ", batches.size()));
-  }
-  if (queued_total_ + static_cast<int>(batches.size()) > kMaxQueuedTotal) {
-    ++session->counters.reads_rejected;
-    return ResourceExhaustedError(
-        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
-  }
+  // The plan is admitted as a whole, never half.
+  GODIVA_RETURN_IF_ERROR(AdmitDemandLocked(
+      session, static_cast<int>(batches.size()), "batch set"));
 
   for (BatchTicket& ticket : batches) {
     session->batch_done.erase(ticket.unit_name);
@@ -447,16 +337,7 @@ Status GboServer::AwaitBatchSettle(int64_t session_id,
       // immediately. A granted ticket cannot be recalled — its unit
       // settles on its own and frees the window slot then.
       session = FindSessionLocked(session_id);
-      if (session != nullptr) {
-        for (auto it = session->batch_q.begin();
-             it != session->batch_q.end(); ++it) {
-          if (it->unit_name != unit_name) continue;
-          session->batch_q.erase(it);
-          --queued_total_;
-          ++session->counters.demand_shed;
-          break;
-        }
-      }
+      if (session != nullptr) WithdrawBatchLocked(session, unit_name);
       return DeadlineExceededError(
           StrCat("timed out waiting for batch ", unit_name, " to settle"));
     }
@@ -470,15 +351,7 @@ Status GboServer::WithdrawBatch(int64_t session_id,
   if (session == nullptr) {
     return FailedPreconditionError("session is closed");
   }
-  for (auto it = session->batch_q.begin(); it != session->batch_q.end();
-       ++it) {
-    if (it->unit_name != unit_name) continue;
-    session->batch_q.erase(it);
-    --queued_total_;
-    session->batch_done.erase(unit_name);
-    ticket_cv_.NotifyAll();
-    return Status::Ok();
-  }
+  if (WithdrawBatchLocked(session, unit_name)) return Status::Ok();
   return NotFoundError(
       StrCat("no queued batch ticket for ", unit_name, " in session ",
              session->config.name));
@@ -488,30 +361,17 @@ Status GboServer::AdoptPlanPin(int64_t session_id,
                                const std::string& unit_name,
                                double elapsed_ms) {
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
-  SessionState::PinEntry& entry = session->pinned[unit_name];
-  if (entry.pins == 0) {
-    Result<int64_t> bytes = db_->UnitMemoryBytes(unit_name);
-    entry.bytes = bytes.ok() ? bytes.value() : 0;
-    session->pinned_bytes += entry.bytes;
-  }
-  ++entry.pins;
-  if (session->handle != nullptr) {
-    session->handle->RecordDemandLatency(elapsed_ms);
-  }
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
+  AdoptPinLocked(session, unit_name, elapsed_ms);
   return Status::Ok();
 }
 
 Status GboServer::FinishUnitFor(int64_t session_id,
                                 const std::string& unit_name) {
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
   auto it = session->pinned.find(unit_name);
   if (it == session->pinned.end()) {
     return FailedPreconditionError(StrCat("unit ", unit_name,
@@ -531,10 +391,8 @@ Result<int64_t> GboServer::RegisterSessionWatch(int64_t session_id,
                                                 const std::string& glob,
                                                 Gbo::WatchFn fn) {
   MutexLock lock(&mu_);
-  SessionState* session = FindSessionLocked(session_id);
-  if (session == nullptr || session->closed) {
-    return FailedPreconditionError("session is closed");
-  }
+  GODIVA_ASSIGN_OR_RETURN(SessionState * session,
+                          FindOpenSessionLocked(session_id));
   const int64_t watch_id = db_->RegisterWatch(glob, std::move(fn));
   session->watch_ids.push_back(watch_id);
   return watch_id;
@@ -635,6 +493,95 @@ const GboServer::SessionState* GboServer::FindSessionLocked(
     int64_t session_id) const {
   auto it = sessions_.find(session_id);
   return it == sessions_.end() ? nullptr : it->second.get();
+}
+
+int GboServer::OpenSessionsLocked() const {
+  int open = 0;
+  for (const auto& [id, session] : sessions_) {
+    if (!session->closed) ++open;
+  }
+  return open;
+}
+
+Result<GboServer::SessionState*> GboServer::FindOpenSessionLocked(
+    int64_t session_id) {
+  SessionState* session = FindSessionLocked(session_id);
+  if (session == nullptr || session->closed) {
+    return FailedPreconditionError("session is closed");
+  }
+  return session;
+}
+
+Status GboServer::AdmitDemandLocked(SessionState* session, int tickets,
+                                    std::string_view what) {
+  if (shutdown_) return AbortedError("server is shutting down");
+  const PressureState state = PressureStateNow();
+  ApplyPressureLocked(state);
+  // The demand rungs of the shed ladder: lowest classes refused first.
+  const PriorityClass priority = session->config.priority;
+  if ((priority == PriorityClass::kBackground &&
+       AtLeast(state, PressureState::kSaturated)) ||
+      (priority != PriorityClass::kInteractive &&
+       AtLeast(state, PressureState::kCritical))) {
+    ++session->counters.reads_rejected;
+    return ResourceExhaustedError(
+        StrCat(what, " rejected: memory pressure is ",
+               PressureStateName(state), " and session ",
+               session->config.name, " is ", PriorityClassName(priority)));
+  }
+  // Per-session quotas.
+  if (session->config.max_pinned_bytes > 0 &&
+      session->pinned_bytes >= session->config.max_pinned_bytes) {
+    ++session->counters.quota_rejections;
+    return ResourceExhaustedError(
+        StrCat("pin budget exhausted: session ", session->config.name,
+               " holds ", FormatBytes(session->pinned_bytes), " of ",
+               FormatBytes(session->config.max_pinned_bytes)));
+  }
+  const int queued = static_cast<int>(session->demand_q.size() +
+                                       session->batch_q.size());
+  if (session->config.max_queued_demand > 0 &&
+      queued + tickets > session->config.max_queued_demand) {
+    ++session->counters.quota_rejections;
+    return ResourceExhaustedError(
+        StrCat("demand queue quota exhausted: session ",
+               session->config.name, " has ", queued,
+               " tickets queued and the ", what, " adds ", tickets));
+  }
+  if (queued_total_ + tickets > kMaxQueuedTotal) {
+    ++session->counters.reads_rejected;
+    return ResourceExhaustedError(
+        StrCat("server queue full (", kMaxQueuedTotal, " tickets)"));
+  }
+  return Status::Ok();
+}
+
+void GboServer::AdoptPinLocked(SessionState* session,
+                               const std::string& unit_name,
+                               double elapsed_ms) {
+  SessionState::PinEntry& entry = session->pinned[unit_name];
+  if (entry.pins == 0) {
+    Result<int64_t> bytes = db_->UnitMemoryBytes(unit_name);
+    entry.bytes = bytes.ok() ? bytes.value() : 0;
+    session->pinned_bytes += entry.bytes;
+  }
+  ++entry.pins;
+  if (session->handle != nullptr) {
+    session->handle->RecordDemandLatency(elapsed_ms);
+  }
+}
+
+bool GboServer::WithdrawBatchLocked(SessionState* session,
+                                    const std::string& unit_name) {
+  auto pos = std::find_if(
+      session->batch_q.begin(), session->batch_q.end(),
+      [&](const BatchTicket& ticket) { return ticket.unit_name == unit_name; });
+  if (pos == session->batch_q.end()) return false;
+  session->batch_q.erase(pos);
+  --queued_total_;
+  ++session->counters.demand_shed;
+  ticket_cv_.NotifyAll();
+  return true;
 }
 
 int GboServer::QuantumFor(const SessionState& session) const {

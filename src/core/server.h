@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -90,7 +91,7 @@ struct ServerStats {
   int64_t reads_queued = 0;     // granted reads that first had to wait
   int64_t reads_rejected = 0;   // refused by pressure or a session quota
   int64_t prefetches_shed = 0;  // prefetches refused, shed or cancelled
-  int64_t demand_shed = 0;      // queued demand tickets cancelled
+  int64_t demand_shed = 0;      // queued demand or batch tickets cancelled
   int64_t forced_unpins = 0;    // pins released by the critical ladder
 };
 
@@ -257,6 +258,28 @@ class GboServer {
   SessionState* FindSessionLocked(int64_t session_id) REQUIRES(mu_);
   const SessionState* FindSessionLocked(int64_t session_id) const
       REQUIRES(mu_);
+  int OpenSessionsLocked() const REQUIRES(mu_);
+  // The session if it is open, else FAILED_PRECONDITION.
+  Result<SessionState*> FindOpenSessionLocked(int64_t session_id)
+      REQUIRES(mu_);
+  // The one admission check for `tickets` demand-class tickets of
+  // `session`: a stack read (one) or a batch set (all or nothing). Applies
+  // the shed ladder, then refuses while the server shuts down, by pressure
+  // rung (background from kSaturated, every class but interactive from
+  // kCritical), by the session's pin budget, by its queued-demand quota
+  // (stack and batch tickets share it) and by the server queue cap. `what`
+  // names the request in the refusal.
+  Status AdmitDemandLocked(SessionState* session, int tickets,
+                           std::string_view what) REQUIRES(mu_);
+  // Charges one pin of `unit_name` to `session` (its bytes once per
+  // distinct unit) and records `elapsed_ms` in the session's latency ring.
+  void AdoptPinLocked(SessionState* session, const std::string& unit_name,
+                      double elapsed_ms) REQUIRES(mu_);
+  // Withdraws `session`'s still-queued batch ticket for `unit_name`:
+  // releases its quota slot, counts it shed and wakes settle waiters.
+  // False if no such ticket is queued (granted, settled or never sent).
+  bool WithdrawBatchLocked(SessionState* session,
+                           const std::string& unit_name) REQUIRES(mu_);
   int QuantumFor(const SessionState& session) const;
   PressureState PressureStateNow() const;
 

@@ -51,7 +51,8 @@ struct SessionConfig {
                                  // session holds at least this many bytes
                                  // pinned; the critical-pressure ladder
                                  // force-unpins idle sessions past it
-  int max_queued_demand = 16;    // demand tickets waiting for a grant
+  int max_queued_demand = 16;    // tickets waiting for a grant: stack
+                                 // reads and batch tickets together
   int max_inflight_loads = 4;    // granted demand reads not yet settled
 };
 
@@ -72,7 +73,8 @@ struct SessionStats {
   int64_t prefetches_dispatched = 0;  // handed to Gbo::AddUnit
   int64_t prefetches_shed = 0;        // queued tickets cancelled by the
                                       // shed ladder (or Close)
-  int64_t demand_shed = 0;            // queued demand tickets cancelled
+  int64_t demand_shed = 0;            // queued demand or batch tickets
+                                      // cancelled or withdrawn
   int64_t forced_unpins = 0;          // pins released by the critical-
                                       // pressure ladder
 

@@ -56,6 +56,14 @@ void FillPinned(Gbo* db, double fraction) {
   FAIL() << "could not reach the target memory fraction";
 }
 
+// A batch set of one ticket (GboSession::SubmitBatchSet) loading `unit`.
+std::vector<SessionBatchRequest> OneBatch(const std::string& unit) {
+  std::vector<SessionBatchRequest> set(1);
+  set[0].unit_name = unit;
+  set[0].read_fn = FastRead();
+  return set;
+}
+
 // Polls `gauge` (a session-stats read) until `predicate` holds or 5s pass.
 template <typename Fn>
 bool PollFor(Fn predicate) {
@@ -107,6 +115,26 @@ TEST(SessionTest, PinBudgetQuota) {
   EXPECT_TRUE((*session)->Finish("hot/u1").ok());
 }
 
+TEST(SessionTest, PinBudgetQuotaRefusesBatchSets) {
+  auto db = MakeDb(64 * 1024 * 1024);
+  GboServer server(db.get());
+  SessionConfig config;
+  config.max_pinned_bytes = 1;  // any pinned unit exhausts the budget
+  auto session = server.OpenSession(config);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*session)->Read("hot/u0", FastRead()).ok());
+
+  // A batch set passes the same pin-budget check as a stack read.
+  EXPECT_EQ((*session)->SubmitBatchSet(OneBatch("hot/u1")).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ((*session)->stats().quota_rejections, 1);
+  EXPECT_EQ((*session)->stats().batch_submitted, 0);
+
+  ASSERT_TRUE((*session)->Finish("hot/u0").ok());
+  ASSERT_TRUE((*session)->SubmitBatchSet(OneBatch("hot/u1")).ok());
+  EXPECT_TRUE((*session)->AwaitBatchSettle("hot/u1", nullptr).ok());
+}
+
 TEST(SessionTest, QueuedDemandQuotaAndDeadlineWithdrawal) {
   auto db = MakeDb(64 * 1024 * 1024);
   ServerOptions options;
@@ -141,6 +169,36 @@ TEST(SessionTest, QueuedDemandQuotaAndDeadlineWithdrawal) {
   EXPECT_EQ(stats.reads_admitted, 1);
   EXPECT_EQ(stats.reads_queued, 1);
   EXPECT_GT(stats.stall_seconds, 0);
+}
+
+TEST(SessionTest, StackReadsAndBatchTicketsShareQueuedDemandQuota) {
+  auto db = MakeDb(64 * 1024 * 1024);
+  ServerOptions options;
+  options.start_paused = true;
+  GboServer server(db.get(), options);
+  SessionConfig config;
+  config.max_queued_demand = 2;
+  auto session = server.OpenSession(config);
+  ASSERT_TRUE(session.ok());
+
+  // Two queued batch tickets fill the quota...
+  ASSERT_TRUE((*session)->SubmitBatchSet(OneBatch("hot/b0")).ok());
+  ASSERT_TRUE((*session)->SubmitBatchSet(OneBatch("hot/b1")).ok());
+  ASSERT_EQ((*session)->stats().queued_batch, 2);
+  // ...so a stack read is refused at admission, not queued until its
+  // deadline passes.
+  Status read = (*session)->ReadFor("hot/u0", FastRead(),
+                                    std::chrono::milliseconds(50));
+  EXPECT_EQ(read.code(), StatusCode::kResourceExhausted) << read.ToString();
+  SessionStats stats = (*session)->stats();
+  EXPECT_EQ(stats.quota_rejections, 1);
+  EXPECT_EQ(stats.queued_demand, 0);
+
+  server.ResumeDispatch();
+  EXPECT_TRUE((*session)->AwaitBatchSettle("hot/b0", nullptr).ok());
+  EXPECT_TRUE((*session)->AwaitBatchSettle("hot/b1", nullptr).ok());
+  EXPECT_TRUE((*session)->Read("hot/u0", FastRead()).ok());
+  EXPECT_TRUE((*session)->Finish("hot/u0").ok());
 }
 
 TEST(SessionTest, CloseCancelsQueuedDemand) {
@@ -251,9 +309,13 @@ TEST(ServerTest, PressureLadderRejectsByClass) {
   auto bg_session = server.OpenSession(bg);
   auto batch_session = server.OpenSession(batch);
   auto inter_session = server.OpenSession(inter);
+  // Batch sets from background go through their own session so the
+  // stack-read counters below stay per call.
+  auto bg_batch_session = server.OpenSession(bg);
   ASSERT_TRUE(bg_session.ok());
   ASSERT_TRUE(batch_session.ok());
   ASSERT_TRUE(inter_session.ok());
+  ASSERT_TRUE(bg_batch_session.ok());
 
   // Warm one unit everybody can hit without allocating.
   ASSERT_TRUE((*inter_session)->Read("fill/warmed", FastRead()).ok());
@@ -289,6 +351,13 @@ TEST(ServerTest, PressureLadderRejectsByClass) {
   // Prefetch is refused from the degraded rung on.
   EXPECT_EQ((*bg_session)->Prefetch("fill/p0", FastRead()).code(),
             StatusCode::kResourceExhausted);
+  // A batch set passes the same rung: background refused, batch admitted
+  // (the warmed unit is live, so the grant loads nothing).
+  EXPECT_EQ((*bg_batch_session)->SubmitBatchSet(OneBatch("fill/warmed")).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ((*bg_batch_session)->stats().reads_rejected, 1);
+  EXPECT_TRUE((*batch_session)->SubmitBatchSet(OneBatch("fill/warmed")).ok());
+  EXPECT_TRUE((*batch_session)->AwaitBatchSettle("fill/warmed", nullptr).ok());
 
   FillPinned(db.get(), 0.955);
   ASSERT_EQ(server.pressure_state(), GboServer::PressureState::kCritical);
@@ -298,6 +367,11 @@ TEST(ServerTest, PressureLadderRejectsByClass) {
             StatusCode::kResourceExhausted);
   EXPECT_TRUE((*inter_session)->Read("fill/warmed", FastRead()).ok());
   EXPECT_TRUE((*inter_session)->Finish("fill/warmed").ok());
+  // Batch sets likewise: batch refused, interactive admitted.
+  EXPECT_EQ((*batch_session)->SubmitBatchSet(OneBatch("fill/warmed")).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_TRUE((*inter_session)->SubmitBatchSet(OneBatch("fill/warmed")).ok());
+  EXPECT_TRUE((*inter_session)->AwaitBatchSettle("fill/warmed", nullptr).ok());
   EXPECT_EQ(server.OpenSession(bg).status().code(),
             StatusCode::kResourceExhausted);
   EXPECT_TRUE(server.OpenSession(inter).ok());

@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +305,12 @@ TEST(UnitsTest, DeadlockDetectedWhenMemoryExhaustedAndNothingEvictable) {
   options.memory_limit_bytes = 64 * 1024;
   Gbo db(options);
   DefineUnitSchema(&db);
+  std::mutex events_mu;
+  std::vector<Gbo::WatchEvent> events;
+  db.RegisterWatch("*", [&](const Gbo::WatchEvent& event) {
+    std::lock_guard<std::mutex> lock(events_mu);
+    events.push_back(event);
+  });
   ASSERT_TRUE(db.AddUnit("u1", MakeReadFn(2, 40 * 1024)).ok());
   ASSERT_TRUE(db.AddUnit("u2", MakeReadFn(2, 40 * 1024)).ok());
   ASSERT_TRUE(db.WaitUnit("u1").ok());
@@ -311,6 +319,25 @@ TEST(UnitsTest, DeadlockDetectedWhenMemoryExhaustedAndNothingEvictable) {
   EXPECT_EQ(s.code(), StatusCode::kAborted);
   EXPECT_NE(s.message().find("deadlock"), std::string::npos) << s;
   EXPECT_EQ(db.stats().deadlocks_detected, 1);
+
+  // Deadlock resolution settles u2 like any other failure: its watchers
+  // get one kFailed event, delivered by the pool thread after the wakeup.
+  auto count = [&](const std::string& unit, Gbo::WatchEventKind kind) {
+    std::lock_guard<std::mutex> lock(events_mu);
+    int n = 0;
+    for (const Gbo::WatchEvent& event : events) {
+      if (event.unit_name == unit && event.kind == kind) ++n;
+    }
+    return n;
+  };
+  for (int i = 0; i < 5000 && count("u2", Gbo::WatchEventKind::kFailed) == 0;
+       ++i) {
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_EQ(count("u1", Gbo::WatchEventKind::kReady), 1);
+  EXPECT_EQ(count("u2", Gbo::WatchEventKind::kFailed), 1);
+  std::lock_guard<std::mutex> lock(events_mu);
+  EXPECT_EQ(events.size(), 2u);
 }
 
 TEST(UnitsTest, NoDeadlockWhenUnitsAreDeleted) {
@@ -424,6 +451,180 @@ TEST(UnitsTest, ManyUnitsStressWithTinyBudget) {
     ASSERT_TRUE(db.FinishUnit(name).ok());
   }
   EXPECT_EQ(db.stats().deadlocks_detected, 0);
+}
+
+// Every unit call on every unit state: the Status code (or the probe
+// result, or the value read) and the unit's state afterwards, each cell on
+// a fresh database holding one unit "u" in the given state.
+enum class UnitSetup {
+  kAbsent,      // no unit of that name
+  kQueued,      // added to a single-thread (G) database, not yet read
+  kReady,       // loaded and finished: cached, unpinned
+  kSuperseded,  // loaded, pinned, then superseded: a stale kReady unit
+  kFailed,      // its read function failed with IO_ERROR
+  kDeleted,     // loaded, then deleted
+};
+
+enum class UnitCall {
+  kReadUnit,
+  kWaitUnit,
+  kProbeUnitForPlan,
+  kGetUnitState,
+  kGetUnitError,
+  kUnitMemoryBytes,
+  kGetUnitEpoch,
+};
+
+std::unique_ptr<Gbo> MakeUnitInState(UnitSetup setup) {
+  auto db = std::make_unique<Gbo>(setup == UnitSetup::kQueued
+                                      ? GboOptions::SingleThread()
+                                      : GboOptions());
+  DefineUnitSchema(db.get());
+  switch (setup) {
+    case UnitSetup::kAbsent:
+      break;
+    case UnitSetup::kQueued:
+      EXPECT_TRUE(db->AddUnit("u", MakeReadFn(1, 64)).ok());
+      break;
+    case UnitSetup::kReady:
+      EXPECT_TRUE(db->ReadUnit("u", MakeReadFn(1, 64)).ok());
+      EXPECT_TRUE(db->FinishUnit("u").ok());
+      break;
+    case UnitSetup::kSuperseded:
+      EXPECT_TRUE(db->ReadUnit("u", MakeReadFn(1, 64)).ok());
+      EXPECT_TRUE(db->SupersedeUnit("u", MakeReadFn(1, 64)).ok());
+      break;
+    case UnitSetup::kFailed:
+      EXPECT_EQ(db->ReadUnit("u",
+                             [](Gbo*, const std::string&) {
+                               return IoError("disk on fire");
+                             })
+                    .code(),
+                StatusCode::kIoError);
+      break;
+    case UnitSetup::kDeleted:
+      EXPECT_TRUE(db->ReadUnit("u", MakeReadFn(1, 64)).ok());
+      EXPECT_TRUE(db->DeleteUnit("u").ok());
+      break;
+  }
+  return db;
+}
+
+std::string CodeName(const Status& status) {
+  return std::string(StatusCodeName(status.code()));
+}
+
+// What `call` returned, as text: a Status code name, a probe result, or
+// the value read.
+std::string RunUnitCall(Gbo* db, UnitCall call) {
+  // The deadline only matters where the call waits for a reload that a
+  // pin holds back (the superseded unit); elsewhere it settles at once.
+  const Duration timeout = milliseconds(50);
+  switch (call) {
+    case UnitCall::kReadUnit:
+      return CodeName(db->ReadUnitFor("u", MakeReadFn(1, 64), timeout));
+    case UnitCall::kWaitUnit:
+      return CodeName(db->WaitUnitFor("u", timeout));
+    case UnitCall::kProbeUnitForPlan:
+      switch (db->ProbeUnitForPlan("u")) {
+        case Gbo::UnitProbe::kAbsent:
+          return "absent";
+        case Gbo::UnitProbe::kResident:
+          return "resident";
+        case Gbo::UnitProbe::kInFlight:
+          return "in flight";
+      }
+      return "?";
+    case UnitCall::kGetUnitState: {
+      Result<UnitState> state = db->GetUnitState("u");
+      if (!state.ok()) return CodeName(state.status());
+      return std::string(UnitStateName(*state));
+    }
+    case UnitCall::kGetUnitError:
+      return CodeName(db->GetUnitError("u"));
+    case UnitCall::kUnitMemoryBytes: {
+      Result<int64_t> bytes = db->UnitMemoryBytes("u");
+      if (!bytes.ok()) return CodeName(bytes.status());
+      return *bytes > 0 ? "bytes" : "0";
+    }
+    case UnitCall::kGetUnitEpoch: {
+      Result<int64_t> epoch = db->GetUnitEpoch("u");
+      if (!epoch.ok()) return CodeName(epoch.status());
+      return "epoch " + std::to_string(*epoch);
+    }
+  }
+  return "?";
+}
+
+TEST(UnitsTest, EveryUnitCallOnEveryUnitState) {
+  struct Cell {
+    UnitSetup setup;
+    UnitCall call;
+    const char* result;
+    const char* state_after;  // "none": no unit of that name
+  };
+  using S = UnitSetup;
+  using C = UnitCall;
+  const Cell cells[] = {
+      // ReadUnit loads an absent, failed or deleted unit inline (and a
+      // queued one in the G build); it waits out a superseded one.
+      {S::kAbsent, C::kReadUnit, "OK", "READY"},
+      {S::kQueued, C::kReadUnit, "OK", "READY"},
+      {S::kReady, C::kReadUnit, "OK", "READY"},
+      {S::kSuperseded, C::kReadUnit, "DEADLINE_EXCEEDED", "READY"},
+      {S::kFailed, C::kReadUnit, "OK", "READY"},
+      {S::kDeleted, C::kReadUnit, "OK", "READY"},
+      // WaitUnit never loads a unit nobody queued: NOT_FOUND or the
+      // stored error instead.
+      {S::kAbsent, C::kWaitUnit, "NOT_FOUND", "none"},
+      {S::kQueued, C::kWaitUnit, "OK", "READY"},
+      {S::kReady, C::kWaitUnit, "OK", "READY"},
+      {S::kSuperseded, C::kWaitUnit, "DEADLINE_EXCEEDED", "READY"},
+      {S::kFailed, C::kWaitUnit, "IO_ERROR", "FAILED"},
+      {S::kDeleted, C::kWaitUnit, "NOT_FOUND", "DELETED"},
+      {S::kAbsent, C::kProbeUnitForPlan, "absent", "none"},
+      {S::kQueued, C::kProbeUnitForPlan, "in flight", "QUEUED"},
+      {S::kReady, C::kProbeUnitForPlan, "resident", "READY"},
+      {S::kSuperseded, C::kProbeUnitForPlan, "in flight", "READY"},
+      {S::kFailed, C::kProbeUnitForPlan, "absent", "FAILED"},
+      {S::kDeleted, C::kProbeUnitForPlan, "absent", "DELETED"},
+      {S::kAbsent, C::kGetUnitState, "NOT_FOUND", "none"},
+      {S::kQueued, C::kGetUnitState, "QUEUED", "QUEUED"},
+      {S::kReady, C::kGetUnitState, "READY", "READY"},
+      {S::kSuperseded, C::kGetUnitState, "READY", "READY"},
+      {S::kFailed, C::kGetUnitState, "FAILED", "FAILED"},
+      {S::kDeleted, C::kGetUnitState, "DELETED", "DELETED"},
+      {S::kAbsent, C::kGetUnitError, "NOT_FOUND", "none"},
+      {S::kQueued, C::kGetUnitError, "OK", "QUEUED"},
+      {S::kReady, C::kGetUnitError, "OK", "READY"},
+      {S::kSuperseded, C::kGetUnitError, "OK", "READY"},
+      {S::kFailed, C::kGetUnitError, "IO_ERROR", "FAILED"},
+      {S::kDeleted, C::kGetUnitError, "OK", "DELETED"},
+      // A superseded unit keeps its old records until the last pin drains.
+      {S::kAbsent, C::kUnitMemoryBytes, "NOT_FOUND", "none"},
+      {S::kQueued, C::kUnitMemoryBytes, "0", "QUEUED"},
+      {S::kReady, C::kUnitMemoryBytes, "bytes", "READY"},
+      {S::kSuperseded, C::kUnitMemoryBytes, "bytes", "READY"},
+      {S::kFailed, C::kUnitMemoryBytes, "0", "FAILED"},
+      {S::kDeleted, C::kUnitMemoryBytes, "0", "DELETED"},
+      {S::kAbsent, C::kGetUnitEpoch, "NOT_FOUND", "none"},
+      {S::kQueued, C::kGetUnitEpoch, "epoch 1", "QUEUED"},
+      {S::kReady, C::kGetUnitEpoch, "epoch 1", "READY"},
+      {S::kSuperseded, C::kGetUnitEpoch, "epoch 2", "READY"},
+      {S::kFailed, C::kGetUnitEpoch, "epoch 1", "FAILED"},
+      {S::kDeleted, C::kGetUnitEpoch, "epoch 1", "DELETED"},
+  };
+  for (const Cell& cell : cells) {
+    SCOPED_TRACE(testing::Message()
+                 << "setup " << static_cast<int>(cell.setup) << ", call "
+                 << static_cast<int>(cell.call));
+    std::unique_ptr<Gbo> db = MakeUnitInState(cell.setup);
+    EXPECT_EQ(RunUnitCall(db.get(), cell.call), cell.result);
+    Result<UnitState> after = db->GetUnitState("u");
+    EXPECT_EQ(after.ok() ? std::string(UnitStateName(*after)) : "none",
+              cell.state_after);
+    EXPECT_TRUE(db->CheckInvariants().ok()) << db->CheckInvariants();
+  }
 }
 
 }  // namespace
