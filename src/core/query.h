@@ -186,15 +186,19 @@ class QueryTicket {
   // lint: unguarded(set at construction, read-only afterwards; null in
   // direct mode)
   GboSession* session_;
+  // lint: unguarded(set at construction; SubmitInternal completes it before
+  // the ticket is shared, read-only afterwards)
   GboQuery query_;
 
   // Deadline, fixed at Submit. lint: unguarded(written once in
   // SubmitInternal before the ticket is shared, read-only afterwards)
   bool has_deadline_ = false;
+  // lint: unguarded(written with has_deadline_, read-only afterwards)
   TimePoint deadline_{};
 
   // lint: unguarded(written once in SubmitInternal, read in ~QueryTicket)
   int64_t watch_id_ = 0;
+  // lint: unguarded(written once in SubmitInternal, read in ~QueryTicket)
   bool watch_registered_ = false;
 
   // Held only around bookkeeping, never across a blocking Gbo or server

@@ -192,8 +192,10 @@ Status Reader::Load() {
     GODIVA_ASSIGN_OR_RETURN(uint64_t nbytes, cursor.ReadU64());
     info.offset = static_cast<int64_t>(offset);
     info.nbytes = static_cast<int64_t>(nbytes);
+    // Payloads precede the directory. Compared without forming
+    // offset + nbytes, which a hostile entry can overflow.
     if (info.nbytes < 0 || info.offset < kHeaderSize ||
-        info.offset + info.nbytes > dir_offset) {
+        info.offset > dir_offset || info.nbytes > dir_offset - info.offset) {
       return DataLossError(StrCat(path_, ": dataset ", info.name,
                                   " payload out of range"));
     }
@@ -367,7 +369,10 @@ Result<BatchStats> Reader::ReadBatch(
             });
 
   BatchStats stats;
-  std::vector<uint8_t> scratch;
+  // Landing buffer for coalesced runs: grown, never zero-filled, and never
+  // copied, since every run overwrites the bytes it uses.
+  std::unique_ptr<uint8_t[]> scratch;
+  int64_t scratch_bytes = 0;
   int64_t max_gap = std::max<int64_t>(0, options.max_gap);
   int64_t max_transfer = std::max<int64_t>(1, options.max_transfer);
   // Each dataset is verified exactly once, from wherever its bytes first
@@ -405,13 +410,16 @@ Result<BatchStats> Reader::ReadBatch(
       }
     } else {
       int64_t span = run_end - run_start;
-      scratch.resize(static_cast<size_t>(span));
-      GODIVA_RETURN_IF_ERROR(file_->Read(run_start, span, scratch.data()));
+      if (span > scratch_bytes) {
+        scratch = std::make_unique_for_overwrite<uint8_t[]>(
+            static_cast<size_t>(span));
+        scratch_bytes = span;
+      }
+      GODIVA_RETURN_IF_ERROR(file_->Read(run_start, span, scratch.get()));
       int64_t payload_bytes = 0;
       for (size_t i = begin; i < end; ++i) {
         const Resolved& entry = resolved[i];
-        const uint8_t* src =
-            scratch.data() + (entry.info->offset - run_start);
+        const uint8_t* src = scratch.get() + (entry.info->offset - run_start);
         if (options.verify) {
           GODIVA_RETURN_IF_ERROR(CheckChecksum(*entry.info, src));
           ++stats.redundant_verifies_skipped;
@@ -442,12 +450,12 @@ Result<std::vector<DatasetExtent>> Reader::DescribeExtents(
 Status Reader::ReadRange(const std::string& name, int64_t byte_offset,
                          int64_t nbytes, void* out) const {
   GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-  if (byte_offset < 0 || nbytes < 0 || byte_offset + nbytes > info->nbytes) {
-    return OutOfRangeError(
-        StrFormat("range [%lld, %lld) outside dataset %s of %lld bytes",
-                  static_cast<long long>(byte_offset),
-                  static_cast<long long>(byte_offset + nbytes), name.c_str(),
-                  static_cast<long long>(info->nbytes)));
+  if (byte_offset < 0 || nbytes < 0 || byte_offset > info->nbytes ||
+      nbytes > info->nbytes - byte_offset) {
+    return OutOfRangeError(StrFormat(
+        "range of %lld bytes at %lld outside dataset %s of %lld bytes",
+        static_cast<long long>(nbytes), static_cast<long long>(byte_offset),
+        name.c_str(), static_cast<long long>(info->nbytes)));
   }
   return file_->Read(info->offset + byte_offset, nbytes, out);
 }

@@ -70,11 +70,11 @@ class PosixRandomAccessFile : public RandomAccessFile {
   }
 
   Status Read(int64_t offset, int64_t size, void* out) override {
-    if (offset < 0 || size < 0 || offset + size > size_) {
+    if (offset < 0 || size < 0 || offset > size_ || size > size_ - offset) {
       return OutOfRangeError(
-          StrFormat("read [%lld, %lld) beyond size %lld of %s",
+          StrFormat("read of %lld bytes at %lld beyond size %lld of %s",
+                    static_cast<long long>(size),
                     static_cast<long long>(offset),
-                    static_cast<long long>(offset + size),
                     static_cast<long long>(size_), path_.c_str()));
     }
     char* dst = static_cast<char*>(out);

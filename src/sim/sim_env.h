@@ -43,8 +43,15 @@ struct DiskStats {
   double modeled_read_seconds = 0.0;
 };
 
+// File bytes live in kBlockBytes blocks that the env maps itself and hints
+// for transparent huge pages; a file is a list of extents in those blocks.
+// An append continues the writer's current block, so written bytes never
+// move, and a new file continues the block the last closed writer left
+// part-full. See DESIGN.md §1.
 class SimEnv : public Env {
  public:
+  static constexpr int64_t kBlockBytes = int64_t{2} << 20;
+
   struct Options {
     DiskModel disk;
     // If null, no delays are charged (instant in-memory reads) — handy for
@@ -97,13 +104,19 @@ class SimEnv : public Env {
   // Total bytes held by all files (for memory-footprint assertions).
   int64_t TotalFileBytes() const EXCLUDES(fs_mutex_);
 
+  // Blocks in use by every SimEnv in the process; 0 once every env, file
+  // handle and clone is gone (one unhinted block may then stay mapped as a
+  // spare for the next env). LeakSanitizer cannot see mmap, so tests check
+  // this instead.
+  static int64_t MappedBlocks();
+
  private:
   friend class SimWritableFile;
   friend class SimRandomAccessFile;
 
-  struct FileData {
-    std::vector<uint8_t> bytes;
-  };
+  class Block;     // kBlockBytes of mapped file bytes
+  struct FileData;  // a file: its extents in blocks
+  struct Tail;      // the block a writer fills, shared with the env
 
   // Charges the disk model for an access of `size` bytes at (`file`,
   // `offset`): takes the (single) disk head, pays seek if discontiguous,
@@ -114,6 +127,13 @@ class SimEnv : public Env {
   mutable Mutex fs_mutex_{lock_rank::kSimFilesystem, "SimEnv::fs_mutex_"};
   std::map<std::string, std::shared_ptr<FileData>> files_
       GUARDED_BY(fs_mutex_);
+  // The last writer's tail: once that writer closes, the next file created
+  // continues its part-full block.
+  std::shared_ptr<Tail> last_tail_ GUARDED_BY(fs_mutex_);
+  // False until the first writer is created. Its first block is not hinted,
+  // so an env that only ever holds a few small files (tests make thousands)
+  // never zeroes a whole huge page.
+  bool hint_blocks_ GUARDED_BY(fs_mutex_) = false;
 
   // The disk head: held while the model computes an access's cost, and —
   // with queue_depth 1 — across the whole modeled duration too, so

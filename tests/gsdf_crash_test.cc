@@ -10,6 +10,7 @@
 // Never a crash, hang, or wrong payload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -206,6 +207,52 @@ TEST(GsdfCrashTest, PowerLossAtEveryByteOfTheWriteStream) {
   // With the whole directory intact (only the footer torn), everything
   // comes back.
   EXPECT_EQ(previous_recovered, 3);
+}
+
+TEST(GsdfCrashTest, PowerLossWhereTheWriteStreamCrossesABlock) {
+  // SimEnv stores file bytes in blocks of SimEnv::kBlockBytes, so one
+  // payload append that is larger than a block lands in two. Power loss
+  // one byte before, at and one byte after the block boundary must still
+  // leave exactly the reference prefix, with nothing at the final path.
+  constexpr int64_t kBlock = SimEnv::kBlockBytes;
+  std::vector<uint8_t> payload(static_cast<size_t>(kBlock + 4096));
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>((i * 131 + i / 4099) & 0xff);
+  }
+  auto write = [&payload](Env* env) -> Status {
+    GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<Writer> writer,
+                            Writer::Create(env, kFinal));
+    GODIVA_RETURN_IF_ERROR(
+        writer->AddDataset("big", DataType::kByte, payload.data(),
+                           static_cast<int64_t>(payload.size())));
+    return writer->Finish();
+  };
+
+  SimEnv clean{SimEnv::Options{}};
+  ASSERT_TRUE(write(&clean).ok());
+  std::vector<uint8_t> reference_image = FileImage(&clean, kFinal);
+  ASSERT_GT(static_cast<int64_t>(reference_image.size()), kBlock + 1);
+  auto reader = Reader::Open(&clean, kFinal);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_TRUE((*reader)->VerifyAllChecksums().ok());
+
+  for (int64_t crash_at : {kBlock - 1, kBlock, kBlock + 1}) {
+    SCOPED_TRACE(crash_at);
+    SimEnv base{SimEnv::Options{}};
+    FaultInjectionEnv fault(&base);
+    FaultRule rule;
+    rule.op = FaultOp::kWrite;
+    rule.kind = FaultKind::kCrashPoint;
+    rule.crash_at_bytes = crash_at;
+    fault.AddRule(rule);
+    ASSERT_FALSE(write(&fault).ok());
+
+    EXPECT_FALSE(base.FileExists(kFinal));
+    std::vector<uint8_t> torn = FileImage(&base, Writer::TempPath(kFinal));
+    ASSERT_EQ(static_cast<int64_t>(torn.size()), crash_at);
+    EXPECT_TRUE(std::equal(torn.begin(), torn.end(),
+                           reference_image.begin()));
+  }
 }
 
 TEST(GsdfCrashTest, CrashOnCreateLeavesNothing) {

@@ -27,6 +27,15 @@ inline void CheckOk(bool ok, const char* what) {
     std::abort();
   }
 }
+
+// Every dataset a reader accepts must end inside the file image, so reading
+// it needs no more memory than the image itself.
+inline void CheckInsideImage(const DatasetInfo& info, size_t size) {
+  const int64_t image = static_cast<int64_t>(size);
+  CheckOk(info.offset >= 0 && info.nbytes >= 0 && info.offset <= image &&
+              info.nbytes <= image - info.offset,
+          "accepted dataset ends outside the file");
+}
 }  // namespace fuzz_internal
 
 // A representative well-formed file image (several datasets with
@@ -86,7 +95,7 @@ inline void FuzzOneInput(const uint8_t* data, size_t size) {
   auto reader = Reader::Open(&env, "f");
   if (reader.ok()) {
     for (const DatasetInfo& info : (*reader)->datasets()) {
-      if (info.nbytes < 0 || info.nbytes > (1 << 26)) continue;
+      fuzz_internal::CheckInsideImage(info, size);
       std::vector<uint8_t> buffer(static_cast<size_t>(info.nbytes));
       Status s = (*reader)->Read(info.name, buffer.data(), info.nbytes);
       (void)s;  // either OK or a clean error
@@ -101,7 +110,7 @@ inline void FuzzOneInput(const uint8_t* data, size_t size) {
   auto salvage = Reader::OpenSalvage(&env, "f");
   if (!salvage.ok()) return;  // clean rejection (no magic / unreadable)
   for (const DatasetInfo& info : (*salvage)->datasets()) {
-    if (info.nbytes < 0 || info.nbytes > (1 << 26)) continue;
+    fuzz_internal::CheckInsideImage(info, size);
     std::vector<uint8_t> buffer(static_cast<size_t>(info.nbytes));
     Status s =
         (*salvage)->ReadVerified(info.name, buffer.data(), info.nbytes);

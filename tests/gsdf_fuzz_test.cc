@@ -96,9 +96,9 @@ TEST(GsdfFuzzTest, RandomPrefixAndSuffixNeverCrash) {
 
 TEST(GsdfFuzzTest, CheckedInCorpusReplays) {
   // The checked-in corpus (tests/corpus) pins known-nasty shapes —
-  // truncations at every structural boundary and a payload CRC flip — so
-  // regressions reproduce without the random trials above. Also the seed
-  // corpus for the libFuzzer target.
+  // truncations at every structural boundary, a payload CRC flip and a
+  // dataset whose end overflows — so regressions reproduce without the
+  // random trials above. Also the seed corpus for the libFuzzer target.
   std::filesystem::path dir(GODIVA_CORPUS_DIR);
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
   int replayed = 0;
@@ -107,7 +107,8 @@ TEST(GsdfFuzzTest, CheckedInCorpusReplays) {
     FuzzBytes(ReadCorpusFile(entry.path()));
     ++replayed;
   }
-  EXPECT_GE(replayed, 8);  // seed + 6 truncations + 1 corruption
+  // seed + 6 truncations + 1 corruption + 1 overflowing directory entry
+  EXPECT_GE(replayed, 9);
 }
 
 TEST(GsdfFuzzTest, CorpusChecksumsMatchTheWritingCrc) {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -150,6 +151,12 @@ TEST(GsdfTest, ReadRange) {
   EXPECT_EQ(
       (*reader)->ReadRange("xs", 72, 16, middle).code(),
       StatusCode::kOutOfRange);
+  // byte_offset + nbytes overflows int64_t.
+  EXPECT_EQ((*reader)
+                ->ReadRange("xs", 8, std::numeric_limits<int64_t>::max() - 4,
+                            middle)
+                .code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(GsdfTest, WriterRejectsBadInput) {
@@ -366,6 +373,53 @@ TEST(GsdfVersionTest, TailCrcDetectsDirectoryCorruption) {
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(reader.status().ToString().find("CRC"), std::string::npos)
+      << reader.status();
+}
+
+TEST(GsdfVersionTest, DatasetWhoseEndOverflowsIsDataLoss) {
+  // A v1 file (no tail CRC) whose one 32-byte dataset claims
+  // nbytes = 0x7FFFFFFFFFFFFFF8: offset + nbytes overflows int64_t, so the
+  // payload bound must be checked without forming that sum.
+  SimEnv env = MakeEnv();
+  Writer::Options options;
+  options.version = kVersionV1;
+  auto writer = Writer::Create(&env, "f.gsdf", options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  std::vector<double> data = Doubles(4);
+  ASSERT_TRUE(
+      (*writer)->AddDataset("d", DataType::kFloat64, data.data(), 32).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+
+  auto size = env.GetFileSize("f.gsdf");
+  ASSERT_TRUE(size.ok());
+  std::vector<uint8_t> image(static_cast<size_t>(*size));
+  {
+    auto file = env.NewRandomAccessFile("f.gsdf");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Read(0, *size, image.data()).ok());
+  }
+  const size_t dir_offset = static_cast<size_t>(
+      DecodeU64(image.data() + *size - kFooterSizeV1));
+  // Entry: name length (4), "d" (1), type (1), offset (8), then nbytes.
+  const size_t nbytes_at = dir_offset + 4 + 1 + 1 + 8;
+  ASSERT_EQ(DecodeU64(image.data() + nbytes_at), 32u);
+  std::string patched;
+  EncodeU64(0x7FFFFFFFFFFFFFF8u, &patched);
+  std::memcpy(image.data() + nbytes_at, patched.data(), 8);
+  {
+    auto file = env.NewWritableFile("f.gsdf");
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE(
+        (*file)->Append(image.data(), static_cast<int64_t>(image.size()))
+            .ok());
+    ASSERT_TRUE((*file)->Close().ok());
+  }
+
+  auto reader = Reader::Open(&env, "f.gsdf");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().ToString().find("payload out of range"),
+            std::string::npos)
       << reader.status();
 }
 

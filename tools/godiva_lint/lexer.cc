@@ -31,7 +31,8 @@ LexedFile Lex(const std::string& path, const std::string& source) {
       out.comments.back().text += " " + text;
       out.comments.back().last_line = at_line;
     } else {
-      out.comments.push_back(CommentBlock{at_line, at_line, text});
+      out.comments.push_back(
+          CommentBlock{at_line, at_line, text, out.tokens.size()});
     }
     comment_open = true;
   };

@@ -25,7 +25,9 @@
 //                    Status/Result-returning calls without
 //                    // lint: discard_ok(reason).
 //
-// Waiver grammar (comment on the same line or up to 3 lines above; every
+// Waiver grammar (a comment block on lines of its own applies only to the
+// first statement or declaration after it, which must start within 4 lines;
+// a comment trailing code applies to the statement that code ends; every
 // waiver REQUIRES a non-empty reason):
 //   // lint: unguarded(reason)        member is safe without a guard
 //   // lint: discard_ok(reason)       intentional (void)/statement discard
@@ -66,12 +68,13 @@ struct CommentBlock {
   int first_line = 0;
   int last_line = 0;
   std::string text;
+  size_t next_token = 0;  // index of the first token after the block
 };
 
 struct LexedFile {
   std::string path;
   std::vector<Token> tokens;
-  std::vector<CommentBlock> comments;  // ascending by last_line
+  std::vector<CommentBlock> comments;  // in source order
 };
 
 // Tokenizes C++ source. Preprocessor directives are skipped (with

@@ -153,13 +153,34 @@ class Extractor {
     diags_->push_back(Finding{f_.path, line, check, msg});
   }
 
-  // Annotations attached to `line`: same line or a comment block ending
-  // within the 4 lines above it.
-  std::map<std::string, std::string> LintAnnotationsAt(int line) const {
+  bool IsStatementBoundary(size_t i) const {
+    return Is(i, ";") || Is(i, "{") || Is(i, "}");
+  }
+
+  // Annotations on the statement or declaration that holds token `at`. A
+  // comment block on lines of its own covers only the first statement or
+  // declaration after it, which must start within 4 lines of the block; a
+  // comment that trails code covers the statement that code ends.
+  std::map<std::string, std::string> LintAnnotationsAt(size_t at) const {
+    // [lo, hi) is the run of tokens around `at` with no ';', '{' or '}'.
+    size_t lo = at;
+    while (lo > 0 && !IsStatementBoundary(lo - 1)) --lo;
+    size_t hi = at;
+    while (hi < f_.tokens.size() && !IsStatementBoundary(hi)) ++hi;
     std::map<std::string, std::string> out;
-    for (const CommentBlock& block : f_.comments) {
-      if (block.last_line > line) break;
-      if (block.last_line + 4 < line) continue;
+    auto first = std::lower_bound(
+        f_.comments.begin(), f_.comments.end(), lo,
+        [](const CommentBlock& b, size_t i) { return b.next_token < i; });
+    for (auto it = first; it != f_.comments.end(); ++it) {
+      const CommentBlock& block = *it;
+      const size_t next = block.next_token;
+      if (next > hi + 1) break;
+      const bool trailing =
+          next > 0 && Tok(next - 1).line == block.first_line;
+      const bool covers =
+          trailing ? at < next
+                   : next <= at && Tok(next).line <= block.last_line + 4;
+      if (!covers) continue;
       for (auto& [kind, arg] : ParseLintAnnotations(block.text)) {
         out[kind] = arg;
       }
@@ -248,6 +269,11 @@ class Extractor {
         if (Tok(j).kind == Token::kIdent) {
           name = Tok(j).text;
           ++j;
+        }
+        // An out-of-line nested class: `struct Outer::Inner {`.
+        while (Is(j, "::") && Tok(j + 1).kind == Token::kIdent) {
+          name += "::" + Tok(j + 1).text;
+          j += 2;
         }
         // Forward declaration?
         size_t k = j;
@@ -446,7 +472,7 @@ class Extractor {
     }
 
     // Comment annotations on the declaration.
-    auto ann = LintAnnotationsAt(decl_line);
+    auto ann = LintAnnotationsAt(start);
     if (auto it = ann.find("holds_on_entry"); it != ann.end()) {
       for (const std::string& ref : SplitArgs(it->second)) {
         if (ref != "none") fn->holds_on_entry.push_back("=" + ref);
@@ -552,14 +578,14 @@ class Extractor {
         decl.rank_symbol = Tok(r + 2).text;
       }
     }
-    ApplyMutexDeclAnnotations(&decl, decl_line);
+    ApplyMutexDeclAnnotations(&decl, start);
     model_->mutexes.push_back(decl);
     if (!cls.empty()) model_->mutex_owning_classes.insert(cls);
-    (void)start;
   }
 
-  void ApplyMutexDeclAnnotations(MutexDecl* decl, int line) {
-    auto ann = LintAnnotationsAt(line);
+  void ApplyMutexDeclAnnotations(MutexDecl* decl, size_t start) {
+    const int line = Tok(start).line;
+    auto ann = LintAnnotationsAt(start);
     if (auto it = ann.find("rank"); it != ann.end()) {
       decl->rank_symbol = Trim(it->second);
     }
@@ -624,7 +650,7 @@ class Extractor {
           decl.rank_symbol = Tok(r + 2).text;
         }
       }
-      ApplyMutexDeclAnnotations(&decl, decl_line);
+      ApplyMutexDeclAnnotations(&decl, start);
       model_->mutexes.push_back(decl);
       model_->mutex_owning_classes.insert(cls);
       return;
@@ -640,7 +666,7 @@ class Extractor {
     field.is_sync_type = SyncTypes().count(first_type_token) > 0;
     field.file = f_.path;
     field.line = decl_line;
-    auto ann = LintAnnotationsAt(decl_line);
+    auto ann = LintAnnotationsAt(start);
     if (auto it = ann.find("unguarded"); it != ann.end()) {
       field.unguarded_reason = Trim(it->second);
       if (field.unguarded_reason.empty()) {
@@ -763,8 +789,8 @@ class Extractor {
       for (const std::string& m : manual) out.push_back(m);
       return out;
     };
-    auto ref_of = [&](const std::string& expr, int line) {
-      auto ann = LintAnnotationsAt(line);
+    auto ref_of = [&](const std::string& expr, size_t at) {
+      auto ann = LintAnnotationsAt(at);
       if (auto it = ann.find("mutex"); it != ann.end()) {
         return "=" + Trim(it->second);
       }
@@ -835,7 +861,7 @@ class Extractor {
         for (size_t r = idx_ + 3; r + 1 < e; ++r) {
           if (Tok(r).text != "&") expr += Tok(r).text;
         }
-        std::string ref = ref_of(expr, t.line);
+        std::string ref = ref_of(expr, idx_);
         fn->acquires.push_back(AcquireSite{ref, held_now(), t.line});
         blocks.back().scoped.push_back(ref);
         held.push_back(ref);
@@ -846,7 +872,7 @@ class Extractor {
       if ((x == "Lock" || x == "TryLock" || x == "Unlock") && idx_ > 0 &&
           (Is(idx_ - 1, ".") || Is(idx_ - 1, "->")) && Is(idx_ + 1, "(")) {
         std::string expr = ReceiverEndingAt(idx_ - 1);
-        std::string ref = ref_of(expr, t.line);
+        std::string ref = ref_of(expr, idx_);
         if (x == "Unlock") {
           // Releasing a manually taken lock, or an entry-held one
           // (LoadInlineAndLock's contract) — entry refs come from
@@ -870,10 +896,10 @@ class Extractor {
           expr += Tok(r).text;
         }
         WaitSite ws;
-        ws.released_mutex_id = ref_of(expr, t.line);
+        ws.released_mutex_id = ref_of(expr, idx_);
         ws.held = held_now();
         ws.line = t.line;
-        auto ann = LintAnnotationsAt(t.line);
+        auto ann = LintAnnotationsAt(idx_);
         if (auto it = ann.find("blocking_ok"); it != ann.end()) {
           ws.blocking_reason = Trim(it->second);
         }
@@ -901,7 +927,7 @@ class Extractor {
         }
         call.held = held_now();
         call.line = t.line;
-        auto ann = LintAnnotationsAt(t.line);
+        auto ann = LintAnnotationsAt(idx_);
         if (auto it = ann.find("blocking_ok"); it != ann.end()) {
           call.blocking_reason = Trim(it->second);
           if (call.blocking_reason.empty()) {
