@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,7 +38,8 @@ struct GranularityResult {
   int64_t units = 0;
 };
 
-// Reads one file (all of its blocks, mesh + `quantities`) into `db`.
+// Reads one file (all of its blocks, mesh + `quantities`) into `db`. The
+// block list is read without a decode charge.
 Status ReadOneFile(PlatformRuntime* runtime, const std::string& path,
                    int snapshot, const std::vector<std::string>& quantities,
                    Gbo* db) {
@@ -51,29 +51,8 @@ Status ReadOneFile(PlatformRuntime* runtime, const std::string& path,
       static_cast<size_t>(blocks_info->num_elements()));
   GODIVA_RETURN_IF_ERROR(reader->Read(
       "blocks", blocks.data(), static_cast<int64_t>(blocks.size()) * 4));
-  std::vector<std::string> fields = {"x", "y", "z", "conn"};
-  fields.insert(fields.end(), quantities.begin(), quantities.end());
-  for (int32_t block_id : blocks) {
-    GODIVA_ASSIGN_OR_RETURN(Record * record,
-                            db->NewRecord(workloads::kBlockRecordType));
-    std::memcpy(*record->FieldBuffer(workloads::kFieldBlockId), &block_id,
-                4);
-    int32_t snap32 = snapshot;
-    std::memcpy(*record->FieldBuffer(workloads::kFieldSnapshotId), &snap32,
-                4);
-    for (const std::string& field : fields) {
-      GODIVA_ASSIGN_OR_RETURN(
-          const gsdf::DatasetInfo* info,
-          reader->Find(mesh::BlockDatasetName(block_id, field)));
-      GODIVA_ASSIGN_OR_RETURN(
-          void* buffer, db->AllocFieldBuffer(record, field, info->nbytes));
-      GODIVA_RETURN_IF_ERROR(
-          reader->Read(info->name, buffer, info->nbytes));
-      runtime->ChargeDecode(info->nbytes);
-    }
-    GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
-  }
-  return Status::Ok();
+  return workloads::LoadFilePerDataset(runtime, *reader, blocks, snapshot,
+                                       quantities, /*verify=*/false, db);
 }
 
 // `group` = snapshots per unit; 0 = one unit per file.

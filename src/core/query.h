@@ -1,17 +1,17 @@
 // GboQuery / QueryPlanner — the declarative batch query layer
 // (DESIGN.md §15). A query names a set of units (the workload layer
 // expands "fields × blocks × snapshot window" into per-(snapshot, file)
-// units whose read functions execute planned gsdf batches; see
+// units whose read functions each run one gsdf::Reader::ReadBatch; see
 // workloads/snapshot_query.h) and is planned as a whole before any I/O:
 //
 //  1. Dedup: every unit is probed against the shared cache. A resident
 //     unit is pinned immediately (one shard lock, no queue round-trip);
 //     an in-flight load is joined, not re-issued; only true misses
 //     dispatch I/O.
-//  2. Dispatch: misses become one load per planned per-file batch —
-//     direct Gbo::AddUnit in direct mode, or one demand-class DRR ticket
-//     per batch through the session/server path (quota accounted per
-//     plan, GboSession::SubmitBatchSet).
+//  2. Dispatch: each miss becomes one load — direct Gbo::AddUnit in
+//     direct mode, or one demand-class DRR ticket per unit through the
+//     session/server path (quota accounted per plan,
+//     GboSession::SubmitBatchSet).
 //  3. Push-down: an optional closure runs derived-field kernels on each
 //     unit as it lands (overlapped with the remaining loads), not after
 //     the full set arrives.

@@ -80,6 +80,15 @@ class Cursor {
   int64_t pos_ = 0;
 };
 
+// INVALID_ARGUMENT unless a buffer of `out_bytes` holds all of `info`.
+Status CheckBufferSize(const DatasetInfo& info, int64_t out_bytes) {
+  if (out_bytes >= info.nbytes) return Status::Ok();
+  return InvalidArgumentError(
+      StrFormat("buffer of %lld bytes too small for dataset %s (%lld)",
+                static_cast<long long>(out_bytes), info.name.c_str(),
+                static_cast<long long>(info.nbytes)));
+}
+
 }  // namespace
 
 const std::string* DatasetInfo::FindAttribute(const std::string& key) const {
@@ -199,6 +208,13 @@ Status Reader::Load() {
       return DataLossError(StrCat(path_, ": dataset ", info.name,
                                   " payload out of range"));
     }
+    // The writer refuses such a size, so only corruption produces one.
+    if (info.nbytes % SizeOf(info.type) != 0) {
+      return DataLossError(StrCat(path_, ": dataset ", info.name, " size ",
+                                  info.nbytes,
+                                  " is not a multiple of element size ",
+                                  SizeOf(info.type)));
+    }
     GODIVA_ASSIGN_OR_RETURN(info.attributes, cursor.ReadAttributes());
     dataset_index_.emplace(info.name, datasets_.size());
     datasets_.push_back(std::move(info));
@@ -233,6 +249,9 @@ int64_t Reader::TrySalvageEntry(const uint8_t* data, int64_t pos,
   if (payload_bytes < 0 || payload_offset < kHeaderSize ||
       payload_bytes > pos || payload_offset > pos - payload_bytes) {
     return -1;  // payloads always precede the directory
+  }
+  if (payload_bytes % SizeOf(static_cast<DataType>(*raw_type)) != 0) {
+    return -1;  // the writer never stores a partial element
   }
   Result<AttributeList> attributes = cursor.ReadAttributes();
   if (!attributes.ok()) return -1;
@@ -283,18 +302,6 @@ Result<const DatasetInfo*> Reader::Find(const std::string& name) const {
   return &datasets_[it->second];
 }
 
-Status Reader::Read(const std::string& name, void* out,
-                    int64_t out_bytes) const {
-  GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-  if (out_bytes < info->nbytes) {
-    return InvalidArgumentError(
-        StrFormat("buffer of %lld bytes too small for dataset %s (%lld)",
-                  static_cast<long long>(out_bytes), name.c_str(),
-                  static_cast<long long>(info->nbytes)));
-  }
-  return file_->Read(info->offset, info->nbytes, out);
-}
-
 Status Reader::CheckChecksum(const DatasetInfo& info,
                              std::optional<const void*> payload) const {
   const std::string* stored = info.FindAttribute(kChecksumAttribute);
@@ -312,27 +319,30 @@ Status Reader::CheckChecksum(const DatasetInfo& info,
   return Status::Ok();
 }
 
+Status Reader::ReadDataset(const DatasetInfo& info, void* out,
+                           int64_t out_bytes, bool verify) const {
+  if (verify) GODIVA_RETURN_IF_ERROR(CheckChecksum(info));
+  GODIVA_RETURN_IF_ERROR(CheckBufferSize(info, out_bytes));
+  GODIVA_RETURN_IF_ERROR(file_->Read(info.offset, info.nbytes, out));
+  return verify ? CheckChecksum(info, out) : Status::Ok();
+}
+
+Status Reader::Read(const std::string& name, void* out,
+                    int64_t out_bytes) const {
+  GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
+  return ReadDataset(*info, out, out_bytes, /*verify=*/false);
+}
+
 Status Reader::ReadVerified(const std::string& name, void* out,
                             int64_t out_bytes) const {
   GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-  GODIVA_RETURN_IF_ERROR(CheckChecksum(*info));
-  if (out_bytes < info->nbytes) {
-    return InvalidArgumentError(
-        StrFormat("buffer of %lld bytes too small for dataset %s (%lld)",
-                  static_cast<long long>(out_bytes), name.c_str(),
-                  static_cast<long long>(info->nbytes)));
-  }
-  GODIVA_RETURN_IF_ERROR(file_->Read(info->offset, info->nbytes, out));
-  return CheckChecksum(*info, out);
+  return ReadDataset(*info, out, out_bytes, /*verify=*/true);
 }
 
 Status Reader::VerifyChecksum(const std::string& name) const {
   GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-  GODIVA_RETURN_IF_ERROR(CheckChecksum(*info));
   std::vector<uint8_t> payload(static_cast<size_t>(info->nbytes));
-  GODIVA_RETURN_IF_ERROR(
-      file_->Read(info->offset, info->nbytes, payload.data()));
-  return CheckChecksum(*info, payload.data());
+  return ReadDataset(*info, payload.data(), info->nbytes, /*verify=*/true);
 }
 
 Status Reader::VerifyAllChecksums() const {
@@ -354,12 +364,7 @@ Result<BatchStats> Reader::ReadBatch(
   resolved.reserve(requests.size());
   for (const BatchRequest& request : requests) {
     GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(request.name));
-    if (request.out_bytes < info->nbytes) {
-      return InvalidArgumentError(StrFormat(
-          "buffer of %lld bytes too small for dataset %s (%lld)",
-          static_cast<long long>(request.out_bytes), request.name.c_str(),
-          static_cast<long long>(info->nbytes)));
-    }
+    GODIVA_RETURN_IF_ERROR(CheckBufferSize(*info, request.out_bytes));
     if (options.verify) GODIVA_RETURN_IF_ERROR(CheckChecksum(*info));
     resolved.push_back({info, &request});
   }
@@ -377,9 +382,7 @@ Result<BatchStats> Reader::ReadBatch(
   int64_t max_transfer = std::max<int64_t>(1, options.max_transfer);
   // Each dataset is verified exactly once, from wherever its bytes first
   // land: coalesced datasets from the merged extent in scratch, lone
-  // datasets from the destination buffer. The old shape re-walked every
-  // destination in a trailing pass, re-checksumming coalesced datasets a
-  // second time.
+  // datasets from the destination buffer.
   for (size_t begin = 0; begin < resolved.size();) {
     // Grow the run while the next dataset starts within max_gap of the
     // run's end and the merged span stays under max_transfer.
@@ -422,7 +425,6 @@ Result<BatchStats> Reader::ReadBatch(
         const uint8_t* src = scratch.get() + (entry.info->offset - run_start);
         if (options.verify) {
           GODIVA_RETURN_IF_ERROR(CheckChecksum(*entry.info, src));
-          ++stats.redundant_verifies_skipped;
         }
         std::memcpy(entry.request->out, src,
                     static_cast<size_t>(entry.info->nbytes));
@@ -434,30 +436,6 @@ Result<BatchStats> Reader::ReadBatch(
     begin = end;
   }
   return stats;
-}
-
-Result<std::vector<DatasetExtent>> Reader::DescribeExtents(
-    const std::vector<std::string>& names) const {
-  std::vector<DatasetExtent> extents;
-  extents.reserve(names.size());
-  for (const std::string& name : names) {
-    GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-    extents.push_back({info->name, info->offset, info->nbytes});
-  }
-  return extents;
-}
-
-Status Reader::ReadRange(const std::string& name, int64_t byte_offset,
-                         int64_t nbytes, void* out) const {
-  GODIVA_ASSIGN_OR_RETURN(const DatasetInfo* info, Find(name));
-  if (byte_offset < 0 || nbytes < 0 || byte_offset > info->nbytes ||
-      nbytes > info->nbytes - byte_offset) {
-    return OutOfRangeError(StrFormat(
-        "range of %lld bytes at %lld outside dataset %s of %lld bytes",
-        static_cast<long long>(nbytes), static_cast<long long>(byte_offset),
-        name.c_str(), static_cast<long long>(info->nbytes)));
-  }
-  return file_->Read(info->offset + byte_offset, nbytes, out);
 }
 
 }  // namespace godiva::gsdf

@@ -1,7 +1,8 @@
-// gsdf file reader: parses the directory at open, then serves positioned
-// dataset reads through the underlying Env file handle (so each dataset
-// access pays the storage model's seek/transfer costs, like HDF4 did on a
-// real disk).
+// gsdf file reader: parses the directory at open, then serves whole-dataset
+// reads through the underlying Env file handle (so each dataset access pays
+// the storage model's seek/transfer costs, like HDF4 did on a real disk),
+// one dataset at a time or several through ReadBatch, the one place where
+// requested datasets become device transfers.
 #ifndef GODIVA_GSDF_READER_H_
 #define GODIVA_GSDF_READER_H_
 
@@ -46,23 +47,12 @@ struct BatchStats {
   int64_t transfers = 0;  // file reads performed
   int64_t coalesced = 0;  // requests that rode along a neighbour's transfer
   int64_t gap_bytes = 0;  // inter-dataset bytes read and discarded
-  int64_t redundant_verifies_skipped = 0;  // datasets whose checksum was
-                                           // taken from the merged extent
-                                           // as it landed, instead of a
-                                           // second per-dataset pass over
-                                           // the scattered copies
 };
 
-// A dataset's placement within the file: the directory facts an external
-// planner (core/query_plan.h) needs to lay out cross-request batches.
-struct DatasetExtent {
-  std::string name;
-  int64_t offset = 0;
-  int64_t nbytes = 0;
-};
-
-// Coalescing thresholds for ReadBatch.
-struct BatchOptions {
+// How ReadBatch splits a file's requested datasets into transfers. The
+// only run-split thresholds in the tree: callers that batch reads (the
+// query layer) pass them through to ReadBatch rather than lay out runs.
+struct BatchLimits {
   // Two runs of datasets are merged into one transfer when the file gap
   // between them is at most this many bytes (the discarded gap is cheaper
   // than a seek, cf. the paper's HDF4 access costs).
@@ -70,6 +60,10 @@ struct BatchOptions {
   // Upper bound on a single merged transfer, so coalescing never needs an
   // unboundedly large scratch buffer.
   int64_t max_transfer = 8 * 1024 * 1024;
+};
+
+// ReadBatch's options: the run-split limits plus checksum verification.
+struct BatchOptions : BatchLimits {
   // Check each dataset against its __crc32 attribute after the bytes land
   // (FAILED_PRECONDITION if a dataset carries no checksum).
   bool verify = false;
@@ -80,16 +74,19 @@ struct BatchOptions {
 class Reader {
  public:
   // Opens `path`, validates magic/version (v1 and v2 accepted; v2 also
-  // checks the tail CRC), and loads the directory.
+  // checks the tail CRC), and loads the directory. DATA_LOSS if an entry's
+  // payload lies outside the file or is not a whole number of elements of
+  // its type.
   static Result<std::unique_ptr<Reader>> Open(Env* env,
                                               const std::string& path);
 
   // Like Open, but when the footer/directory is corrupt or truncated,
   // forward-scans the file for directory entries whose payload CRC-32
-  // verifies, and serves exactly those datasets. The structural error that
-  // forced the scan is kept in salvage_error() (a DATA_LOSS, so callers can
-  // surface partial results as degraded rather than unavailable). Fails
-  // only if the file cannot be read at all or lacks the gsdf magic.
+  // verifies (and whose size is a whole number of elements), and serves
+  // exactly those datasets. The structural error that forced the scan is
+  // kept in salvage_error() (a DATA_LOSS, so callers can surface partial
+  // results as degraded rather than unavailable). Fails only if the file
+  // cannot be read at all or lacks the gsdf magic.
   static Result<std::unique_ptr<Reader>> OpenSalvage(Env* env,
                                                      const std::string& path);
 
@@ -114,10 +111,6 @@ class Reader {
   // `out_bytes` ≥ dataset size; exactly dataset-size bytes are read).
   Status Read(const std::string& name, void* out, int64_t out_bytes) const;
 
-  // Reads `nbytes` starting `byte_offset` into the payload of `name`.
-  Status ReadRange(const std::string& name, int64_t byte_offset,
-                   int64_t nbytes, void* out) const;
-
   // Reads several whole datasets in one pass, merging requests that sit
   // adjacent in the file (within options.max_gap, up to
   // options.max_transfer per merged transfer) into single reads — so a
@@ -131,14 +124,6 @@ class Reader {
   // Returns what was actually issued.
   Result<BatchStats> ReadBatch(const std::vector<BatchRequest>& requests,
                                const BatchOptions& options = {}) const;
-
-  // Resolves `names` against the directory and returns their file
-  // placement, in request order, without issuing any payload I/O. This is
-  // the planning half of ReadBatch: the query layer lays out per-file
-  // batch plans from these extents, then executes them through ReadBatch.
-  // NOT_FOUND if any name is absent.
-  Result<std::vector<DatasetExtent>> DescribeExtents(
-      const std::vector<std::string>& names) const;
 
   // Like Read, but additionally checks the payload against its __crc32
   // attribute in the same pass (no second read of the data). Returns
@@ -171,6 +156,13 @@ class Reader {
   // but impossible.
   int64_t TrySalvageEntry(const uint8_t* data, int64_t pos, int64_t size,
                           DatasetInfo* out) const;
+
+  // The one whole-dataset read behind Read, ReadVerified and
+  // VerifyChecksum: with `verify`, FAILED_PRECONDITION before any I/O if
+  // `info` carries no checksum; INVALID_ARGUMENT if `out_bytes` is short;
+  // then the payload into `out` and, with `verify`, its checksum check.
+  Status ReadDataset(const DatasetInfo& info, void* out, int64_t out_bytes,
+                     bool verify) const;
 
   // The one checksum check of every verified read: FAILED_PRECONDITION if
   // `info` carries no __crc32 attribute; then, given the dataset's bytes in

@@ -44,6 +44,12 @@ class RandomAccessFile {
 };
 
 // Factory for file handles plus basic metadata operations.
+//
+// Handle lifetime: a WritableFile or RandomAccessFile may call back into
+// the Env that created it (SimEnv charges its disk model on every read;
+// FaultInjectionEnv consults its fault plan), so a handle's methods may be
+// called only while that Env is alive. The handle itself may be destroyed
+// after it.
 class Env {
  public:
   virtual ~Env() = default;

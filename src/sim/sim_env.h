@@ -47,7 +47,9 @@ struct DiskStats {
 // for transparent huge pages; a file is a list of extents in those blocks.
 // An append continues the writer's current block, so written bytes never
 // move, and a new file continues the block the last closed writer left
-// part-full. See DESIGN.md §1.
+// part-full. See DESIGN.md §1. Handles follow Env's lifetime rule: used
+// only while this env is alive, destroyed whenever; a Clone is an env of
+// its own and may outlive this one.
 class SimEnv : public Env {
  public:
   static constexpr int64_t kBlockBytes = int64_t{2} << 20;

@@ -1,10 +1,12 @@
 #include "workloads/block_schema.h"
 
 #include <cstdio>
+#include <cstring>
 
 #include "common/strings.h"
 #include "common/types.h"
 #include "core/key_util.h"
+#include "core/record.h"
 #include "mesh/quantities.h"
 
 namespace godiva::workloads {
@@ -45,6 +47,22 @@ Status DefineBlockSchema(Gbo* db) {
 
 std::vector<std::string> BlockKey(int32_t block_id, int32_t snapshot_id) {
   return {KeyBytes(block_id), KeyBytes(snapshot_id)};
+}
+
+Result<Record*> NewBlockRecord(Gbo* db, int32_t block_id,
+                               int32_t snapshot_id) {
+  GODIVA_ASSIGN_OR_RETURN(Record * record, db->NewRecord(kBlockRecordType));
+  std::memcpy(*record->FieldBuffer(kFieldBlockId), &block_id, 4);
+  std::memcpy(*record->FieldBuffer(kFieldSnapshotId), &snapshot_id, 4);
+  return record;
+}
+
+std::vector<std::string> BlockDatasets(
+    const std::vector<std::string>& quantities) {
+  std::vector<std::string> datasets = {kFieldX, kFieldY, kFieldZ,
+                                       kFieldConn};
+  datasets.insert(datasets.end(), quantities.begin(), quantities.end());
+  return datasets;
 }
 
 std::string SnapshotUnitName(int snapshot) {

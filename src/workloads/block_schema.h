@@ -31,6 +31,16 @@ Status DefineBlockSchema(Gbo* db);
 // Key values for Gbo queries: {block id, snapshot id} as raw bytes.
 std::vector<std::string> BlockKey(int32_t block_id, int32_t snapshot_id);
 
+// A new, uncommitted block record with both key fields set.
+Result<Record*> NewBlockRecord(Gbo* db, int32_t block_id,
+                               int32_t snapshot_id);
+
+// The datasets a block load reads, in load order: x, y, z, conn, then
+// `quantities`. Each lands in the record field of the same name; block
+// b's dataset for field f is mesh::BlockDatasetName(b, f).
+std::vector<std::string> BlockDatasets(
+    const std::vector<std::string>& quantities);
+
 // Unit naming: one processing unit per snapshot, like Voyager ("uses all
 // the files in the same time-step snapshot as a processing unit").
 std::string SnapshotUnitName(int snapshot);

@@ -1,7 +1,6 @@
 #include "workloads/snapshot_io.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -14,33 +13,26 @@
 namespace godiva::workloads {
 namespace {
 
-// Reads dataset `name` from `reader` into a fresh buffer of the record
-// field `field`, charging decode CPU.
-Status ReadDatasetIntoField(PlatformRuntime* runtime,
-                            const gsdf::Reader& reader,
-                            const std::string& name, Gbo* db, Record* record,
-                            const std::string& field, bool verify = false) {
-  GODIVA_ASSIGN_OR_RETURN(const gsdf::DatasetInfo* info, reader.Find(name));
-  GODIVA_ASSIGN_OR_RETURN(void* buffer,
-                          db->AllocFieldBuffer(record, field, info->nbytes));
-  GODIVA_RETURN_IF_ERROR(verify
-                             ? reader.ReadVerified(name, buffer, info->nbytes)
-                             : reader.Read(name, buffer, info->nbytes));
-  runtime->ChargeDecode(info->nbytes);
-  return Status::Ok();
-}
-
-// Reads dataset `name` into `out` (resized), charging decode CPU.
+// Reads dataset `name` into `out`, resized to hold it, charging decode
+// CPU. DATA_LOSS before any read if the dataset is not a whole number of
+// T elements, so the read never writes past the vector.
 template <typename T>
 Status ReadDatasetIntoVector(PlatformRuntime* runtime,
                              const gsdf::Reader& reader,
                              const std::string& name, std::vector<T>* out,
                              bool verify = false) {
   GODIVA_ASSIGN_OR_RETURN(const gsdf::DatasetInfo* info, reader.Find(name));
+  if (info->nbytes % static_cast<int64_t>(sizeof(T)) != 0) {
+    return DataLossError(StrCat(reader.path(), ": dataset ", name, " holds ",
+                                info->nbytes,
+                                " bytes, not a whole number of ", sizeof(T),
+                                "-byte elements"));
+  }
   out->resize(static_cast<size_t>(info->nbytes) / sizeof(T));
-  GODIVA_RETURN_IF_ERROR(
-      verify ? reader.ReadVerified(name, out->data(), info->nbytes)
-             : reader.Read(name, out->data(), info->nbytes));
+  const int64_t out_bytes = static_cast<int64_t>(out->size() * sizeof(T));
+  GODIVA_RETURN_IF_ERROR(verify
+                             ? reader.ReadVerified(name, out->data(), out_bytes)
+                             : reader.Read(name, out->data(), out_bytes));
   runtime->ChargeDecode(info->nbytes);
   return Status::Ok();
 }
@@ -71,41 +63,52 @@ Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
 
 }  // namespace
 
+Status LoadFilePerDataset(PlatformRuntime* runtime,
+                          const gsdf::Reader& reader,
+                          const std::vector<int32_t>& blocks, int snapshot,
+                          const std::vector<std::string>& fields,
+                          bool verify, Gbo* db) {
+  const std::vector<std::string> datasets = BlockDatasets(fields);
+  for (int32_t block_id : blocks) {
+    GODIVA_ASSIGN_OR_RETURN(Record * record,
+                            NewBlockRecord(db, block_id, snapshot));
+    for (const std::string& field : datasets) {
+      GODIVA_ASSIGN_OR_RETURN(
+          const gsdf::DatasetInfo* info,
+          reader.Find(mesh::BlockDatasetName(block_id, field)));
+      GODIVA_ASSIGN_OR_RETURN(
+          void* buffer, db->AllocFieldBuffer(record, field, info->nbytes));
+      GODIVA_RETURN_IF_ERROR(
+          verify ? reader.ReadVerified(info->name, buffer, info->nbytes)
+                 : reader.Read(info->name, buffer, info->nbytes));
+      runtime->ChargeDecode(info->nbytes);
+    }
+    GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
+  }
+  return Status::Ok();
+}
+
 Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
                      const std::vector<int32_t>& blocks, int snapshot,
                      const std::vector<std::string>& fields,
                      const gsdf::BatchOptions& options,
                      SnapshotReadCounters* counters, Gbo* db) {
+  const std::vector<std::string> datasets = BlockDatasets(fields);
   std::vector<gsdf::BatchRequest> batch;
   std::vector<Record*> records;
   records.reserve(blocks.size());
   int64_t total_bytes = 0;
   for (int32_t block_id : blocks) {
-    GODIVA_ASSIGN_OR_RETURN(Record * record, db->NewRecord(kBlockRecordType));
-    std::memcpy(*record->FieldBuffer(kFieldBlockId), &block_id, 4);
-    int32_t snapshot_id = snapshot;
-    std::memcpy(*record->FieldBuffer(kFieldSnapshotId), &snapshot_id, 4);
-    auto gather = [&](const std::string& name,
-                      const std::string& field) -> Status {
-      GODIVA_ASSIGN_OR_RETURN(const gsdf::DatasetInfo* info,
-                              reader.Find(name));
+    GODIVA_ASSIGN_OR_RETURN(Record * record,
+                            NewBlockRecord(db, block_id, snapshot));
+    for (const std::string& field : datasets) {
+      GODIVA_ASSIGN_OR_RETURN(
+          const gsdf::DatasetInfo* info,
+          reader.Find(mesh::BlockDatasetName(block_id, field)));
       GODIVA_ASSIGN_OR_RETURN(
           void* buffer, db->AllocFieldBuffer(record, field, info->nbytes));
-      batch.push_back({name, buffer, info->nbytes});
+      batch.push_back({info->name, buffer, info->nbytes});
       total_bytes += info->nbytes;
-      return Status::Ok();
-    };
-    GODIVA_RETURN_IF_ERROR(
-        gather(mesh::BlockDatasetName(block_id, "x"), kFieldX));
-    GODIVA_RETURN_IF_ERROR(
-        gather(mesh::BlockDatasetName(block_id, "y"), kFieldY));
-    GODIVA_RETURN_IF_ERROR(
-        gather(mesh::BlockDatasetName(block_id, "z"), kFieldZ));
-    GODIVA_RETURN_IF_ERROR(
-        gather(mesh::BlockDatasetName(block_id, "conn"), kFieldConn));
-    for (const std::string& field : fields) {
-      GODIVA_RETURN_IF_ERROR(
-          gather(mesh::BlockDatasetName(block_id, field), field));
     }
     records.push_back(record);
   }
@@ -141,41 +144,13 @@ Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
       std::vector<int32_t> blocks;
       GODIVA_RETURN_IF_ERROR(
           ReadDatasetIntoVector(runtime, *reader, "blocks", &blocks, verify));
-      if (options.coalesce) {
-        gsdf::BatchOptions batch_options;
-        batch_options.verify = verify;
-        GODIVA_RETURN_IF_ERROR(LoadFileBatch(runtime, *reader, blocks,
-                                             snapshot, quantities,
-                                             batch_options, options.counters,
-                                             db));
-        continue;
-      }
-      for (int32_t block_id : blocks) {
-        GODIVA_ASSIGN_OR_RETURN(Record * record,
-                                db->NewRecord(kBlockRecordType));
-        std::memcpy(*record->FieldBuffer(kFieldBlockId), &block_id, 4);
-        int32_t snapshot_id = snapshot;
-        std::memcpy(*record->FieldBuffer(kFieldSnapshotId), &snapshot_id,
-                    4);
-        GODIVA_RETURN_IF_ERROR(ReadDatasetIntoField(
-            runtime, *reader, mesh::BlockDatasetName(block_id, "x"), db,
-            record, kFieldX, verify));
-        GODIVA_RETURN_IF_ERROR(ReadDatasetIntoField(
-            runtime, *reader, mesh::BlockDatasetName(block_id, "y"), db,
-            record, kFieldY, verify));
-        GODIVA_RETURN_IF_ERROR(ReadDatasetIntoField(
-            runtime, *reader, mesh::BlockDatasetName(block_id, "z"), db,
-            record, kFieldZ, verify));
-        GODIVA_RETURN_IF_ERROR(ReadDatasetIntoField(
-            runtime, *reader, mesh::BlockDatasetName(block_id, "conn"), db,
-            record, kFieldConn, verify));
-        for (const std::string& quantity : quantities) {
-          GODIVA_RETURN_IF_ERROR(ReadDatasetIntoField(
-              runtime, *reader, mesh::BlockDatasetName(block_id, quantity),
-              db, record, quantity, verify));
-        }
-        GODIVA_RETURN_IF_ERROR(db->CommitRecord(record));
-      }
+      GODIVA_RETURN_IF_ERROR(
+          options.coalesce
+              ? LoadFileBatch(runtime, *reader, blocks, snapshot, quantities,
+                              gsdf::BatchOptions{gsdf::BatchLimits{}, verify},
+                              options.counters, db)
+              : LoadFilePerDataset(runtime, *reader, blocks, snapshot,
+                                   quantities, verify, db));
     }
     return Status::Ok();
   };

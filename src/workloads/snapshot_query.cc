@@ -14,21 +14,6 @@
 namespace godiva::workloads {
 namespace {
 
-// The dataset names one block contributes to a plan: mesh + quantities.
-std::vector<std::string> BlockDatasetNames(
-    int32_t block_id, const std::vector<std::string>& fields) {
-  std::vector<std::string> names;
-  names.reserve(4 + fields.size());
-  names.push_back(mesh::BlockDatasetName(block_id, "x"));
-  names.push_back(mesh::BlockDatasetName(block_id, "y"));
-  names.push_back(mesh::BlockDatasetName(block_id, "z"));
-  names.push_back(mesh::BlockDatasetName(block_id, "conn"));
-  for (const std::string& field : fields) {
-    names.push_back(mesh::BlockDatasetName(block_id, field));
-  }
-  return names;
-}
-
 // Blocks of file `file_index` clipped to the query's block range.
 std::vector<int32_t> BlocksInRange(const mesh::DatasetSpec& spec,
                                    int file_index, int block_begin,
@@ -59,23 +44,54 @@ std::vector<std::string> EffectiveFields(const SnapshotQueryOptions& options) {
   return fields;
 }
 
-// Read function of one (snapshot, file) unit: creates the block records,
-// gathers every dataset of the per-file plan into field buffers, and pulls
-// the lot through one ReadBatch with the plan's own gap/transfer limits —
-// so the runs the executor issues are exactly the runs the plan counted.
+// Payload bytes of one (snapshot, file) unit: the directory sizes of every
+// dataset of its blocks. Opens the file and reads no payload, unless the
+// query's extents cache holds the total for the same fields and block
+// range.
+Result<int64_t> FileUnitBytes(PlatformRuntime* runtime,
+                              const SnapshotQueryOptions& options,
+                              const std::string& path,
+                              const std::vector<int32_t>& blocks,
+                              const std::vector<std::string>& fields) {
+  SnapshotExtentsCache* cache = options.extents_cache;
+  if (cache != nullptr) {
+    auto hit = cache->by_path.find(path);
+    if (hit != cache->by_path.end() && hit->second.fields == fields &&
+        hit->second.block_begin == options.block_begin &&
+        hit->second.block_end == options.block_end) {
+      return hit->second.bytes;
+    }
+  }
+  GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
+                          gsdf::Reader::Open(runtime->io_env(), path));
+  const std::vector<std::string> datasets = BlockDatasets(fields);
+  int64_t bytes = 0;
+  for (int32_t block_id : blocks) {
+    for (const std::string& field : datasets) {
+      GODIVA_ASSIGN_OR_RETURN(
+          const gsdf::DatasetInfo* info,
+          reader->Find(mesh::BlockDatasetName(block_id, field)));
+      bytes += info->nbytes;
+    }
+  }
+  if (cache != nullptr) {
+    cache->by_path[path] = {fields, options.block_begin, options.block_end,
+                            bytes};
+  }
+  return bytes;
+}
+
+// Read function of one (snapshot, file) unit: loads its blocks through one
+// ReadBatch with `batch_options` (LoadFileBatch).
 Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
                                 int snapshot, std::vector<int32_t> blocks,
-                                std::vector<std::string> fields, bool verify,
-                                PlanLimits limits) {
+                                std::vector<std::string> fields,
+                                gsdf::BatchOptions batch_options) {
   return [runtime, path = std::move(path), snapshot,
-          blocks = std::move(blocks), fields = std::move(fields), verify,
-          limits](Gbo* db, const std::string&) -> Status {
+          blocks = std::move(blocks), fields = std::move(fields),
+          batch_options](Gbo* db, const std::string&) -> Status {
     GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
                             gsdf::Reader::Open(runtime->io_env(), path));
-    gsdf::BatchOptions batch_options;
-    batch_options.max_gap = limits.max_gap;
-    batch_options.max_transfer = limits.max_transfer;
-    batch_options.verify = verify;
     return LoadFileBatch(runtime, *reader, blocks, snapshot, fields,
                          batch_options, /*counters=*/nullptr, db);
   };
@@ -162,50 +178,13 @@ Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
           spec, f, options.block_begin, options.block_end);
       if (blocks.empty()) continue;
       const std::string& path = paths[static_cast<size_t>(f)];
-      // Describe every extent the unit needs — directory arithmetic, no
-      // payload reads — and lay out the file's transfer runs. A warm
-      // extents-cache entry skips the file open entirely.
-      std::vector<PlanExtentItem> items;
-      SnapshotExtentsCache* cache = options.extents_cache;
-      if (cache != nullptr) {
-        auto hit = cache->by_path.find(path);
-        if (hit != cache->by_path.end() &&
-            hit->second.fields == fields &&
-            hit->second.block_begin == options.block_begin &&
-            hit->second.block_end == options.block_end) {
-          items = hit->second.items;
-        }
-      }
-      if (items.empty()) {
-        GODIVA_ASSIGN_OR_RETURN(
-            std::unique_ptr<gsdf::Reader> reader,
-            gsdf::Reader::Open(runtime->io_env(), path));
-        for (int32_t block_id : blocks) {
-          GODIVA_ASSIGN_OR_RETURN(
-              std::vector<gsdf::DatasetExtent> extents,
-              reader->DescribeExtents(BlockDatasetNames(block_id, fields)));
-          for (gsdf::DatasetExtent& extent : extents) {
-            items.push_back({path, std::move(extent.name), extent.offset,
-                             extent.nbytes, block_id});
-          }
-        }
-        if (cache != nullptr) {
-          cache->by_path[path] = {fields, options.block_begin,
-                                  options.block_end, items};
-        }
-      }
-      std::vector<FileBatchPlan> plans =
-          PlanFileBatches(std::move(items), options.limits);
-
       QueryUnitSpec unit;
       unit.name = SnapshotFileUnitName(snapshot, f);
-      for (const FileBatchPlan& plan : plans) {
-        unit.bytes += plan.payload_bytes;
-      }
-      unit.read_fn = MakeFileBatchReadFn(runtime, path, snapshot,
-                                         std::move(blocks), fields,
-                                         options.verify_checksums,
-                                         options.limits);
+      GODIVA_ASSIGN_OR_RETURN(
+          unit.bytes, FileUnitBytes(runtime, options, path, blocks, fields));
+      unit.read_fn = MakeFileBatchReadFn(
+          runtime, path, snapshot, std::move(blocks), fields,
+          gsdf::BatchOptions{options.limits, options.verify_checksums});
       unit.resources = {path};
       query.units.push_back(std::move(unit));
     }

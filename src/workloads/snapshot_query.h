@@ -1,11 +1,11 @@
 // Expands a declarative "fields × blocks × snapshot window" request over
 // the snapshot dataset into a GboQuery (core/query.h, DESIGN.md §15):
-// one unit per (snapshot, file) whose extents are laid out with
-// gsdf::Reader::DescribeExtents at plan time (no payload I/O), batched by
-// core/query_plan.h, and executed by a read function that pulls the whole
-// per-file plan through one gsdf::Reader::ReadBatch. Derived-field
-// kernels (viz/pushdown.h) fold their input fields into the same plan and
-// run as push-down on each unit as it lands.
+// one unit per (snapshot, file) whose payload bytes are summed from the
+// file's directory at plan time (no payload I/O), loaded by a read
+// function that pulls all of the unit's datasets through one
+// gsdf::Reader::ReadBatch, which alone splits them into transfers.
+// Derived-field kernels (viz/pushdown.h) fold their input fields into the
+// same units and run as push-down on each unit as it lands.
 #ifndef GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 #define GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 
@@ -16,7 +16,7 @@
 #include "common/clock.h"
 #include "common/status.h"
 #include "core/query.h"
-#include "core/query_plan.h"
+#include "gsdf/reader.h"
 #include "mesh/snapshot_writer.h"
 #include "viz/pushdown.h"
 #include "workloads/platform_runtime.h"
@@ -32,19 +32,20 @@ std::string SnapshotFileUnitName(int snapshot, int file_index);
 bool ParseSnapshotFileUnit(const std::string& unit_name, int* snapshot,
                            int* file_index);
 
-// Reuses plan-time directory work across overlapping windows: describing
-// a file's extents opens it and reads its directory, and a sliding
-// snapshot window would otherwise re-describe the same files W-1 more
-// times. Keyed by file path; an entry is only reused when it was built
-// for the same field set and block range (anything else re-describes and
-// overwrites). The caller owns the cache and must drop a file's entry if
-// the file is rewritten underneath it (live ingest).
+// Reuses plan-time directory work across overlapping windows: sizing a
+// file's unit opens it and reads its directory, and a sliding snapshot
+// window would otherwise re-open the same files W-1 more times. Keyed by
+// file path; an entry is only reused when it was built for the same field
+// set and block range (anything else re-opens and overwrites). The caller
+// owns the cache and must drop a file's entry if the file is rewritten
+// underneath it (live ingest).
 struct SnapshotExtentsCache {
   struct Entry {
     std::vector<std::string> fields;
     int block_begin = 0;
     int block_end = -1;
-    std::vector<PlanExtentItem> items;
+    // The unit's payload bytes: every dataset of its blocks.
+    int64_t bytes = 0;
   };
   std::map<std::string, Entry> by_path;
 };
@@ -69,9 +70,8 @@ struct SnapshotQueryOptions {
   // mismatch — same contract as SnapshotReadOptions::verify_checksums).
   bool verify_checksums = false;
 
-  // Run-split thresholds, handed both to the plan layout and to the
-  // executing ReadBatch so the two agree run-for-run.
-  PlanLimits limits;
+  // Run-split thresholds of each unit's ReadBatch.
+  gsdf::BatchLimits limits;
 
   // Query deadline (GboQuery::deadline); zero = none.
   Duration deadline = Duration::zero();
@@ -82,9 +82,10 @@ struct SnapshotQueryOptions {
 
 // Builds the GboQuery: units carry plan-time payload bytes (for dedup's
 // bytes-saved accounting), per-file read functions, and the file as their
-// quarantine resource. Opens each window file once to describe extents —
-// directory I/O only, no payloads. INVALID_ARGUMENT on an empty window,
-// an out-of-range snapshot, or an unknown dataset name.
+// quarantine resource. Opens each window file not in the extents cache
+// once to size its unit — directory I/O only, no payloads.
+// INVALID_ARGUMENT on an empty window or an out-of-range snapshot,
+// NOT_FOUND on an unknown dataset name.
 Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
                                     const mesh::SnapshotDataset* dataset,
                                     const SnapshotQueryOptions& options);

@@ -1,17 +1,16 @@
 // Tests for GODIVA queries: the key-lookup path (paper §3.1) —
 // getFieldBuffer / getFieldBufferSize semantics, key encoding, lookup
 // statistics — and the declarative batch query layer (DESIGN.md §15) —
-// PlanFileBatches goldens, QueryPlanner dedup against cache-resident and
-// in-flight units, cancellation and deadline semantics, push-down, the
-// session batch-ticket lane, and a randomized property test proving the
-// plan's run layout predicts gsdf::Reader::ReadBatch device reads exactly.
+// QueryPlanner dedup against cache-resident and in-flight units,
+// cancellation and deadline semantics, push-down, and the session
+// batch-ticket lane. How a unit's datasets become device transfers is
+// gsdf::Reader::ReadBatch's alone and is tested in gsdf_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -22,15 +21,9 @@
 #include "core/key_util.h"
 #include "core/options.h"
 #include "core/query.h"
-#include "core/query_plan.h"
 #include "core/record.h"
 #include "core/server.h"
 #include "core/session.h"
-#include "gsdf/reader.h"
-#include "gsdf/writer.h"
-#include "sim/event_scheduler.h"
-#include "sim/sim_env.h"
-#include "sim/virtual_time.h"
 #include "workloads/serving.h"
 
 namespace godiva {
@@ -257,84 +250,6 @@ TEST_P(QueryScaleTest, EveryInsertedRecordIsRetrievable) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, QueryScaleTest,
                          ::testing::Values(1, 16, 256, 2048));
-
-// ---------------------------------------------------------------------------
-// PlanFileBatches goldens (core/query_plan.h): exact layout, no I/O.
-// ---------------------------------------------------------------------------
-
-PlanExtentItem Extent(const char* file, const char* dataset, int64_t offset,
-                      int64_t bytes) {
-  return PlanExtentItem{file, dataset, offset, bytes, 0};
-}
-
-TEST(QueryPlanTest, EmptyInputPlansNothing) {
-  EXPECT_TRUE(PlanFileBatches({}).empty());
-}
-
-TEST(QueryPlanTest, SortsByFileThenOffsetAndSplitsOnGap) {
-  PlanLimits limits;
-  limits.max_gap = 100;
-  std::vector<PlanExtentItem> items = {
-      Extent("b.gsdf", "n", 0, 100),
-      Extent("a.gsdf", "far", 200, 50),
-      Extent("a.gsdf", "near", 0, 100),
-  };
-  std::vector<FileBatchPlan> plans = PlanFileBatches(items, limits);
-  ASSERT_EQ(plans.size(), 2u);
-  EXPECT_EQ(plans[0].file, "a.gsdf");
-  EXPECT_EQ(plans[1].file, "b.gsdf");
-  // a.gsdf: offset-sorted, and 200 <= run_end(100) + max_gap(100) merges.
-  ASSERT_EQ(plans[0].items.size(), 2u);
-  EXPECT_EQ(plans[0].items[0].dataset, "near");
-  EXPECT_EQ(plans[0].items[1].dataset, "far");
-  ASSERT_EQ(plans[0].runs.size(), 1u);
-  EXPECT_EQ(plans[0].runs[0].span_bytes, 250);
-  EXPECT_EQ(plans[0].runs[0].gap_bytes, 100);
-  EXPECT_EQ(plans[0].payload_bytes, 150);
-  EXPECT_EQ(plans[0].issue_bytes, 250);
-
-  // One byte less of allowance splits the run at the same layout.
-  limits.max_gap = 99;
-  plans = PlanFileBatches(items, limits);
-  ASSERT_EQ(plans.size(), 2u);
-  ASSERT_EQ(plans[0].runs.size(), 2u);
-  EXPECT_EQ(plans[0].runs[0].span_bytes, 100);
-  EXPECT_EQ(plans[0].runs[1].span_bytes, 50);
-  EXPECT_EQ(plans[0].issue_bytes, 150);
-}
-
-TEST(QueryPlanTest, MaxTransferBoundsRuns) {
-  PlanLimits limits;
-  limits.max_gap = 0;
-  limits.max_transfer = 8192;
-  std::vector<PlanExtentItem> items = {
-      Extent("f", "d0", 0, 4096),
-      Extent("f", "d1", 4096, 4096),
-      Extent("f", "d2", 8192, 4096),
-  };
-  std::vector<FileBatchPlan> plans = PlanFileBatches(items, limits);
-  ASSERT_EQ(plans.size(), 1u);
-  ASSERT_EQ(plans[0].runs.size(), 2u);
-  EXPECT_EQ(plans[0].runs[0].first, 0u);
-  EXPECT_EQ(plans[0].runs[0].last, 1u);
-  EXPECT_EQ(plans[0].runs[1].first, 2u);
-  EXPECT_EQ(plans[0].runs[1].last, 2u);
-  EXPECT_EQ(plans[0].issue_bytes, 12288);
-}
-
-TEST(QueryPlanTest, DuplicateExtentsShareOneRun) {
-  std::vector<PlanExtentItem> items = {
-      Extent("f", "d", 0, 100),
-      Extent("f", "d", 0, 100),
-  };
-  std::vector<FileBatchPlan> plans = PlanFileBatches(items);
-  ASSERT_EQ(plans.size(), 1u);
-  ASSERT_EQ(plans[0].runs.size(), 1u);
-  EXPECT_EQ(plans[0].runs[0].span_bytes, 100);
-  EXPECT_EQ(plans[0].runs[0].gap_bytes, 0);  // clamped, not negative
-  EXPECT_EQ(plans[0].payload_bytes, 200);    // both requests counted
-  EXPECT_EQ(plans[0].issue_bytes, 100);      // one device transfer
-}
 
 // ---------------------------------------------------------------------------
 // QueryPlanner / QueryTicket (core/query.h), direct mode.
@@ -624,110 +539,6 @@ TEST(QuerySessionTest, DeadlineWithdrawalReleasesQueueQuota) {
   // The withdrawn ticket never granted: no settle record to consume.
   EXPECT_EQ((*session)->AwaitBatchSettle("b/u1", nullptr).code(),
             StatusCode::kNotFound);
-}
-
-// ---------------------------------------------------------------------------
-// Property test: the plan layout predicts ReadBatch device I/O exactly,
-// in both simulation modes (the plan is pure arithmetic; the executor
-// runs against the simulated disk).
-// ---------------------------------------------------------------------------
-
-void RunPlanVsReadBatchTrial(std::mt19937* rng) {
-  SimEnv env{SimEnv::Options{}};
-  auto writer = gsdf::Writer::Create(&env, "p.gsdf");
-  ASSERT_TRUE(writer.ok()) << writer.status();
-  const int num_datasets = 1 + static_cast<int>((*rng)() % 30);
-  std::vector<std::string> all_names;
-  std::vector<int> sizes;
-  for (int i = 0; i < num_datasets; ++i) {
-    std::string name = "d" + std::to_string(i);
-    int n = 1 + static_cast<int>((*rng)() % 512);
-    std::vector<double> data(static_cast<size_t>(n));
-    for (int j = 0; j < n; ++j) data[static_cast<size_t>(j)] = i + j * 0.25;
-    ASSERT_TRUE((*writer)
-                    ->AddDataset(name, DataType::kFloat64, data.data(),
-                                 n * 8)
-                    .ok());
-    all_names.push_back(std::move(name));
-    sizes.push_back(n * 8);
-  }
-  ASSERT_TRUE((*writer)->Finish().ok());
-  auto reader = gsdf::Reader::Open(&env, "p.gsdf");
-  ASSERT_TRUE(reader.ok()) << reader.status();
-
-  std::vector<std::string> subset;
-  std::vector<int64_t> subset_bytes;
-  for (int i = 0; i < num_datasets; ++i) {
-    if (i != 0 && ((*rng)() % 2) != 0) continue;
-    subset.push_back(all_names[static_cast<size_t>(i)]);
-    subset_bytes.push_back(sizes[static_cast<size_t>(i)]);
-  }
-
-  PlanLimits limits;
-  const int64_t gaps[] = {0, 64, 1024, 64 * 1024};
-  const int64_t transfers[] = {4096, 64 * 1024, 4 * 1024 * 1024};
-  limits.max_gap = gaps[(*rng)() % 4];
-  limits.max_transfer = transfers[(*rng)() % 3];
-
-  auto extents = (*reader)->DescribeExtents(subset);
-  ASSERT_TRUE(extents.ok()) << extents.status();
-  std::vector<PlanExtentItem> items;
-  for (const gsdf::DatasetExtent& extent : *extents) {
-    items.push_back({"p.gsdf", extent.name, extent.offset, extent.nbytes,
-                     0});
-  }
-  std::vector<FileBatchPlan> plans = PlanFileBatches(items, limits);
-  ASSERT_EQ(plans.size(), 1u);
-  int64_t planned_transfers =
-      static_cast<int64_t>(plans[0].runs.size());
-  int64_t planned_bytes = plans[0].issue_bytes;
-
-  // Execute the same set through ReadBatch, in shuffled request order
-  // (the executor sorts internally, exactly like the planner).
-  std::vector<std::vector<uint8_t>> buffers(subset.size());
-  std::vector<gsdf::BatchRequest> requests;
-  for (size_t i = 0; i < subset.size(); ++i) {
-    buffers[i].resize(static_cast<size_t>(subset_bytes[i]));
-    requests.push_back(
-        {subset[i], buffers[i].data(), subset_bytes[i]});
-  }
-  std::shuffle(requests.begin(), requests.end(), *rng);
-  env.ResetStats();
-  gsdf::BatchOptions batch_options;
-  batch_options.max_gap = limits.max_gap;
-  batch_options.max_transfer = limits.max_transfer;
-  auto stats = (*reader)->ReadBatch(requests, batch_options);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-
-  DiskStats disk = env.stats();
-  EXPECT_EQ(disk.reads, planned_transfers);
-  EXPECT_EQ(disk.bytes_read, planned_bytes);
-  EXPECT_EQ(stats->transfers, planned_transfers);
-  EXPECT_EQ(stats->coalesced,
-            static_cast<int64_t>(subset.size()) - planned_transfers);
-
-  // Spot-check payload integrity of the first subset dataset.
-  const double* values =
-      reinterpret_cast<const double*>(buffers[0].data());
-  EXPECT_EQ(values[0], 0.0);   // dataset d0, element 0
-  EXPECT_EQ(values[1], 0.25);  // dataset d0, element 1
-}
-
-TEST(QueryPlanPropertyTest, PlanPredictsReadBatchScaledSleep) {
-  std::mt19937 rng(20260808);
-  for (int trial = 0; trial < 12; ++trial) {
-    SCOPED_TRACE(trial);
-    RunPlanVsReadBatchTrial(&rng);
-  }
-}
-
-TEST(QueryPlanPropertyTest, PlanPredictsReadBatchDiscreteEvent) {
-  DiscreteEventScope scope;
-  std::mt19937 rng(20260808);
-  for (int trial = 0; trial < 12; ++trial) {
-    SCOPED_TRACE(trial);
-    RunPlanVsReadBatchTrial(&rng);
-  }
 }
 
 }  // namespace

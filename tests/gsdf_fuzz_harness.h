@@ -29,12 +29,16 @@ inline void CheckOk(bool ok, const char* what) {
 }
 
 // Every dataset a reader accepts must end inside the file image, so reading
-// it needs no more memory than the image itself.
-inline void CheckInsideImage(const DatasetInfo& info, size_t size) {
+// it needs no more memory than the image itself, and hold a whole number
+// of elements of its type, as the writer guarantees, so a loader sizing
+// its buffer in elements reads no partial one.
+inline void CheckAcceptedDataset(const DatasetInfo& info, size_t size) {
   const int64_t image = static_cast<int64_t>(size);
   CheckOk(info.offset >= 0 && info.nbytes >= 0 && info.offset <= image &&
               info.nbytes <= image - info.offset,
           "accepted dataset ends outside the file");
+  CheckOk(info.nbytes % SizeOf(info.type) == 0,
+          "accepted dataset is not a whole number of elements");
 }
 }  // namespace fuzz_internal
 
@@ -95,7 +99,7 @@ inline void FuzzOneInput(const uint8_t* data, size_t size) {
   auto reader = Reader::Open(&env, "f");
   if (reader.ok()) {
     for (const DatasetInfo& info : (*reader)->datasets()) {
-      fuzz_internal::CheckInsideImage(info, size);
+      fuzz_internal::CheckAcceptedDataset(info, size);
       std::vector<uint8_t> buffer(static_cast<size_t>(info.nbytes));
       Status s = (*reader)->Read(info.name, buffer.data(), info.nbytes);
       (void)s;  // either OK or a clean error
@@ -110,7 +114,7 @@ inline void FuzzOneInput(const uint8_t* data, size_t size) {
   auto salvage = Reader::OpenSalvage(&env, "f");
   if (!salvage.ok()) return;  // clean rejection (no magic / unreadable)
   for (const DatasetInfo& info : (*salvage)->datasets()) {
-    fuzz_internal::CheckInsideImage(info, size);
+    fuzz_internal::CheckAcceptedDataset(info, size);
     std::vector<uint8_t> buffer(static_cast<size_t>(info.nbytes));
     Status s =
         (*salvage)->ReadVerified(info.name, buffer.data(), info.nbytes);

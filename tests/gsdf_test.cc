@@ -2,11 +2,13 @@
 // ranged reads, and corruption handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -132,31 +134,6 @@ TEST(GsdfTest, FileWithNoDatasets) {
   auto reader = Reader::Open(&env, "f.gsdf");
   ASSERT_TRUE(reader.ok());
   EXPECT_TRUE((*reader)->datasets().empty());
-}
-
-TEST(GsdfTest, ReadRange) {
-  SimEnv env = MakeEnv();
-  auto writer = Writer::Create(&env, "f.gsdf");
-  ASSERT_TRUE(writer.ok());
-  std::vector<double> xs = Doubles(10);
-  ASSERT_TRUE(
-      (*writer)->AddDataset("xs", DataType::kFloat64, xs.data(), 80).ok());
-  ASSERT_TRUE((*writer)->Finish().ok());
-  auto reader = Reader::Open(&env, "f.gsdf");
-  ASSERT_TRUE(reader.ok());
-  double middle[2];
-  ASSERT_TRUE((*reader)->ReadRange("xs", 4 * 8, 16, middle).ok());
-  EXPECT_EQ(middle[0], xs[4]);
-  EXPECT_EQ(middle[1], xs[5]);
-  EXPECT_EQ(
-      (*reader)->ReadRange("xs", 72, 16, middle).code(),
-      StatusCode::kOutOfRange);
-  // byte_offset + nbytes overflows int64_t.
-  EXPECT_EQ((*reader)
-                ->ReadRange("xs", 8, std::numeric_limits<int64_t>::max() - 4,
-                            middle)
-                .code(),
-            StatusCode::kOutOfRange);
 }
 
 TEST(GsdfTest, WriterRejectsBadInput) {
@@ -376,6 +353,34 @@ TEST(GsdfVersionTest, TailCrcDetectsDirectoryCorruption) {
       << reader.status();
 }
 
+// Rewrites the directory's `nbytes` of the one dataset, named "d", of the
+// v1 file `path` from `from` to `to`. A v1 file has no tail CRC, so the
+// patched entry reaches the reader's per-entry checks.
+void PatchV1DatasetSize(SimEnv* env, const std::string& path, uint64_t from,
+                        uint64_t to) {
+  auto size = env->GetFileSize(path);
+  ASSERT_TRUE(size.ok());
+  std::vector<uint8_t> image(static_cast<size_t>(*size));
+  {
+    auto file = env->NewRandomAccessFile(path);
+    ASSERT_TRUE(file.ok());
+    ASSERT_TRUE((*file)->Read(0, *size, image.data()).ok());
+  }
+  const size_t dir_offset = static_cast<size_t>(
+      DecodeU64(image.data() + *size - kFooterSizeV1));
+  // Entry: name length (4), "d" (1), type (1), offset (8), then nbytes.
+  const size_t nbytes_at = dir_offset + 4 + 1 + 1 + 8;
+  ASSERT_EQ(DecodeU64(image.data() + nbytes_at), from);
+  std::string patched;
+  EncodeU64(to, &patched);
+  std::memcpy(image.data() + nbytes_at, patched.data(), 8);
+  auto file = env->NewWritableFile(path);
+  ASSERT_TRUE(file.ok());
+  ASSERT_TRUE(
+      (*file)->Append(image.data(), static_cast<int64_t>(image.size())).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+}
+
 TEST(GsdfVersionTest, DatasetWhoseEndOverflowsIsDataLoss) {
   // A v1 file (no tail CRC) whose one 32-byte dataset claims
   // nbytes = 0x7FFFFFFFFFFFFFF8: offset + nbytes overflows int64_t, so the
@@ -389,36 +394,37 @@ TEST(GsdfVersionTest, DatasetWhoseEndOverflowsIsDataLoss) {
   ASSERT_TRUE(
       (*writer)->AddDataset("d", DataType::kFloat64, data.data(), 32).ok());
   ASSERT_TRUE((*writer)->Finish().ok());
-
-  auto size = env.GetFileSize("f.gsdf");
-  ASSERT_TRUE(size.ok());
-  std::vector<uint8_t> image(static_cast<size_t>(*size));
-  {
-    auto file = env.NewRandomAccessFile("f.gsdf");
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE((*file)->Read(0, *size, image.data()).ok());
-  }
-  const size_t dir_offset = static_cast<size_t>(
-      DecodeU64(image.data() + *size - kFooterSizeV1));
-  // Entry: name length (4), "d" (1), type (1), offset (8), then nbytes.
-  const size_t nbytes_at = dir_offset + 4 + 1 + 1 + 8;
-  ASSERT_EQ(DecodeU64(image.data() + nbytes_at), 32u);
-  std::string patched;
-  EncodeU64(0x7FFFFFFFFFFFFFF8u, &patched);
-  std::memcpy(image.data() + nbytes_at, patched.data(), 8);
-  {
-    auto file = env.NewWritableFile("f.gsdf");
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE(
-        (*file)->Append(image.data(), static_cast<int64_t>(image.size()))
-            .ok());
-    ASSERT_TRUE((*file)->Close().ok());
-  }
+  ASSERT_NO_FATAL_FAILURE(
+      PatchV1DatasetSize(&env, "f.gsdf", 32, 0x7FFFFFFFFFFFFFF8u));
 
   auto reader = Reader::Open(&env, "f.gsdf");
   ASSERT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(reader.status().ToString().find("payload out of range"),
+            std::string::npos)
+      << reader.status();
+}
+
+TEST(GsdfVersionTest, DatasetOfPartialElementsIsDataLoss) {
+  // The writer refuses a size that is not a whole number of elements, so
+  // a v1 entry claiming 7 bytes of int32 can only come from corruption: a
+  // reader that served it would hand a loader one and three quarters of
+  // an element.
+  SimEnv env = MakeEnv();
+  Writer::Options options;
+  options.version = kVersionV1;
+  auto writer = Writer::Create(&env, "f.gsdf", options);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  const int32_t ints[2] = {7, 8};
+  ASSERT_TRUE((*writer)->AddDataset("d", DataType::kInt32, ints, 8).ok());
+  ASSERT_TRUE((*writer)->Finish().ok());
+  ASSERT_NO_FATAL_FAILURE(PatchV1DatasetSize(&env, "f.gsdf", 8, 7));
+
+  auto reader = Reader::Open(&env, "f.gsdf");
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(reader.status().ToString().find(
+                "dataset d size 7 is not a multiple of element size 4"),
             std::string::npos)
       << reader.status();
 }
@@ -590,7 +596,15 @@ TEST(GsdfBatchTest, SkippedDatasetGapHonoursMaxGap) {
   EXPECT_EQ(first, Doubles(kElements, 0.0));
   EXPECT_EQ(third, Doubles(kElements, 2000.0));
 
-  // A gap tolerance smaller than d1 forbids the merge: two transfers.
+  // A gap tolerance of exactly d1's size still merges...
+  BatchOptions exact;
+  exact.max_gap = kElements * 8;
+  auto edge = (*reader)->ReadBatch(batch, exact);
+  ASSERT_TRUE(edge.ok());
+  EXPECT_EQ(edge->transfers, 1);
+  EXPECT_EQ(edge->gap_bytes, kElements * 8);
+
+  // ...and one byte less forbids it: two transfers.
   BatchOptions tight;
   tight.max_gap = kElements * 8 - 1;
   auto split = (*reader)->ReadBatch(batch, tight);
@@ -623,6 +637,21 @@ TEST(GsdfBatchTest, MaxTransferSplitsRuns) {
   for (int d = 0; d < kDatasets; ++d) {
     EXPECT_EQ(out[d], Doubles(kElements, d * 1000.0));
   }
+
+  // The cap is inclusive: a span of exactly two payloads still merges
+  // them, so the four back-to-back datasets take two transfers...
+  BatchOptions pairs;
+  pairs.max_transfer = 2 * kElements * 8;
+  env.ResetStats();
+  auto paired = (*reader)->ReadBatch(batch, pairs);
+  ASSERT_TRUE(paired.ok());
+  EXPECT_EQ(paired->transfers, 2);
+  EXPECT_EQ(env.stats().bytes_read, kDatasets * kElements * 8);
+  // ...and one byte less reads every dataset alone.
+  pairs.max_transfer -= 1;
+  auto alone = (*reader)->ReadBatch(batch, pairs);
+  ASSERT_TRUE(alone.ok());
+  EXPECT_EQ(alone->transfers, kDatasets);
 }
 
 TEST(GsdfBatchTest, RequestOrderDoesNotMatter) {
@@ -655,6 +684,29 @@ TEST(GsdfBatchTest, EmptyBatchIsANoOp) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->transfers, 0);
   EXPECT_EQ(stats->coalesced, 0);
+}
+
+TEST(GsdfBatchTest, DuplicateRequestsShareOneTransfer) {
+  SimEnv env = MakeEnv();
+  const int kElements = 25;
+  WriteBatchFile(&env, "f.gsdf", 1, kElements);
+  auto reader = Reader::Open(&env, "f.gsdf");
+  ASSERT_TRUE(reader.ok());
+  std::vector<double> first(kElements), second(kElements);
+  std::vector<BatchRequest> batch = {{"d0", first.data(), kElements * 8},
+                                     {"d0", second.data(), kElements * 8}};
+  env.ResetStats();
+  auto stats = (*reader)->ReadBatch(batch);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  // Both requests ride one transfer of the dataset's own span: its bytes
+  // come off the device once, and the overlap is not counted as a gap.
+  EXPECT_EQ(stats->transfers, 1);
+  EXPECT_EQ(stats->coalesced, 1);
+  EXPECT_EQ(stats->gap_bytes, 0);
+  EXPECT_EQ(env.stats().reads, 1);
+  EXPECT_EQ(env.stats().bytes_read, kElements * 8);
+  EXPECT_EQ(first, Doubles(kElements));
+  EXPECT_EQ(second, Doubles(kElements));
 }
 
 TEST(GsdfBatchTest, UnknownDatasetFailsBeforeAnyTransfer) {
@@ -835,6 +887,116 @@ TEST(GsdfBatchTest, MatchesIndividualReads) {
     std::vector<BatchRequest> batch = {{name, batched.data(), kElements * 8}};
     ASSERT_TRUE((*reader)->ReadBatch(batch).ok());
     EXPECT_EQ(batched, individual);
+  }
+}
+
+// ---- ReadBatch property: transfers follow the run-split rule ----
+
+// The run split ReadBatch performs, written out independently of it:
+// extents (offset, nbytes) in offset order; a run takes the next extent
+// while it starts at most max_gap past the run's end and the merged span
+// stays within max_transfer. (ReadBatch also lets a zero-byte run take its
+// neighbour; every extent here is at least one element.)
+struct ReferenceSplit {
+  int64_t transfers = 0;
+  int64_t span_bytes = 0;  // what the device reads: every run's span
+};
+
+ReferenceSplit SplitIntoRuns(std::vector<std::pair<int64_t, int64_t>> extents,
+                             const BatchLimits& limits) {
+  std::sort(extents.begin(), extents.end());
+  ReferenceSplit split;
+  int64_t run_start = 0;
+  int64_t run_end = 0;
+  for (size_t i = 0; i < extents.size(); ++i) {
+    const auto [offset, nbytes] = extents[i];
+    const int64_t merged_end = std::max(run_end, offset + nbytes);
+    if (i > 0 && offset - run_end <= limits.max_gap &&
+        merged_end - run_start <= limits.max_transfer) {
+      run_end = merged_end;  // rides along the open run
+      continue;
+    }
+    if (i > 0) split.span_bytes += run_end - run_start;  // closes it
+    ++split.transfers;  // and opens the next
+    run_start = offset;
+    run_end = offset + nbytes;
+  }
+  if (!extents.empty()) split.span_bytes += run_end - run_start;
+  return split;
+}
+
+// One trial: a file of 1–30 float64 datasets of 1–512 elements, a random
+// subset of them (always d0) requested in shuffled order under random
+// limits; ReadBatch must issue exactly the reference split's transfers and
+// bytes and land every payload.
+void RunReadBatchTrial(std::mt19937* rng) {
+  SimEnv env = MakeEnv();
+  auto writer = Writer::Create(&env, "p.gsdf");
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  const int num_datasets = 1 + static_cast<int>((*rng)() % 30);
+  std::vector<int> elements;
+  for (int d = 0; d < num_datasets; ++d) {
+    elements.push_back(1 + static_cast<int>((*rng)() % 512));
+    std::vector<double> data = Doubles(elements.back(), d * 1000.0);
+    ASSERT_TRUE((*writer)
+                    ->AddDataset("d" + std::to_string(d), DataType::kFloat64,
+                                 data.data(), elements.back() * 8)
+                    .ok());
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+  auto reader = Reader::Open(&env, "p.gsdf");
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  BatchOptions options;
+  const int64_t gaps[] = {0, 64, 1024, 64 * 1024};
+  const int64_t transfers[] = {4096, 64 * 1024, 4 * 1024 * 1024};
+  options.max_gap = gaps[(*rng)() % 4];
+  options.max_transfer = transfers[(*rng)() % 3];
+
+  std::vector<int> subset;
+  for (int d = 0; d < num_datasets; ++d) {
+    if (d == 0 || (*rng)() % 2 == 0) subset.push_back(d);
+  }
+  std::vector<std::vector<double>> out(subset.size());
+  std::vector<BatchRequest> requests;
+  std::vector<std::pair<int64_t, int64_t>> extents;
+  int64_t payload_bytes = 0;
+  for (size_t i = 0; i < subset.size(); ++i) {
+    const std::string name = "d" + std::to_string(subset[i]);
+    const int64_t nbytes = elements[static_cast<size_t>(subset[i])] * 8;
+    out[i].resize(static_cast<size_t>(nbytes / 8));
+    requests.push_back({name, out[i].data(), nbytes});
+    auto info = (*reader)->Find(name);
+    ASSERT_TRUE(info.ok()) << info.status();
+    extents.emplace_back((*info)->offset, (*info)->nbytes);
+    payload_bytes += nbytes;
+  }
+  const ReferenceSplit expected = SplitIntoRuns(extents, options);
+  std::shuffle(requests.begin(), requests.end(), *rng);
+
+  env.ResetStats();
+  auto stats = (*reader)->ReadBatch(requests, options);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->transfers, expected.transfers);
+  EXPECT_EQ(env.stats().reads, expected.transfers);
+  EXPECT_EQ(env.stats().bytes_read, expected.span_bytes);
+  EXPECT_EQ(stats->coalesced,
+            static_cast<int64_t>(subset.size()) - expected.transfers);
+  EXPECT_EQ(stats->gap_bytes, expected.span_bytes - payload_bytes);
+  for (size_t i = 0; i < subset.size(); ++i) {
+    EXPECT_EQ(out[i], Doubles(elements[static_cast<size_t>(subset[i])],
+                              subset[i] * 1000.0))
+        << "dataset d" << subset[i];
+  }
+}
+
+// The env has no time scale, so reads charge no delay and the test runs
+// the same under either simulation mode; one instance covers both.
+TEST(GsdfBatchPropertyTest, TransfersFollowTheRunSplitRule) {
+  std::mt19937 rng(20260808);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    RunReadBatchTrial(&rng);
   }
 }
 

@@ -8,13 +8,17 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/random.h"
+#include "common/types.h"
 #include "core/gbo.h"
 #include "core/key_util.h"
 #include "core/options.h"
 #include "core/query.h"
+#include "gsdf/reader.h"
+#include "gsdf/writer.h"
 #include "mesh/dataset_spec.h"
 #include "sim/event_scheduler.h"
 #include "sim/platform.h"
@@ -94,7 +98,10 @@ TEST(BlockSchemaTest, UnitNames) {
 class WorkloadIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto experiment = Experiment::Create(TinyOptions());
+    // Checksummed, so the verified read function can load it too.
+    ExperimentOptions options = TinyOptions();
+    options.spec.checksums = true;
+    auto experiment = Experiment::Create(options);
     ASSERT_TRUE(experiment.ok()) << experiment.status();
     experiment_ = std::move(*experiment);
   }
@@ -143,18 +150,24 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
                               {"density"}, /*include_conn=*/true);
   ASSERT_TRUE(plain.ok()) << plain.status();
 
-  // The snapshot read function...
-  Gbo db(GboOptions::SingleThread());
-  ASSERT_TRUE(DefineBlockSchema(&db).ok());
-  ASSERT_TRUE(db.ReadUnit(SnapshotUnitName(2),
-                          MakeSnapshotReadFn(&runtime,
-                                             &experiment_->dataset(),
-                                             {"density"}))
-                  .ok());
+  // The snapshot read function — per dataset, coalesced and verified...
+  std::vector<std::unique_ptr<Gbo>> loaded;
+  for (const SnapshotReadOptions& options :
+       {SnapshotReadOptions{}, SnapshotReadOptions{.coalesce = true},
+        SnapshotReadOptions{.verify_checksums = true}}) {
+    auto db = std::make_unique<Gbo>(GboOptions::SingleThread());
+    ASSERT_TRUE(DefineBlockSchema(db.get()).ok());
+    ASSERT_TRUE(db->ReadUnit(SnapshotUnitName(2),
+                             MakeSnapshotReadFn(&runtime,
+                                                &experiment_->dataset(),
+                                                {"density"}, options))
+                    .ok());
+    loaded.push_back(std::move(db));
+  }
   // ...and the query path (one unit per snapshot file, one ReadBatch each)
-  // must both commit exactly what the direct read returns.
-  Gbo query_db(GboOptions::SingleThread());
-  ASSERT_TRUE(DefineBlockSchema(&query_db).ok());
+  // must all commit exactly what the direct read returns.
+  auto query_db = std::make_unique<Gbo>(GboOptions::SingleThread());
+  ASSERT_TRUE(DefineBlockSchema(query_db.get()).ok());
   SnapshotQueryOptions query_options;
   query_options.fields = {"density"};
   query_options.snapshot_begin = 2;
@@ -162,31 +175,114 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
   auto query =
       BuildSnapshotQuery(&runtime, &experiment_->dataset(), query_options);
   ASSERT_TRUE(query.ok()) << query.status();
-  QueryPlanner planner(&query_db);
+  QueryPlanner planner(query_db.get());
   auto ticket = planner.Submit(*std::move(query));
   ASSERT_TRUE(ticket.ok()) << ticket.status();
   ASSERT_TRUE((*ticket)->WaitAll().ok());
+  loaded.push_back(std::move(query_db));
 
-  auto expect_buffer = [](Gbo* loaded, const char* field, int32_t block_id,
-                          const std::vector<double>& expected) {
-    auto buffer = loaded->GetFieldBuffer(kBlockRecordType, field,
-                                         BlockKey(block_id, 2));
+  auto expect_buffer = [](Gbo* db, const char* field, int32_t block_id,
+                          const auto& expected) {
+    using T = typename std::decay_t<decltype(expected)>::value_type;
+    auto buffer =
+        db->GetFieldBuffer(kBlockRecordType, field, BlockKey(block_id, 2));
     ASSERT_TRUE(buffer.ok()) << buffer.status();
-    auto size = loaded->GetFieldBufferSize(kBlockRecordType, field,
-                                           BlockKey(block_id, 2));
+    auto size =
+        db->GetFieldBufferSize(kBlockRecordType, field, BlockKey(block_id, 2));
     ASSERT_TRUE(size.ok());
-    ASSERT_EQ(static_cast<size_t>(*size / 8), expected.size());
-    const double* godiva_values = static_cast<const double*>(*buffer);
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(godiva_values[i], expected[i]) << field << " " << block_id;
-    }
+    ASSERT_EQ(static_cast<size_t>(*size), expected.size() * sizeof(T));
+    const T* values = static_cast<const T*>(*buffer);
+    EXPECT_EQ(std::vector<T>(values, values + expected.size()), expected)
+        << field << " " << block_id;
   };
-  for (Gbo* loaded : {&db, &query_db}) {
+  for (const std::unique_ptr<Gbo>& db : loaded) {
     for (const PlainBlock& block : *plain) {
-      expect_buffer(loaded, "density", block.block_id,
+      expect_buffer(db.get(), "density", block.block_id,
                     block.fields.at("density"));
-      expect_buffer(loaded, kFieldX, block.block_id, block.x);
+      expect_buffer(db.get(), kFieldX, block.block_id, block.x);
+      expect_buffer(db.get(), kFieldY, block.block_id, block.y);
+      expect_buffer(db.get(), kFieldZ, block.block_id, block.z);
+      expect_buffer(db.get(), kFieldConn, block.block_id, block.conn);
     }
+  }
+}
+
+TEST_F(WorkloadIoTest, WarmExtentsCacheRebuildsAWindowWithoutReads) {
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  SnapshotExtentsCache cache;
+  SnapshotQueryOptions options;
+  options.fields = {"density", "velx"};
+  options.snapshot_begin = 1;
+  options.snapshot_end = 3;
+  options.extents_cache = &cache;
+  experiment_->env()->ResetStats();
+  auto cold = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  const int64_t cold_reads = experiment_->env()->stats().reads;
+  EXPECT_GT(cold_reads, 0);  // the cold build read every file's directory
+
+  auto warm = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_EQ(experiment_->env()->stats().reads, cold_reads);
+  ASSERT_EQ(cold->units.size(), 4u);  // 2 snapshots x 2 files
+  ASSERT_EQ(warm->units.size(), cold->units.size());
+  for (size_t i = 0; i < cold->units.size(); ++i) {
+    EXPECT_EQ(warm->units[i].name, cold->units[i].name);
+    EXPECT_EQ(warm->units[i].bytes, cold->units[i].bytes);
+  }
+
+  // A unit's bytes are the directory sizes of every dataset its blocks
+  // load: x, y, z, conn and the requested fields.
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  for (size_t i = 0; i < cold->units.size(); ++i) {
+    const int snapshot = 1 + static_cast<int>(i) / spec.files_per_snapshot;
+    const int file = static_cast<int>(i) % spec.files_per_snapshot;
+    auto reader = gsdf::Reader::Open(
+        experiment_->env(),
+        experiment_->dataset().SnapshotFiles(snapshot)[file]);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    int64_t bytes = 0;
+    for (int32_t block_id : mesh::BlocksInFile(spec, file)) {
+      for (const char* field : {"x", "y", "z", "conn", "density", "velx"}) {
+        auto info = (*reader)->Find(mesh::BlockDatasetName(block_id, field));
+        ASSERT_TRUE(info.ok()) << info.status();
+        bytes += (*info)->nbytes;
+      }
+    }
+    EXPECT_EQ(cold->units[i].bytes, bytes) << cold->units[i].name;
+  }
+}
+
+TEST_F(WorkloadIoTest, PartialElementBlockListFailsTheLoad) {
+  // gsdf stores 7 bytes of kByte without complaint, but the loaders read
+  // the block list as int32: the load must fail naming the dataset rather
+  // than read 7 bytes into a one-element vector. File 1 of snapshot 0 is
+  // replaced, so file 0's blocks are committed before the failure and
+  // must be rolled back with the unit.
+  {
+    auto writer =
+        gsdf::Writer::Create(experiment_->env(), experiment_->dataset().files[1]);
+    ASSERT_TRUE(writer.ok()) << writer.status();
+    const uint8_t ragged[7] = {0xff, 0xff, 0xff, 0x7f, 1, 2, 3};
+    ASSERT_TRUE(
+        (*writer)->AddDataset("blocks", DataType::kByte, ragged, 7).ok());
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  for (const SnapshotReadOptions& options :
+       {SnapshotReadOptions{}, SnapshotReadOptions{.coalesce = true}}) {
+    Gbo db(GboOptions::SingleThread());
+    ASSERT_TRUE(DefineBlockSchema(&db).ok());
+    Status status = db.ReadUnit(
+        SnapshotUnitName(0), MakeSnapshotReadFn(&runtime,
+                                                &experiment_->dataset(),
+                                                {"density"}, options));
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.ToString().find("dataset blocks"), std::string::npos)
+        << status;
+    EXPECT_EQ(db.memory_usage(), 0);
   }
 }
 
