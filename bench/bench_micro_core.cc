@@ -2,7 +2,8 @@
 // and key-lookup costs (the in-memory database operations on the critical
 // path of every read function and every data-processing query), the
 // serving workloads' synthetic read function, the CRC-32 that verified
-// reads pay per byte, the feature extraction that each render pass runs
+// reads pay per byte, one verified coalesced unit load of the query
+// workload's shape, the feature extraction that each render pass runs
 // over a full-size snapshot, and the generation of one such snapshot.
 #include <benchmark/benchmark.h>
 
@@ -19,11 +20,14 @@
 #include "core/key_util.h"
 #include "core/options.h"
 #include "core/record.h"
+#include "gsdf/reader.h"
 #include "mesh/dataset_spec.h"
 #include "mesh/partition.h"
 #include "mesh/snapshot_writer.h"
+#include "sim/event_scheduler.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
+#include "workloads/block_schema.h"
 #include "workloads/platform_runtime.h"
 #include "workloads/processing.h"
 #include "workloads/serving.h"
@@ -199,12 +203,81 @@ void RunCrc32(benchmark::State& state,
 void BM_Crc32(benchmark::State& state) { RunCrc32(state, &Crc32); }
 BENCHMARK(BM_Crc32)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
+// The same checksum with the 128-bit carry-less-multiply fold as its
+// widest: what Crc32 runs on a CPU with PCLMULQDQ but no VPCLMULQDQ.
+void BM_Crc32Clmul128(benchmark::State& state) {
+  RunCrc32(state, &detail::Clmul128Crc32);
+}
+BENCHMARK(BM_Crc32Clmul128)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
 // The same checksum by the portable slicing-by-16 loop alone: what Crc32
 // runs on a CPU without PCLMULQDQ.
 void BM_Crc32Portable(benchmark::State& state) {
   RunCrc32(state, &detail::PortableCrc32);
 }
 BENCHMARK(BM_Crc32Portable)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// One snapshot of window_query's dataset (the TitanIV mesh scaled by 0.5,
+// checksummed), written into its env once per process.
+struct QuerySnapshot {
+  SimEnv env{SimEnv::Options{}};
+  mesh::DatasetSpec spec = mesh::DatasetSpec::TitanIVScaled(0.5);
+  Status status;
+  mesh::SnapshotDataset dataset;
+};
+
+QuerySnapshot* MakeQuerySnapshot() {
+  auto* snapshot = new QuerySnapshot;
+  snapshot->spec.num_snapshots = 1;
+  snapshot->spec.checksums = true;
+  Result<mesh::SnapshotDataset> dataset =
+      mesh::WriteSnapshotDataset(&snapshot->env, snapshot->spec, "data");
+  snapshot->status = dataset.status();
+  if (dataset.ok()) snapshot->dataset = *std::move(dataset);
+  return snapshot;
+}
+
+void BM_LoadFileBatch(benchmark::State& state) {
+  // One unit load of window_query's shape into a fresh Gbo: file 0 of the
+  // snapshot, each block's x/y/z/conn plus sxx, syy and the displacement
+  // components, through one verified, coalesced ReadBatch that merges only
+  // adjacent payloads (LoadFileBatch), on the virtual clock.
+  static QuerySnapshot* const snapshot = MakeQuerySnapshot();
+  if (!snapshot->status.ok()) {
+    state.SkipWithError(snapshot->status.ToString().c_str());
+    return;
+  }
+  DiscreteEventScope scope;
+  workloads::PlatformRuntime runtime(PlatformProfile::Engle(), 1.0,
+                                     &snapshot->env);
+  const std::string path = snapshot->dataset.SnapshotFiles(0)[0];
+  const std::vector<int32_t> blocks = mesh::BlocksInFile(snapshot->spec, 0);
+  const std::vector<std::string> fields = {"sxx", "syy", "dispx", "dispy",
+                                           "dispz"};
+  gsdf::BatchOptions options;
+  options.max_gap = 0;
+  options.verify = true;
+  const Gbo::ReadFn read_fn = [&](Gbo* db, const std::string&) -> Status {
+    GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
+                            gsdf::Reader::Open(runtime.io_env(), path));
+    return workloads::LoadFileBatch(&runtime, *reader, blocks, 0, fields,
+                                    options, /*counters=*/nullptr, db);
+  };
+  int64_t bytes = 0;
+  for (auto _ : state) {
+    Gbo db(GboOptions::SingleThread());
+    Status s = workloads::DefineBlockSchema(&db);
+    if (s.ok()) s = db.ReadUnit("snap_0000/f00", read_fn);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+    bytes += db.memory_usage();
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_LoadFileBatch)->Unit(benchmark::kMicrosecond);
 
 // One full-size TitanIV snapshot with every quantity of the medium test,
 // written and read back once per process. `views` span the arrays that

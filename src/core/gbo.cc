@@ -226,11 +226,10 @@ Result<Record*> Gbo::NewRecord(const std::string& record_type) {
   const std::vector<RecordType::Member>& members = type->members();
   for (size_t i = 0; i < members.size(); ++i) {
     if (members[i].field->has_known_size()) {
-      GODIVA_ASSIGN_OR_RETURN(
-          int64_t charged,
-          raw->AllocateSlot(static_cast<int>(i),
-                            members[i].field->default_size));
-      (void)charged;  // accounted below via MemoryUsage()
+      const int index = static_cast<int>(i);
+      // Accounted below via MemoryUsage().
+      GODIVA_RETURN_IF_ERROR(raw->AllocateSlots(
+          {&index, 1}, {&members[i].field->default_size, 1}));
     }
   }
 
@@ -256,17 +255,34 @@ Result<Record*> Gbo::NewRecord(const std::string& record_type) {
 Result<void*> Gbo::AllocFieldBuffer(Record* record,
                                     const std::string& field_name,
                                     int64_t size_bytes) {
+  const std::string_view name = field_name;
+  return AllocFieldBuffers(record, {&name, 1}, {&size_bytes, 1});
+}
+
+Result<void*> Gbo::AllocFieldBuffers(
+    Record* record, std::span<const std::string_view> field_names,
+    std::span<const int64_t> sizes) {
+  if (field_names.size() != sizes.size()) {
+    return InvalidArgumentError(StrFormat(
+        "%zu field names but %zu buffer sizes", field_names.size(),
+        sizes.size()));
+  }
+  if (field_names.empty()) {
+    return InvalidArgumentError("no field buffers to allocate");
+  }
   MutexLock lock(&mu_);
   auto rec_it = records_.find(record);
   if (rec_it == records_.end()) {
     return InvalidArgumentError("unknown record handle");
   }
-  int index = record->type().FindMemberIndex(field_name);
-  if (index < 0) {
-    return NotFoundError(StrCat("record type ", record->type().name(),
-                                " has no field ", field_name));
+  std::vector<int> indices(field_names.size());
+  for (size_t i = 0; i < field_names.size(); ++i) {
+    indices[i] = record->type().FindMemberIndex(field_names[i]);
+    if (indices[i] < 0) {
+      return NotFoundError(StrCat("record type ", record->type().name(),
+                                  " has no field ", field_names[i]));
+    }
   }
-  int64_t charged = 0;
   if (record->committed_ && !record->key_.empty()) {
     // The record is already published through its key index, so lookups
     // on its key shard may be reading the slot table concurrently:
@@ -274,21 +290,22 @@ Result<void*> Gbo::AllocFieldBuffer(Record* record,
     Shard& key_shard = *shards_[ShardIndexOfKey(&record->type(),
                                                 record->key_)];
     MutexLock key_lock(&key_shard.mu);
-    GODIVA_ASSIGN_OR_RETURN(charged,
-                            record->AllocateSlot(index, size_bytes));
+    GODIVA_RETURN_IF_ERROR(record->AllocateSlots(indices, sizes));
   } else {
-    GODIVA_ASSIGN_OR_RETURN(charged,
-                            record->AllocateSlot(index, size_bytes));
+    GODIVA_RETURN_IF_ERROR(record->AllocateSlots(indices, sizes));
   }
-  if (!record->unit_.empty()) {
-    Shard& s = ShardOfUnitName(record->unit_);
-    MutexLock shard_lock(&s.mu);
-    Unit* unit = FindUnitLocked(s, record->unit_);
-    if (unit != nullptr) unit->memory_bytes += charged;
+  // Field by field, as that many AllocFieldBuffer calls would charge it.
+  for (int64_t charged : sizes) {
+    if (!record->unit_.empty()) {
+      Shard& s = ShardOfUnitName(record->unit_);
+      MutexLock shard_lock(&s.mu);
+      Unit* unit = FindUnitLocked(s, record->unit_);
+      if (unit != nullptr) unit->memory_bytes += charged;
+    }
+    ChargeMemoryLocked(charged);
+    EvictToLimitLocked();
   }
-  ChargeMemoryLocked(charged);
-  EvictToLimitLocked();
-  return record->slot_data(index);
+  return record->slot_data(indices[0]);
 }
 
 Status Gbo::CommitRecord(Record* record) {

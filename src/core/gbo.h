@@ -128,6 +128,20 @@ class Gbo {
   Result<void*> AllocFieldBuffer(Record* record, const std::string& field_name,
                                  int64_t size_bytes) EXCLUDES(mu_);
 
+  // Allocates the buffers of several fields as one allocation, back to
+  // back in the order given: field_names[i] gets sizes[i] bytes, starting
+  // sizes[0] + … + sizes[i-1] bytes past the returned pointer, so one read
+  // can fill datasets that sit back to back in a file. Memory is charged
+  // exactly as one AllocFieldBuffer call per field in that order would
+  // charge it (record and unit bytes, peak, eviction check). Fails
+  // without effect on an unknown field, one already allocated or listed
+  // twice, or a size that is not a whole number of the field's elements
+  // or would leave a later field misaligned for its element type.
+  Result<void*> AllocFieldBuffers(Record* record,
+                                  std::span<const std::string_view> field_names,
+                                  std::span<const int64_t> sizes)
+      EXCLUDES(mu_);
+
   // Inserts the record into the key index. All key-field buffers must be
   // filled with final values first (GODIVA does not detect later key
   // mutation — paper §3.3).

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,10 +33,13 @@ class Record {
   const std::string& unit() const { return unit_; }
   bool committed() const { return committed_; }
 
-  // Allocates the buffer for `member_index` with `size` bytes. Fails if
-  // already allocated or size is invalid for the field's element type.
-  // Returns the number of bytes newly charged against the memory budget.
-  Result<int64_t> AllocateSlot(int member_index, int64_t size);
+  // Allocates the buffers of `member_indices[i]` with `sizes[i]` bytes as
+  // one allocation, back to back in the given order, and adds the sizes to
+  // MemoryUsage(). Fails without effect if any member is already allocated
+  // or listed twice, or a size is invalid for its field's element type or
+  // would leave a buffer misaligned for it.
+  Status AllocateSlots(std::span<const int> member_indices,
+                       std::span<const int64_t> sizes);
 
   bool slot_allocated(int member_index) const {
     return slots_[member_index].data != nullptr;
@@ -44,7 +48,7 @@ class Record {
   // Raw buffer pointer / size for an allocated member. Null / kUnknownSize
   // when unallocated.
   void* slot_data(int member_index) const {
-    return slots_[member_index].data.get();
+    return slots_[member_index].data;
   }
   int64_t slot_size(int member_index) const {
     return slots_[member_index].size;
@@ -67,8 +71,11 @@ class Record {
   friend class Gbo;
 
   struct Slot {
-    std::unique_ptr<uint8_t[]> data;
+    uint8_t* data = nullptr;  // null until allocated
     int64_t size = kUnknownSize;
+    // The allocation that starts at `data`, held by the first slot of each
+    // AllocateSlots call; later slots of the same call point into it.
+    std::unique_ptr<uint8_t[]> owned;
   };
 
   const RecordType* type_;

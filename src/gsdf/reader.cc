@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -117,7 +118,7 @@ Result<std::unique_ptr<Reader>> Reader::OpenSalvage(Env* env,
   // unreadable one (missing, I/O error) does not — there is nothing to scan.
   if (reader->file_ == nullptr) return status;
   reader->datasets_.clear();
-  reader->dataset_index_.clear();
+  reader->by_name_.clear();
   reader->file_attributes_.clear();
   reader->salvaged_ = true;
   reader->salvage_error_ = status;
@@ -216,11 +217,22 @@ Status Reader::Load() {
                                   SizeOf(info.type)));
     }
     GODIVA_ASSIGN_OR_RETURN(info.attributes, cursor.ReadAttributes());
-    dataset_index_.emplace(info.name, datasets_.size());
     datasets_.push_back(std::move(info));
   }
   GODIVA_ASSIGN_OR_RETURN(file_attributes_, cursor.ReadAttributes());
+  IndexDirectory();
   return Status::Ok();
+}
+
+void Reader::IndexDirectory() {
+  by_name_.resize(datasets_.size());
+  for (size_t i = 0; i < by_name_.size(); ++i) {
+    by_name_[i] = static_cast<uint32_t>(i);
+  }
+  std::sort(by_name_.begin(), by_name_.end(), [this](uint32_t a, uint32_t b) {
+    const int order = datasets_[a].name.compare(datasets_[b].name);
+    return order < 0 || (order == 0 && a < b);
+  });
 }
 
 namespace {
@@ -287,19 +299,38 @@ Status Reader::LoadSalvage() {
       continue;
     }
     pos += consumed;
-    if (dataset_index_.count(info.name) > 0) continue;  // first wins
-    dataset_index_.emplace(info.name, datasets_.size());
     datasets_.push_back(std::move(info));
+  }
+  // The first entry under a name wins: drop every later one.
+  IndexDirectory();
+  std::vector<bool> later(datasets_.size(), false);
+  for (size_t i = 1; i < by_name_.size(); ++i) {
+    later[by_name_[i]] =
+        datasets_[by_name_[i]].name == datasets_[by_name_[i - 1]].name;
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < datasets_.size(); ++i) {
+    if (later[i]) continue;
+    if (kept != i) datasets_[kept] = std::move(datasets_[i]);
+    ++kept;
+  }
+  if (kept < datasets_.size()) {
+    datasets_.resize(kept);
+    IndexDirectory();
   }
   return Status::Ok();
 }
 
 Result<const DatasetInfo*> Reader::Find(const std::string& name) const {
-  auto it = dataset_index_.find(name);
-  if (it == dataset_index_.end()) {
+  auto it = std::lower_bound(
+      by_name_.begin(), by_name_.end(), name,
+      [this](uint32_t i, const std::string& key) {
+        return datasets_[i].name < key;
+      });
+  if (it == by_name_.end() || datasets_[*it].name != name) {
     return NotFoundError(StrCat(path_, ": no dataset named ", name));
   }
-  return &datasets_[it->second];
+  return &datasets_[*it];
 }
 
 Status Reader::CheckChecksum(const DatasetInfo& info,
@@ -310,11 +341,17 @@ Status Reader::CheckChecksum(const DatasetInfo& info,
         StrCat(path_, ": dataset ", info.name, " has no checksum"));
   }
   if (!payload.has_value()) return Status::Ok();
-  std::string actual = StrFormat("%08x", Crc32(*payload, info.nbytes));
-  if (actual != *stored) {
+  // The writer's "%08x": eight lowercase hex digits.
+  const uint32_t crc = Crc32(*payload, info.nbytes);
+  char actual[9];
+  for (int i = 0; i < 8; ++i) {
+    actual[i] = "0123456789abcdef"[(crc >> (28 - 4 * i)) & 0xf];
+  }
+  actual[8] = '\0';
+  if (*stored != std::string_view(actual, 8)) {
     return DataLossError(StrFormat(
         "%s: dataset %s checksum mismatch (stored %s, computed %s)",
-        path_.c_str(), info.name.c_str(), stored->c_str(), actual.c_str()));
+        path_.c_str(), info.name.c_str(), stored->c_str(), actual));
   }
   return Status::Ok();
 }
@@ -374,20 +411,21 @@ Result<BatchStats> Reader::ReadBatch(
             });
 
   BatchStats stats;
-  // Landing buffer for coalesced runs: grown, never zero-filled, and never
-  // copied, since every run overwrites the bytes it uses.
+  // Landing buffer for runs that cannot land in place: grown, never
+  // zero-filled, and never copied, since every run overwrites the bytes it
+  // uses.
   std::unique_ptr<uint8_t[]> scratch;
   int64_t scratch_bytes = 0;
   int64_t max_gap = std::max<int64_t>(0, options.max_gap);
   int64_t max_transfer = std::max<int64_t>(1, options.max_transfer);
-  // Each dataset is verified exactly once, from wherever its bytes first
-  // land: coalesced datasets from the merged extent in scratch, lone
-  // datasets from the destination buffer.
   for (size_t begin = 0; begin < resolved.size();) {
     // Grow the run while the next dataset starts within max_gap of the
-    // run's end and the merged span stays under max_transfer.
+    // run's end and the merged span stays under max_transfer. It lands in
+    // place while each dataset starts where the last one ended, both in
+    // the file and in memory.
     int64_t run_start = resolved[begin].info->offset;
     int64_t run_end = run_start + resolved[begin].info->nbytes;
+    bool in_place = true;
     size_t end = begin + 1;
     while (end < resolved.size()) {
       const DatasetInfo* next = resolved[end].info;
@@ -397,42 +435,43 @@ Result<BatchStats> Reader::ReadBatch(
           run_end - run_start > 0) {
         break;
       }
+      const Resolved& last = resolved[end - 1];
+      in_place = in_place && next->offset == run_end &&
+                 resolved[end].request->out ==
+                     static_cast<uint8_t*>(last.request->out) +
+                         last.info->nbytes;
       run_end = merged_end;
       ++end;
     }
 
     ++stats.transfers;
-    if (end == begin + 1) {
-      // Lone dataset: straight into its destination, no scratch copy.
-      const Resolved& only = resolved[begin];
-      GODIVA_RETURN_IF_ERROR(file_->Read(only.info->offset,
-                                         only.info->nbytes,
-                                         only.request->out));
-      if (options.verify) {
-        GODIVA_RETURN_IF_ERROR(CheckChecksum(*only.info, only.request->out));
-      }
-    } else {
-      int64_t span = run_end - run_start;
+    const int64_t span = run_end - run_start;
+    uint8_t* landed = static_cast<uint8_t*>(resolved[begin].request->out);
+    if (!in_place) {
       if (span > scratch_bytes) {
         scratch = std::make_unique_for_overwrite<uint8_t[]>(
             static_cast<size_t>(span));
         scratch_bytes = span;
       }
-      GODIVA_RETURN_IF_ERROR(file_->Read(run_start, span, scratch.get()));
-      int64_t payload_bytes = 0;
-      for (size_t i = begin; i < end; ++i) {
-        const Resolved& entry = resolved[i];
-        const uint8_t* src = scratch.get() + (entry.info->offset - run_start);
-        if (options.verify) {
-          GODIVA_RETURN_IF_ERROR(CheckChecksum(*entry.info, src));
-        }
+      landed = scratch.get();
+    }
+    GODIVA_RETURN_IF_ERROR(file_->Read(run_start, span, landed));
+    // Each dataset is verified exactly once, on the bytes the read landed.
+    int64_t payload_bytes = 0;
+    for (size_t i = begin; i < end; ++i) {
+      const Resolved& entry = resolved[i];
+      const uint8_t* src = landed + (entry.info->offset - run_start);
+      if (options.verify) {
+        GODIVA_RETURN_IF_ERROR(CheckChecksum(*entry.info, src));
+      }
+      if (!in_place) {
         std::memcpy(entry.request->out, src,
                     static_cast<size_t>(entry.info->nbytes));
-        payload_bytes += entry.info->nbytes;
       }
-      stats.coalesced += static_cast<int64_t>(end - begin) - 1;
-      stats.gap_bytes += std::max<int64_t>(0, span - payload_bytes);
+      payload_bytes += entry.info->nbytes;
     }
+    stats.coalesced += static_cast<int64_t>(end - begin) - 1;
+    stats.gap_bytes += std::max<int64_t>(0, span - payload_bytes);
     begin = end;
   }
   return stats;

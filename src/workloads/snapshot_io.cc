@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/strings.h"
@@ -95,20 +96,57 @@ Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
                      SnapshotReadCounters* counters, Gbo* db) {
   const std::vector<std::string> datasets = BlockDatasets(fields);
   std::vector<gsdf::BatchRequest> batch;
+  batch.reserve(blocks.size() * datasets.size());
   std::vector<Record*> records;
   records.reserve(blocks.size());
   int64_t total_bytes = 0;
+  // One block's datasets in file order, with the field each lands in.
+  std::vector<std::pair<const gsdf::DatasetInfo*, std::string_view>> landing(
+      datasets.size());
+  std::vector<std::string_view> group_fields;
+  std::vector<int64_t> group_sizes;
   for (int32_t block_id : blocks) {
     GODIVA_ASSIGN_OR_RETURN(Record * record,
                             NewBlockRecord(db, block_id, snapshot));
-    for (const std::string& field : datasets) {
+    for (size_t i = 0; i < datasets.size(); ++i) {
       GODIVA_ASSIGN_OR_RETURN(
-          const gsdf::DatasetInfo* info,
-          reader.Find(mesh::BlockDatasetName(block_id, field)));
+          landing[i].first,
+          reader.Find(mesh::BlockDatasetName(block_id, datasets[i])));
+      landing[i].second = datasets[i];
+    }
+    std::sort(landing.begin(), landing.end(),
+              [](const auto& a, const auto& b) {
+                return a.first->offset < b.first->offset;
+              });
+    // Datasets that sit back to back in the file share one allocation in
+    // the same order, so ReadBatch lands them with one read. A group
+    // closes where the next payload would start off an 8-byte boundary,
+    // which keeps every buffer aligned for any element type.
+    for (size_t begin = 0; begin < landing.size();) {
+      group_fields.clear();
+      group_sizes.clear();
+      int64_t group_end = landing[begin].first->offset;
+      size_t end = begin;
+      do {
+        const gsdf::DatasetInfo* info = landing[end].first;
+        group_fields.push_back(landing[end].second);
+        group_sizes.push_back(info->nbytes);
+        group_end += info->nbytes;
+        ++end;
+      } while (end < landing.size() &&
+               landing[end].first->offset == group_end &&
+               (group_end - landing[begin].first->offset) % 8 == 0);
       GODIVA_ASSIGN_OR_RETURN(
-          void* buffer, db->AllocFieldBuffer(record, field, info->nbytes));
-      batch.push_back({info->name, buffer, info->nbytes});
-      total_bytes += info->nbytes;
+          void* buffer,
+          db->AllocFieldBuffers(record, group_fields, group_sizes));
+      auto* out = static_cast<uint8_t*>(buffer);
+      for (size_t i = begin; i < end; ++i) {
+        const gsdf::DatasetInfo* info = landing[i].first;
+        batch.push_back({info->name, out, info->nbytes});
+        out += info->nbytes;
+        total_bytes += info->nbytes;
+      }
+      begin = end;
     }
     records.push_back(record);
   }

@@ -99,7 +99,9 @@ Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
 
 // Push-down closure over every kernel: parses (snapshot, file) back out of
 // the unit name, walks the unit's blocks, and runs each kernel over spans
-// taken straight from the committed field buffers (no copies).
+// taken straight from the committed field buffers (no copies). A kernel
+// indexes every input up to the first one's length, so DATA_LOSS unless
+// they all have it.
 QueryPushdownFn MakeKernelPushdown(mesh::DatasetSpec spec, int block_begin,
                                    int block_end,
                                    std::vector<viz::DerivedKernel> kernels) {
@@ -126,6 +128,12 @@ QueryPushdownFn MakeKernelPushdown(mesh::DatasetSpec spec, int block_begin,
                                   record->FieldBufferSize(input));
           inputs.emplace_back(static_cast<const double*>(buffer),
                               static_cast<size_t>(size / 8));
+          if (inputs.back().size() != inputs.front().size()) {
+            return DataLossError(StrCat(
+                unit_name, " block ", block_id, ": field ", input, " holds ",
+                inputs.back().size(), " values, ", kernel.inputs.front(),
+                " holds ", inputs.front().size()));
+          }
         }
         DerivedResult result;
         result.unit = unit_name;

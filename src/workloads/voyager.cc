@@ -1,10 +1,12 @@
 #include "workloads/voyager.h"
 
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/strings.h"
 #include "core/gbo.h"
 #include "core/options.h"
 #include "core/record.h"
@@ -23,6 +25,39 @@ std::vector<int> SnapshotsToProcess(const RunConfig& config) {
       static_cast<size_t>(config.dataset->spec.num_snapshots));
   for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int>(i);
   return all;
+}
+
+// ProcessPass indexes y, z and every field of a view by node id, and the
+// node arrays by the ids in conn: DATA_LOSS unless each has x's length
+// and every conn id names one of x's nodes.
+Status CheckBlockView(const BlockView& view, int snapshot) {
+  const viz::BlockGeometry& geometry = view.geometry;
+  const size_t nodes = geometry.x.size();
+  auto wrong_length = [&](std::string_view field, size_t size) {
+    return DataLossError(StrCat("snapshot ", snapshot, " block ",
+                                view.block_id, ": field ", field, " holds ",
+                                size, " values, x holds ", nodes));
+  };
+  if (geometry.y.size() != nodes) {
+    return wrong_length(kFieldY, geometry.y.size());
+  }
+  if (geometry.z.size() != nodes) {
+    return wrong_length(kFieldZ, geometry.z.size());
+  }
+  for (const auto& [field, values] : view.fields) {
+    if (values.size() != nodes) return wrong_length(field, values.size());
+  }
+  // One pass, no early exit, so the compiler can vectorize it.
+  bool ids_in_range = true;
+  for (int32_t id : geometry.conn) {
+    ids_in_range &= static_cast<uint32_t>(id) < nodes;
+  }
+  if (!ids_in_range) {
+    return DataLossError(StrCat("snapshot ", snapshot, " block ",
+                                view.block_id, ": field conn holds a node "
+                                "id outside x's ", nodes, " nodes"));
+  }
+  return Status::Ok();
 }
 
 // Charges the modeled data-processing cost of one pass.
@@ -75,6 +110,7 @@ Status RunOriginal(PlatformRuntime* runtime, const RunConfig& config,
         for (const auto& [name, values] : block.fields) {
           view.fields[name] = values;
         }
+        GODIVA_RETURN_IF_ERROR(CheckBlockView(view, snapshot));
         views.push_back(std::move(view));
       }
       GODIVA_ASSIGN_OR_RETURN(PassResult pass_result,
@@ -91,6 +127,7 @@ Status RunOriginal(PlatformRuntime* runtime, const RunConfig& config,
 
 // Builds render views straight over the GODIVA field buffers: no copies,
 // the mesh is read once per snapshot no matter how many passes use it.
+// DATA_LOSS for a block CheckBlockView refuses.
 Result<std::vector<BlockView>> BuildSnapshotViews(
     Gbo* db, const mesh::SnapshotDataset& dataset, int snapshot,
     const std::vector<std::string>& quantities) {
@@ -125,6 +162,7 @@ Result<std::vector<BlockView>> BuildSnapshotViews(
                               dspan(quantity.c_str()));
       view.fields[quantity] = values;
     }
+    GODIVA_RETURN_IF_ERROR(CheckBlockView(view, snapshot));
     views.push_back(std::move(view));
   }
   return views;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -16,32 +19,33 @@
 namespace godiva {
 namespace {
 
+// Paper Table 1 schema.
+void DefineFluidSchema(Gbo* db) {
+  EXPECT_TRUE(db->DefineField("block id", DataType::kString, 11).ok());
+  EXPECT_TRUE(db->DefineField("time-step id", DataType::kString, 9).ok());
+  EXPECT_TRUE(
+      db->DefineField("x coordinates", DataType::kFloat64, kUnknownSize)
+          .ok());
+  EXPECT_TRUE(
+      db->DefineField("y coordinates", DataType::kFloat64, kUnknownSize)
+          .ok());
+  EXPECT_TRUE(
+      db->DefineField("pressure", DataType::kFloat64, kUnknownSize).ok());
+  EXPECT_TRUE(
+      db->DefineField("temperature", DataType::kFloat64, kUnknownSize).ok());
+  EXPECT_TRUE(db->DefineRecord("fluid", 2).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "block id", true).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "time-step id", true).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "x coordinates", false).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "y coordinates", false).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "pressure", false).ok());
+  EXPECT_TRUE(db->InsertField("fluid", "temperature", false).ok());
+  EXPECT_TRUE(db->CommitRecordType("fluid").ok());
+}
+
 class RecordTest : public ::testing::Test {
  protected:
-  RecordTest() : db_(GboOptions::SingleThread()) {
-    // Paper Table 1 schema.
-    EXPECT_TRUE(db_.DefineField("block id", DataType::kString, 11).ok());
-    EXPECT_TRUE(db_.DefineField("time-step id", DataType::kString, 9).ok());
-    EXPECT_TRUE(
-        db_.DefineField("x coordinates", DataType::kFloat64, kUnknownSize)
-            .ok());
-    EXPECT_TRUE(
-        db_.DefineField("y coordinates", DataType::kFloat64, kUnknownSize)
-            .ok());
-    EXPECT_TRUE(
-        db_.DefineField("pressure", DataType::kFloat64, kUnknownSize).ok());
-    EXPECT_TRUE(
-        db_.DefineField("temperature", DataType::kFloat64, kUnknownSize)
-            .ok());
-    EXPECT_TRUE(db_.DefineRecord("fluid", 2).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "block id", true).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "time-step id", true).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "x coordinates", false).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "y coordinates", false).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "pressure", false).ok());
-    EXPECT_TRUE(db_.InsertField("fluid", "temperature", false).ok());
-    EXPECT_TRUE(db_.CommitRecordType("fluid").ok());
-  }
+  RecordTest() : db_(GboOptions::SingleThread()) { DefineFluidSchema(&db_); }
 
   // Creates and commits the Figure 2 record: 100×100 grid, 101 coordinates
   // per direction, 10,000 elements with pressure and temperature.
@@ -192,6 +196,143 @@ TEST_F(RecordTest, KeylessTypeCommitsWithoutIndexing) {
   auto listed = db_.ListRecords("keyless");
   ASSERT_TRUE(listed.ok());
   EXPECT_TRUE(listed->empty());
+}
+
+// The Figure 2 non-key fields, in layout order.
+constexpr std::string_view kFigure2Fields[] = {
+    "x coordinates", "y coordinates", "pressure", "temperature"};
+constexpr int64_t kFigure2Sizes[] = {101 * 8, 101 * 8, 10000 * 8, 10000 * 8};
+
+// A read function that loads one Figure 2 record keyed by the unit name,
+// its buffers through one AllocFieldBuffers call or one AllocFieldBuffer
+// call per field.
+Gbo::ReadFn LoadFigure2Record(bool grouped) {
+  return [grouped](Gbo* db, const std::string& unit) -> Status {
+    GODIVA_ASSIGN_OR_RETURN(Record * rec, db->NewRecord("fluid"));
+    std::memcpy(*rec->FieldBuffer("block id"), PadKey(unit, 11).data(), 11);
+    std::memcpy(*rec->FieldBuffer("time-step id"), PadKey("0", 9).data(), 9);
+    if (grouped) {
+      GODIVA_RETURN_IF_ERROR(
+          db->AllocFieldBuffers(rec, kFigure2Fields, kFigure2Sizes).status());
+    } else {
+      for (size_t i = 0; i < std::size(kFigure2Fields); ++i) {
+        GODIVA_RETURN_IF_ERROR(
+            db->AllocFieldBuffer(rec, std::string(kFigure2Fields[i]),
+                                 kFigure2Sizes[i])
+                .status());
+      }
+    }
+    return db->CommitRecord(rec);
+  };
+}
+
+TEST(AllocFieldBuffersTest, LaysFieldsOutBackToBack) {
+  Gbo db(GboOptions::SingleThread());
+  DefineFluidSchema(&db);
+  ASSERT_TRUE(db.ReadUnit("u0", LoadFigure2Record(/*grouped=*/true)).ok());
+  auto rec = db.FindRecord("fluid", {PadKey("u0", 11), PadKey("0", 9)});
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  const uint8_t* next = static_cast<uint8_t*>(
+      *(*rec)->FieldBuffer(std::string(kFigure2Fields[0])));
+  for (size_t i = 0; i < std::size(kFigure2Fields); ++i) {
+    const std::string field(kFigure2Fields[i]);
+    EXPECT_EQ(*(*rec)->FieldBuffer(field), next) << field;
+    EXPECT_EQ(*(*rec)->FieldBufferSize(field), kFigure2Sizes[i]) << field;
+    next += kFigure2Sizes[i];
+  }
+}
+
+// Charged as per-field calls would charge it: the same record and unit
+// bytes, peak and evictions, with the limit crossed (and an older unit
+// evicted) between two fields of one call.
+TEST(AllocFieldBuffersTest, ChargesMemoryAsPerFieldCalls) {
+  struct Observed {
+    int64_t usage, u1_bytes, peak, evicted, allocated;
+  };
+  auto observe = [](bool grouped) -> Observed {
+    GboOptions options = GboOptions::SingleThread();
+    // u0 (161,764 bytes) is resident; u1's pressure buffer crosses the
+    // limit and evicts it before temperature is charged.
+    options.memory_limit_bytes = 200'000;
+    Gbo db(options);
+    DefineFluidSchema(&db);
+    EXPECT_TRUE(db.ReadUnit("u0", LoadFigure2Record(grouped)).ok());
+    EXPECT_TRUE(db.FinishUnit("u0").ok());
+    EXPECT_TRUE(db.ReadUnit("u1", LoadFigure2Record(grouped)).ok());
+    EXPECT_TRUE(db.CheckInvariants().ok());
+    const GboStats stats = db.stats();
+    return {db.memory_usage(), *db.UnitMemoryBytes("u1"),
+            stats.peak_memory_bytes, stats.units_evicted,
+            stats.total_bytes_allocated};
+  };
+  const Observed per_field = observe(/*grouped=*/false);
+  const Observed grouped = observe(/*grouped=*/true);
+  EXPECT_EQ(per_field.evicted, 1);
+  EXPECT_EQ(per_field.peak, 2 * (161'636 + kRecordOverheadBytes) - 80'000);
+  EXPECT_EQ(grouped.usage, per_field.usage);
+  EXPECT_EQ(grouped.u1_bytes, per_field.u1_bytes);
+  EXPECT_EQ(grouped.peak, per_field.peak);
+  EXPECT_EQ(grouped.evicted, per_field.evicted);
+  EXPECT_EQ(grouped.allocated, per_field.allocated);
+}
+
+TEST_F(RecordTest, AllocFieldBuffersFailsAsPerFieldCallsWithoutEffect) {
+  auto rec = db_.NewRecord("fluid");
+  ASSERT_TRUE(rec.ok());
+  const int64_t usage = db_.memory_usage();
+  auto expect_same_error = [&](std::span<const std::string_view> fields,
+                               std::span<const int64_t> sizes,
+                               const Status& per_field) {
+    Status grouped = db_.AllocFieldBuffers(*rec, fields, sizes).status();
+    EXPECT_EQ(grouped.code(), per_field.code()) << grouped;
+    EXPECT_EQ(grouped.message(), per_field.message());
+    EXPECT_EQ(db_.memory_usage(), usage);
+    // Nothing before the failing field was allocated either.
+    EXPECT_EQ((*rec)->FieldBuffer("x coordinates").status().code(),
+              StatusCode::kFailedPrecondition);
+  };
+  const std::string_view x_and_pressure[] = {"x coordinates", "pressure"};
+  const int64_t odd_size[] = {808, 13};
+  expect_same_error(x_and_pressure, odd_size,
+                    db_.AllocFieldBuffer(*rec, "pressure", 13).status());
+  const std::string_view x_and_id[] = {"x coordinates", "block id"};
+  const int64_t id_size[] = {808, 11};
+  expect_same_error(x_and_id, id_size,
+                    db_.AllocFieldBuffer(*rec, "block id", 11).status());
+  ASSERT_TRUE(db_.AllocFieldBuffer(*rec, "pressure", 800).ok());
+  const int64_t sizes[] = {808, 800};
+  const int64_t allocated_usage = db_.memory_usage();
+  Status already = db_.AllocFieldBuffer(*rec, "pressure", 800).status();
+  EXPECT_EQ(already.code(), StatusCode::kAlreadyExists);
+  Status grouped = db_.AllocFieldBuffers(*rec, x_and_pressure, sizes).status();
+  EXPECT_EQ(grouped.code(), already.code());
+  EXPECT_EQ(grouped.message(), already.message());
+  EXPECT_EQ(db_.memory_usage(), allocated_usage);
+  // A field listed twice is allocated twice.
+  const std::string_view twice[] = {"temperature", "temperature"};
+  EXPECT_EQ(db_.AllocFieldBuffers(*rec, twice, sizes).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ((*rec)->FieldBuffer("temperature").status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(AllocFieldBuffersTest, RefusesAFieldMisalignedForItsElements) {
+  Gbo db(GboOptions::SingleThread());
+  ASSERT_TRUE(db.DefineField("tag", DataType::kByte, kUnknownSize).ok());
+  ASSERT_TRUE(
+      db.DefineField("values", DataType::kFloat64, kUnknownSize).ok());
+  ASSERT_TRUE(db.DefineRecord("mixed", 0).ok());
+  ASSERT_TRUE(db.InsertField("mixed", "tag", false).ok());
+  ASSERT_TRUE(db.InsertField("mixed", "values", false).ok());
+  ASSERT_TRUE(db.CommitRecordType("mixed").ok());
+  auto rec = db.NewRecord("mixed");
+  ASSERT_TRUE(rec.ok());
+  const std::string_view fields[] = {"tag", "values"};
+  const int64_t misaligned[] = {3, 16};
+  EXPECT_EQ(db.AllocFieldBuffers(*rec, fields, misaligned).status().code(),
+            StatusCode::kInvalidArgument);
+  const int64_t aligned[] = {8, 16};
+  EXPECT_TRUE(db.AllocFieldBuffers(*rec, fields, aligned).ok());
 }
 
 }  // namespace

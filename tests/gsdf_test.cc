@@ -762,10 +762,64 @@ TEST(GsdfBatchTest, VerifyCatchesCorruptionInMergedRun) {
   }
   BatchOptions verify_options;
   verify_options.verify = true;
-  EXPECT_EQ((*reader)->ReadBatch(batch, verify_options).status().code(),
-            StatusCode::kDataLoss);
+  Status scratch = (*reader)->ReadBatch(batch, verify_options).status();
+  EXPECT_EQ(scratch.code(), StatusCode::kDataLoss);
   // Without verification the same batch reads the damaged bytes silently.
   EXPECT_TRUE((*reader)->ReadBatch(batch).ok());
+
+  // Buffers back to back in one allocation land the run in place; the
+  // mismatch in its middle fails it with the same message.
+  std::vector<double> contiguous(kDatasets * kElements);
+  for (int d = 0; d < kDatasets; ++d) {
+    batch[d].out = contiguous.data() + d * kElements;
+  }
+  Status in_place = (*reader)->ReadBatch(batch, verify_options).status();
+  EXPECT_EQ(in_place.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(in_place.message(), scratch.message());
+}
+
+// Runs that cannot land in place go through scratch even when their
+// buffers sit back to back: a dataset requested twice, and datasets with
+// an unrequested one between them (max_gap > 0). Landing either in place
+// would read the neighbour or the gap into the buffers, and past their end.
+TEST(GsdfBatchTest, DuplicatesAndGapsLandThroughScratch) {
+  SimEnv env = MakeEnv();
+  const int kDatasets = 3, kElements = 30;
+  WriteBatchFile(&env, "f.gsdf", kDatasets, kElements);
+  auto reader = Reader::Open(&env, "f.gsdf");
+  ASSERT_TRUE(reader.ok());
+  const int64_t kBytes = kElements * 8;
+  BatchOptions options;
+  options.verify = true;
+  options.max_gap = kBytes;
+
+  std::vector<double> twice(3 * kElements);
+  std::vector<BatchRequest> duplicate = {
+      {"d1", twice.data(), kBytes},
+      {"d1", twice.data() + kElements, kBytes},
+      {"d2", twice.data() + 2 * kElements, kBytes}};
+  auto stats = (*reader)->ReadBatch(duplicate, options);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->transfers, 1);
+  EXPECT_EQ(stats->coalesced, 2);
+  const std::vector<double> d1 = Doubles(kElements, 1000.0);
+  const std::vector<double> d2 = Doubles(kElements, 2000.0);
+  std::vector<double> expected = d1;
+  expected.insert(expected.end(), d1.begin(), d1.end());
+  expected.insert(expected.end(), d2.begin(), d2.end());
+  EXPECT_EQ(twice, expected);
+
+  std::vector<double> around(2 * kElements);
+  std::vector<BatchRequest> gap = {{"d0", around.data(), kBytes},
+                                   {"d2", around.data() + kElements, kBytes}};
+  stats = (*reader)->ReadBatch(gap, options);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->transfers, 1);
+  EXPECT_EQ(stats->coalesced, 1);
+  EXPECT_EQ(stats->gap_bytes, kBytes);
+  expected = Doubles(kElements, 0.0);
+  expected.insert(expected.end(), d2.begin(), d2.end());
+  EXPECT_EQ(around, expected);
 }
 
 TEST(GsdfBatchTest, ZeroGapToleranceStillMergesAdjacentDatasets) {
@@ -928,7 +982,10 @@ ReferenceSplit SplitIntoRuns(std::vector<std::pair<int64_t, int64_t>> extents,
 // One trial: a file of 1–30 float64 datasets of 1–512 elements, a random
 // subset of them (always d0) requested in shuffled order under random
 // limits; ReadBatch must issue exactly the reference split's transfers and
-// bytes and land every payload.
+// bytes and land every payload. Each request set is read twice: into
+// separately allocated buffers, which land through scratch, and into one
+// allocation per run of file-adjacent requested datasets, which land in
+// place; both must land the same bytes and issue the same reads and seeks.
 void RunReadBatchTrial(std::mt19937* rng) {
   SimEnv env = MakeEnv();
   auto writer = Writer::Create(&env, "p.gsdf");
@@ -944,8 +1001,6 @@ void RunReadBatchTrial(std::mt19937* rng) {
                     .ok());
   }
   ASSERT_TRUE((*writer)->Finish().ok());
-  auto reader = Reader::Open(&env, "p.gsdf");
-  ASSERT_TRUE(reader.ok()) << reader.status();
 
   BatchOptions options;
   const int64_t gaps[] = {0, 64, 1024, 64 * 1024};
@@ -953,41 +1008,83 @@ void RunReadBatchTrial(std::mt19937* rng) {
   options.max_gap = gaps[(*rng)() % 4];
   options.max_transfer = transfers[(*rng)() % 3];
 
-  std::vector<int> subset;
+  std::vector<int> subset;  // ascending, so in file order
   for (int d = 0; d < num_datasets; ++d) {
     if (d == 0 || (*rng)() % 2 == 0) subset.push_back(d);
   }
-  std::vector<std::vector<double>> out(subset.size());
-  std::vector<BatchRequest> requests;
-  std::vector<std::pair<int64_t, int64_t>> extents;
-  int64_t payload_bytes = 0;
-  for (size_t i = 0; i < subset.size(); ++i) {
-    const std::string name = "d" + std::to_string(subset[i]);
-    const int64_t nbytes = elements[static_cast<size_t>(subset[i])] * 8;
-    out[i].resize(static_cast<size_t>(nbytes / 8));
-    requests.push_back({name, out[i].data(), nbytes});
-    auto info = (*reader)->Find(name);
-    ASSERT_TRUE(info.ok()) << info.status();
-    extents.emplace_back((*info)->offset, (*info)->nbytes);
-    payload_bytes += nbytes;
-  }
-  const ReferenceSplit expected = SplitIntoRuns(extents, options);
-  std::shuffle(requests.begin(), requests.end(), *rng);
+  std::vector<size_t> order(subset.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), *rng);
 
-  env.ResetStats();
-  auto stats = (*reader)->ReadBatch(requests, options);
-  ASSERT_TRUE(stats.ok()) << stats.status();
-  EXPECT_EQ(stats->transfers, expected.transfers);
-  EXPECT_EQ(env.stats().reads, expected.transfers);
-  EXPECT_EQ(env.stats().bytes_read, expected.span_bytes);
-  EXPECT_EQ(stats->coalesced,
-            static_cast<int64_t>(subset.size()) - expected.transfers);
-  EXPECT_EQ(stats->gap_bytes, expected.span_bytes - payload_bytes);
-  for (size_t i = 0; i < subset.size(); ++i) {
-    EXPECT_EQ(out[i], Doubles(elements[static_cast<size_t>(subset[i])],
-                              subset[i] * 1000.0))
-        << "dataset d" << subset[i];
+  std::vector<BatchStats> batch_stats;
+  std::vector<DiskStats> disk_stats;
+  for (bool grouped : {false, true}) {
+    SCOPED_TRACE(grouped ? "one allocation per group" : "separate buffers");
+    auto reader = Reader::Open(&env, "p.gsdf");
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    // Each request's buffer: its own vector, or a slice of its group's.
+    std::vector<std::vector<double>> storage;
+    std::vector<double*> out(subset.size());
+    for (size_t i = 0; i < subset.size(); ++i) {
+      const size_t n = static_cast<size_t>(elements[subset[i]]);
+      if (!grouped) {
+        storage.emplace_back(n);
+        out[i] = storage.back().data();
+        continue;
+      }
+      size_t end = i + 1;
+      while (end < subset.size() && subset[end] == subset[end - 1] + 1) ++end;
+      size_t group_elements = 0;
+      for (size_t j = i; j < end; ++j) {
+        group_elements += static_cast<size_t>(elements[subset[j]]);
+      }
+      storage.emplace_back(group_elements);
+      double* next = storage.back().data();
+      for (size_t j = i; j < end; ++j) {
+        out[j] = next;
+        next += elements[subset[j]];
+      }
+      i = end - 1;
+    }
+    std::vector<BatchRequest> requests;
+    std::vector<std::pair<int64_t, int64_t>> extents;
+    int64_t payload_bytes = 0;
+    for (size_t i : order) {
+      const std::string name = "d" + std::to_string(subset[i]);
+      const int64_t nbytes = elements[static_cast<size_t>(subset[i])] * 8;
+      requests.push_back({name, out[i], nbytes});
+      auto info = (*reader)->Find(name);
+      ASSERT_TRUE(info.ok()) << info.status();
+      extents.emplace_back((*info)->offset, (*info)->nbytes);
+      payload_bytes += nbytes;
+    }
+    const ReferenceSplit expected = SplitIntoRuns(extents, options);
+
+    env.ResetStats();
+    auto stats = (*reader)->ReadBatch(requests, options);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    EXPECT_EQ(stats->transfers, expected.transfers);
+    EXPECT_EQ(env.stats().reads, expected.transfers);
+    EXPECT_EQ(env.stats().bytes_read, expected.span_bytes);
+    EXPECT_EQ(stats->coalesced,
+              static_cast<int64_t>(subset.size()) - expected.transfers);
+    EXPECT_EQ(stats->gap_bytes, expected.span_bytes - payload_bytes);
+    for (size_t i = 0; i < subset.size(); ++i) {
+      const int n = elements[static_cast<size_t>(subset[i])];
+      EXPECT_EQ(std::vector<double>(out[i], out[i] + n),
+                Doubles(n, subset[i] * 1000.0))
+          << "dataset d" << subset[i];
+    }
+    batch_stats.push_back(*stats);
+    disk_stats.push_back(env.stats());
   }
+  ASSERT_EQ(batch_stats.size(), 2u);
+  EXPECT_EQ(batch_stats[1].transfers, batch_stats[0].transfers);
+  EXPECT_EQ(batch_stats[1].coalesced, batch_stats[0].coalesced);
+  EXPECT_EQ(batch_stats[1].gap_bytes, batch_stats[0].gap_bytes);
+  EXPECT_EQ(disk_stats[1].reads, disk_stats[0].reads);
+  EXPECT_EQ(disk_stats[1].seeks, disk_stats[0].seeks);
+  EXPECT_EQ(disk_stats[1].bytes_read, disk_stats[0].bytes_read);
 }
 
 // The env has no time scale, so reads charge no delay and the test runs

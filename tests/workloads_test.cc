@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -20,6 +22,7 @@
 #include "gsdf/reader.h"
 #include "gsdf/writer.h"
 #include "mesh/dataset_spec.h"
+#include "mesh/snapshot_writer.h"
 #include "sim/event_scheduler.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
@@ -27,6 +30,7 @@
 #include "viz/colormap.h"
 #include "viz/derived.h"
 #include "viz/marching_tets.h"
+#include "viz/pushdown.h"
 #include "viz/rasterizer.h"
 #include "workloads/block_schema.h"
 #include "workloads/experiment.h"
@@ -204,6 +208,125 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
       expect_buffer(db.get(), kFieldZ, block.block_id, block.z);
       expect_buffer(db.get(), kFieldConn, block.block_id, block.conn);
     }
+  }
+}
+
+// Rewrites the gsdf file at `path` with the same datasets and attributes
+// and fresh checksums, after `edit` has changed the bytes of `dataset`: a
+// file every checksum passes whose contents the writer never produced.
+void RewriteDataset(Env* env, const std::string& path,
+                    const std::string& dataset,
+                    const std::function<void(std::vector<uint8_t>*)>& edit) {
+  std::vector<std::pair<gsdf::DatasetInfo, std::vector<uint8_t>>> copies;
+  gsdf::AttributeList file_attributes;
+  {
+    auto reader = gsdf::Reader::Open(env, path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    for (const gsdf::DatasetInfo& info : (*reader)->datasets()) {
+      std::vector<uint8_t> bytes(static_cast<size_t>(info.nbytes));
+      ASSERT_TRUE((*reader)->Read(info.name, bytes.data(), info.nbytes).ok());
+      if (info.name == dataset) edit(&bytes);
+      copies.emplace_back(info, std::move(bytes));
+    }
+    file_attributes = (*reader)->file_attributes();
+  }
+  auto writer = gsdf::Writer::Create(env, path);
+  ASSERT_TRUE(writer.ok()) << writer.status();
+  for (const auto& [info, bytes] : copies) {
+    gsdf::AttributeList attributes;
+    for (const auto& attribute : info.attributes) {
+      if (attribute.first != gsdf::kChecksumAttribute) {
+        attributes.push_back(attribute);
+      }
+    }
+    ASSERT_TRUE((*writer)
+                    ->AddDataset(info.name, info.type, bytes.data(),
+                                 static_cast<int64_t>(bytes.size()),
+                                 std::move(attributes))
+                    .ok());
+  }
+  for (const auto& [key, value] : file_attributes) {
+    (*writer)->SetFileAttribute(key, value);
+  }
+  ASSERT_TRUE((*writer)->Finish().ok());
+}
+
+// A checksum-valid file whose dispy is one element short of dispx: the
+// push-down must fail that unit with DATA_LOSS rather than read past dispy
+// (into dispz, which lands right behind it).
+TEST_F(WorkloadIoTest, PushdownRefusesInputsOfDifferentLengths) {
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  const int32_t block = mesh::BlocksInFile(spec, 0).front();
+  RewriteDataset(experiment_->env(),
+                 experiment_->dataset().SnapshotFiles(1)[0],
+                 mesh::BlockDatasetName(block, "dispy"),
+                 [](std::vector<uint8_t>* bytes) {
+                   bytes->erase(bytes->end() - 8, bytes->end());
+                 });
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  Gbo db(GboOptions::SingleThread());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  SnapshotQueryOptions options;
+  options.kernels = {viz::MagnitudeKernel("disp_mag", "disp")};
+  options.verify_checksums = true;
+  options.snapshot_begin = 1;
+  options.snapshot_end = 2;
+  auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(query.ok()) << query.status();
+  QueryPlanner planner(&db);
+  {
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    EXPECT_EQ((*ticket)->WaitAll().code(), StatusCode::kDataLoss);
+    Status bad = (*ticket)->UnitStatus(SnapshotFileUnitName(1, 0));
+    EXPECT_EQ(bad.code(), StatusCode::kDataLoss) << bad;
+    EXPECT_NE(bad.message().find("dispy"), std::string::npos) << bad;
+    EXPECT_TRUE((*ticket)->UnitStatus(SnapshotFileUnitName(1, 1)).ok());
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+  }
+  for (int f = 0; f < spec.files_per_snapshot; ++f) {
+    ASSERT_TRUE(db.DeleteUnit(SnapshotFileUnitName(1, f)).ok());
+  }
+  EXPECT_TRUE(db.CheckInvariants().ok());
+  EXPECT_EQ(db.memory_usage(), 0);
+}
+
+// A checksum-valid conn naming a node one past the block's last: the O
+// and G sweeps must fail with DATA_LOSS naming conn, not index past x.
+TEST_F(WorkloadIoTest, VoyagerRefusesConnectivityOutsideTheBlock) {
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  const int32_t block = mesh::BlocksInFile(spec, 0).front();
+  const std::string path = experiment_->dataset().SnapshotFiles(0)[0];
+  int32_t nodes = 0;
+  {
+    auto reader = gsdf::Reader::Open(experiment_->env(), path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto x = (*reader)->Find(mesh::BlockDatasetName(block, "x"));
+    ASSERT_TRUE(x.ok()) << x.status();
+    nodes = static_cast<int32_t>((*x)->nbytes / 8);
+  }
+  RewriteDataset(experiment_->env(), path,
+                 mesh::BlockDatasetName(block, "conn"),
+                 [nodes](std::vector<uint8_t>* bytes) {
+                   std::memcpy(bytes->data(), &nodes, sizeof(nodes));
+                 });
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  for (Variant variant : {Variant::kOriginal, Variant::kGodivaSingleThread}) {
+    SCOPED_TRACE(VariantName(variant));
+    RunConfig config;
+    config.dataset = &experiment_->dataset();
+    config.test = VizTestSpec::Simple();
+    config.variant = variant;
+    config.verify_checksums = true;
+    config.process.real_work_stride = 1;
+    config.snapshots = {0};
+    auto cell = RunVoyager(&runtime, config);
+    ASSERT_FALSE(cell.ok());
+    EXPECT_EQ(cell.status().code(), StatusCode::kDataLoss) << cell.status();
+    EXPECT_NE(cell.status().message().find("conn"), std::string::npos)
+        << cell.status();
   }
 }
 
