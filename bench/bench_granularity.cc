@@ -51,8 +51,9 @@ Status ReadOneFile(PlatformRuntime* runtime, const std::string& path,
       static_cast<size_t>(blocks_info->num_elements()));
   GODIVA_RETURN_IF_ERROR(reader->Read(
       "blocks", blocks.data(), static_cast<int64_t>(blocks.size()) * 4));
-  return workloads::LoadFilePerDataset(runtime, *reader, blocks, snapshot,
-                                       quantities, /*verify=*/false, db);
+  return workloads::LoadFilePerDataset(
+      runtime, *reader, blocks, snapshot,
+      workloads::BlockDatasets(quantities), /*verify=*/false, db);
 }
 
 // `group` = snapshots per unit; 0 = one unit per file.

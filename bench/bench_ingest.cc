@@ -155,15 +155,17 @@ IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec, int window) {
 
   // Publish timestamps, sampled: the frontier is polled a few times per
   // millisecond and each newly published snapshot is stamped on first
-  // sight.
-  std::vector<double> publish_time(
-      static_cast<size_t>(spec.num_snapshots), -1.0);
+  // sight. The sampler writes a slot while the consumer may read it, so
+  // each slot is atomic; -1 means not seen yet.
+  std::vector<std::atomic<double>> publish_time(
+      static_cast<size_t>(spec.num_snapshots));
+  for (std::atomic<double>& slot : publish_time) slot.store(-1.0);
   std::thread sampler([&] {
     int seen = -1;
     while (!producer_done.load()) {
       int frontier = producer.frontier();
       for (int s = seen + 1; s <= frontier; ++s) {
-        publish_time[static_cast<size_t>(s)] = clock.ElapsedSeconds();
+        publish_time[static_cast<size_t>(s)].store(clock.ElapsedSeconds());
       }
       seen = std::max(seen, frontier);
       std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -177,9 +179,8 @@ IngestResult LiveIngestPhase(const mesh::DatasetSpec& spec, int window) {
           "frontier wait");
     result.frontier_wait_s += wait.ElapsedSeconds();
     double ready_at = clock.ElapsedSeconds();
-    if (publish_time[static_cast<size_t>(s)] >= 0) {
-      result.lag_s.push_back(ready_at - publish_time[static_cast<size_t>(s)]);
-    }
+    const double published = publish_time[static_cast<size_t>(s)].load();
+    if (published >= 0) result.lag_s.push_back(ready_at - published);
     Check(db.WaitUnit(SnapshotUnitName(s)), "consumer WaitUnit");
     auto record =
         db.FindRecord(workloads::kBlockRecordType, workloads::BlockKey(0, s));

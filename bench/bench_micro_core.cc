@@ -238,10 +238,12 @@ QuerySnapshot* MakeQuerySnapshot() {
 }
 
 void BM_LoadFileBatch(benchmark::State& state) {
-  // One unit load of window_query's shape into a fresh Gbo: file 0 of the
-  // snapshot, each block's x/y/z/conn plus sxx, syy and the displacement
-  // components, through one verified, coalesced ReadBatch that merges only
-  // adjacent payloads (LoadFileBatch), on the virtual clock.
+  // One unit load into a fresh Gbo on window_query's mesh: file 0 of the
+  // snapshot, each block's x/y/z/conn (BlockDatasets) plus sxx, syy and
+  // the displacement components, through one verified, coalesced ReadBatch
+  // that merges only adjacent payloads (LoadFileBatch), on the virtual
+  // clock. It keeps the geometry a snapshot query no longer loads, so its
+  // figures stay comparable across versions.
   static QuerySnapshot* const snapshot = MakeQuerySnapshot();
   if (!snapshot->status.ok()) {
     state.SkipWithError(snapshot->status.ToString().c_str());
@@ -252,15 +254,15 @@ void BM_LoadFileBatch(benchmark::State& state) {
                                      &snapshot->env);
   const std::string path = snapshot->dataset.SnapshotFiles(0)[0];
   const std::vector<int32_t> blocks = mesh::BlocksInFile(snapshot->spec, 0);
-  const std::vector<std::string> fields = {"sxx", "syy", "dispx", "dispy",
-                                           "dispz"};
+  const std::vector<std::string> datasets =
+      workloads::BlockDatasets({"sxx", "syy", "dispx", "dispy", "dispz"});
   gsdf::BatchOptions options;
   options.max_gap = 0;
   options.verify = true;
   const Gbo::ReadFn read_fn = [&](Gbo* db, const std::string&) -> Status {
     GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
                             gsdf::Reader::Open(runtime.io_env(), path));
-    return workloads::LoadFileBatch(&runtime, *reader, blocks, 0, fields,
+    return workloads::LoadFileBatch(&runtime, *reader, blocks, 0, datasets,
                                     options, /*counters=*/nullptr, db);
   };
   int64_t bytes = 0;

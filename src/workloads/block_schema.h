@@ -35,9 +35,11 @@ std::vector<std::string> BlockKey(int32_t block_id, int32_t snapshot_id);
 Result<Record*> NewBlockRecord(Gbo* db, int32_t block_id,
                                int32_t snapshot_id);
 
-// The datasets a block load reads, in load order: x, y, z, conn, then
+// The datasets Voyager's read function (MakeSnapshotReadFn) loads per
+// block, in load order: x, y, z, conn, which its views need, then
 // `quantities`. Each lands in the record field of the same name; block
-// b's dataset for field f is mesh::BlockDatasetName(b, f).
+// b's dataset for field f is mesh::BlockDatasetName(b, f). The file
+// loaders and the query layer load only the names they are given.
 std::vector<std::string> BlockDatasets(
     const std::vector<std::string>& quantities);
 

@@ -67,9 +67,8 @@ Result<std::unique_ptr<gsdf::Reader>> OpenSnapshotFile(
 Status LoadFilePerDataset(PlatformRuntime* runtime,
                           const gsdf::Reader& reader,
                           const std::vector<int32_t>& blocks, int snapshot,
-                          const std::vector<std::string>& fields,
+                          const std::vector<std::string>& datasets,
                           bool verify, Gbo* db) {
-  const std::vector<std::string> datasets = BlockDatasets(fields);
   for (int32_t block_id : blocks) {
     GODIVA_ASSIGN_OR_RETURN(Record * record,
                             NewBlockRecord(db, block_id, snapshot));
@@ -91,10 +90,9 @@ Status LoadFilePerDataset(PlatformRuntime* runtime,
 
 Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
                      const std::vector<int32_t>& blocks, int snapshot,
-                     const std::vector<std::string>& fields,
+                     const std::vector<std::string>& datasets,
                      const gsdf::BatchOptions& options,
                      SnapshotReadCounters* counters, Gbo* db) {
-  const std::vector<std::string> datasets = BlockDatasets(fields);
   std::vector<gsdf::BatchRequest> batch;
   batch.reserve(blocks.size() * datasets.size());
   std::vector<Record*> records;
@@ -165,9 +163,9 @@ Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
 
 Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
                                const mesh::SnapshotDataset* dataset,
-                               std::vector<std::string> quantities,
+                               const std::vector<std::string>& quantities,
                                SnapshotReadOptions options) {
-  return [runtime, dataset, quantities = std::move(quantities), options](
+  return [runtime, dataset, datasets = BlockDatasets(quantities), options](
              Gbo* db, const std::string& unit_name) -> Status {
     int snapshot = SnapshotOfUnit(unit_name);
     if (snapshot < 0 || snapshot >= dataset->spec.num_snapshots) {
@@ -184,11 +182,11 @@ Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
           ReadDatasetIntoVector(runtime, *reader, "blocks", &blocks, verify));
       GODIVA_RETURN_IF_ERROR(
           options.coalesce
-              ? LoadFileBatch(runtime, *reader, blocks, snapshot, quantities,
+              ? LoadFileBatch(runtime, *reader, blocks, snapshot, datasets,
                               gsdf::BatchOptions{gsdf::BatchLimits{}, verify},
                               options.counters, db)
               : LoadFilePerDataset(runtime, *reader, blocks, snapshot,
-                                   quantities, verify, db));
+                                   datasets, verify, db));
     }
     return Status::Ok();
   };

@@ -1,8 +1,8 @@
 // Snapshot input paths for the three Voyager variants:
 //  - MakeSnapshotReadFn: the developer-supplied GODIVA read function (G/TG)
 //    that loads one snapshot unit — mesh plus the union of test quantities
-//    — into the database exactly once, through one of the two file
-//    loaders below.
+//    (BlockDatasets) — into the database exactly once, through one of the
+//    two file loaders below.
 //  - LoadFilePerDataset: one file's blocks, one read per dataset (the
 //    paper's access pattern).
 //  - LoadFileBatch: one file's blocks through a single gsdf ReadBatch,
@@ -11,6 +11,9 @@
 //  - ReadPassDirect: the original Voyager's coupled read (O), invoked once
 //    per render pass, re-reading the coordinate arrays each time (the
 //    redundancy GODIVA eliminates; paper §4.2).
+// The two file loaders read exactly the datasets they are given: a caller
+// that wants the mesh geometry lists x, y, z and conn like any other
+// field.
 #ifndef GODIVA_WORKLOADS_SNAPSHOT_IO_H_
 #define GODIVA_WORKLOADS_SNAPSHOT_IO_H_
 
@@ -70,37 +73,39 @@ struct SnapshotReadOptions {
 
 // Returns a read function that loads the unit named "snap_NNNN": for each
 // of the snapshot's files, reads its block list, then loads those blocks
-// with x/y/z/conn and each quantity in `quantities` through
-// LoadFileBatch if options.coalesce, else LoadFilePerDataset. Charges
-// decode CPU on the calling thread (the I/O thread under TG). Files are
-// opened through runtime->io_env(), so a fault-injecting decorator set
-// there is exercised.
+// with BlockDatasets(quantities) — x/y/z/conn, which Voyager's views need,
+// and each quantity in `quantities` — through LoadFileBatch if
+// options.coalesce, else LoadFilePerDataset. Charges decode CPU on the
+// calling thread (the I/O thread under TG). Files are opened through
+// runtime->io_env(), so a fault-injecting decorator set there is
+// exercised.
 Gbo::ReadFn MakeSnapshotReadFn(PlatformRuntime* runtime,
                                const mesh::SnapshotDataset* dataset,
-                               std::vector<std::string> quantities,
+                               const std::vector<std::string>& quantities,
                                SnapshotReadOptions options = {});
 
 // Loads `blocks` of one snapshot file into the database, one read per
-// dataset: for each block, creates its record and, for each of its
-// datasets (BlockDatasets(fields)) in turn, looks it up, allocates its
-// field buffer, reads it (CRC-verified if `verify`) and charges its decode
-// CPU; then commits the record.
+// dataset: for each block, creates its record and, for each name in
+// `datasets` in turn, looks up the block's dataset of that name
+// (mesh::BlockDatasetName), allocates the record field of the same name,
+// reads it (CRC-verified if `verify`) and charges its decode CPU; then
+// commits the record.
 Status LoadFilePerDataset(PlatformRuntime* runtime,
                           const gsdf::Reader& reader,
                           const std::vector<int32_t>& blocks, int snapshot,
-                          const std::vector<std::string>& fields,
+                          const std::vector<std::string>& datasets,
                           bool verify, Gbo* db);
 
 // Loads `blocks` of one snapshot file into the database: creates each
-// block record (BlockDatasets(fields): x/y/z/conn plus `fields`) and its
-// field buffers, gathers every dataset into one ReadBatch with `options`,
-// so the reader merges file-adjacent payloads into single transfers,
-// charges decode CPU for the whole batch, and commits the records only
-// after it landed (and verified). Adds the batch's merged-away reads to
-// `counters` if non-null.
+// block record and the buffers of the fields named in `datasets`, gathers
+// those datasets of every block into one ReadBatch with `options`, so the
+// reader merges file-adjacent payloads into single transfers, charges
+// decode CPU for the whole batch, and commits the records only after it
+// landed (and verified). Adds the batch's merged-away reads to `counters`
+// if non-null.
 Status LoadFileBatch(PlatformRuntime* runtime, const gsdf::Reader& reader,
                      const std::vector<int32_t>& blocks, int snapshot,
-                     const std::vector<std::string>& fields,
+                     const std::vector<std::string>& datasets,
                      const gsdf::BatchOptions& options,
                      SnapshotReadCounters* counters, Gbo* db);
 

@@ -1,5 +1,6 @@
 #include "workloads/snapshot_query.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -27,7 +28,7 @@ std::vector<int32_t> BlocksInRange(const mesh::DatasetSpec& spec,
   return blocks;
 }
 
-// The query's effective field list: requested quantities plus every
+// The query's effective field list: requested fields plus every
 // kernel input, deduplicated in first-mention order.
 std::vector<std::string> EffectiveFields(const SnapshotQueryOptions& options) {
   std::vector<std::string> fields;
@@ -44,10 +45,10 @@ std::vector<std::string> EffectiveFields(const SnapshotQueryOptions& options) {
   return fields;
 }
 
-// Payload bytes of one (snapshot, file) unit: the directory sizes of every
-// dataset of its blocks. Opens the file and reads no payload, unless the
-// query's extents cache holds the total for the same fields and block
-// range.
+// Payload bytes of one (snapshot, file) unit: the directory sizes of the
+// `fields` datasets of its blocks, which is what the unit loads. Opens the
+// file and reads no payload, unless the query's extents cache holds the
+// total for the same fields and block range.
 Result<int64_t> FileUnitBytes(PlatformRuntime* runtime,
                               const SnapshotQueryOptions& options,
                               const std::string& path,
@@ -64,10 +65,9 @@ Result<int64_t> FileUnitBytes(PlatformRuntime* runtime,
   }
   GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
                           gsdf::Reader::Open(runtime->io_env(), path));
-  const std::vector<std::string> datasets = BlockDatasets(fields);
   int64_t bytes = 0;
   for (int32_t block_id : blocks) {
-    for (const std::string& field : datasets) {
+    for (const std::string& field : fields) {
       GODIVA_ASSIGN_OR_RETURN(
           const gsdf::DatasetInfo* info,
           reader->Find(mesh::BlockDatasetName(block_id, field)));
@@ -97,15 +97,32 @@ Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
   };
 }
 
-// Push-down closure over every kernel: parses (snapshot, file) back out of
-// the unit name, walks the unit's blocks, and runs each kernel over spans
-// taken straight from the committed field buffers (no copies). A kernel
-// indexes every input up to the first one's length, so DATA_LOSS unless
-// they all have it.
-QueryPushdownFn MakeKernelPushdown(mesh::DatasetSpec spec, int block_begin,
-                                   int block_end,
-                                   std::vector<viz::DerivedKernel> kernels) {
-  return [spec, block_begin, block_end, kernels = std::move(kernels)](
+// Consume-time closure of every snapshot query: parses (snapshot, file)
+// back out of the unit name and walks the unit's blocks. It first looks up
+// each of the query's `fields` in the block's record: dedup pins a
+// resident unit by name alone, so a unit an earlier query loaded with
+// other fields would otherwise settle OK and fail at the caller's first
+// FieldBuffer; here it fails with FAILED_PRECONDITION naming the unit,
+// block and field. Then it runs each kernel over spans taken straight
+// from the committed field buffers (no copies). A kernel indexes every
+// input up to the first one's length, so DATA_LOSS unless they all have
+// it.
+QueryPushdownFn MakeQueryPushdown(mesh::DatasetSpec spec, int block_begin,
+                                  int block_end,
+                                  std::vector<std::string> fields,
+                                  std::vector<viz::DerivedKernel> kernels) {
+  // Each kernel's inputs as positions in `fields`, which holds them all.
+  std::vector<std::vector<size_t>> kernel_inputs;
+  for (const viz::DerivedKernel& kernel : kernels) {
+    std::vector<size_t>& positions = kernel_inputs.emplace_back();
+    for (const std::string& input : kernel.inputs) {
+      positions.push_back(static_cast<size_t>(
+          std::find(fields.begin(), fields.end(), input) - fields.begin()));
+    }
+  }
+  return [spec, block_begin, block_end, fields = std::move(fields),
+          kernels = std::move(kernels),
+          kernel_inputs = std::move(kernel_inputs)](
              Gbo* db, const std::string& unit_name,
              std::vector<DerivedResult>* out) -> Status {
     int snapshot = -1;
@@ -114,32 +131,41 @@ QueryPushdownFn MakeKernelPushdown(mesh::DatasetSpec spec, int block_begin,
       return InvalidArgumentError(
           StrCat("push-down on a non-query unit: ", unit_name));
     }
+    // One block's field buffers, in `fields` order; only kernel inputs
+    // are read, as the doubles a kernel takes.
+    std::vector<std::span<const double>> loaded(fields.size());
     for (int32_t block_id :
          BlocksInRange(spec, file_index, block_begin, block_end)) {
       GODIVA_ASSIGN_OR_RETURN(
           Record * record,
           db->FindRecord(kBlockRecordType, BlockKey(block_id, snapshot)));
-      for (const viz::DerivedKernel& kernel : kernels) {
+      for (size_t i = 0; i < fields.size(); ++i) {
+        const int member = record->type().FindMemberIndex(fields[i]);
+        if (member < 0 || !record->slot_allocated(member)) {
+          return FailedPreconditionError(StrCat(unit_name, " block ",
+                                                block_id, ": field ",
+                                                fields[i], " is not loaded"));
+        }
+        loaded[i] = {static_cast<const double*>(record->slot_data(member)),
+                     static_cast<size_t>(record->slot_size(member) / 8)};
+      }
+      for (size_t k = 0; k < kernels.size(); ++k) {
         std::vector<std::span<const double>> inputs;
-        inputs.reserve(kernel.inputs.size());
-        for (const std::string& input : kernel.inputs) {
-          GODIVA_ASSIGN_OR_RETURN(void* buffer, record->FieldBuffer(input));
-          GODIVA_ASSIGN_OR_RETURN(int64_t size,
-                                  record->FieldBufferSize(input));
-          inputs.emplace_back(static_cast<const double*>(buffer),
-                              static_cast<size_t>(size / 8));
+        inputs.reserve(kernel_inputs[k].size());
+        for (size_t position : kernel_inputs[k]) {
+          inputs.push_back(loaded[position]);
           if (inputs.back().size() != inputs.front().size()) {
             return DataLossError(StrCat(
-                unit_name, " block ", block_id, ": field ", input, " holds ",
-                inputs.back().size(), " values, ", kernel.inputs.front(),
-                " holds ", inputs.front().size()));
+                unit_name, " block ", block_id, ": field ", fields[position],
+                " holds ", inputs.back().size(), " values, ",
+                kernels[k].inputs.front(), " holds ", inputs.front().size()));
           }
         }
         DerivedResult result;
         result.unit = unit_name;
-        result.field = kernel.name;
+        result.field = kernels[k].name;
         result.key = block_id;
-        result.values = kernel.fn(inputs);
+        result.values = kernels[k].fn(inputs);
         out->push_back(std::move(result));
       }
     }
@@ -175,6 +201,9 @@ Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
                spec.num_snapshots, " snapshots"));
   }
   const std::vector<std::string> fields = EffectiveFields(options);
+  if (fields.empty()) {
+    return InvalidArgumentError("query names no field and no kernel input");
+  }
 
   GboQuery query;
   query.deadline = options.deadline;
@@ -200,10 +229,9 @@ Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
   if (query.units.empty()) {
     return InvalidArgumentError("query selects no blocks");
   }
-  if (!options.kernels.empty()) {
-    query.pushdown = MakeKernelPushdown(spec, options.block_begin,
-                                        options.block_end, options.kernels);
-  }
+  query.pushdown = MakeQueryPushdown(spec, options.block_begin,
+                                     options.block_end, fields,
+                                     options.kernels);
   return query;
 }
 

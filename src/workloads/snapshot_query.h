@@ -3,9 +3,10 @@
 // one unit per (snapshot, file) whose payload bytes are summed from the
 // file's directory at plan time (no payload I/O), loaded by a read
 // function that pulls all of the unit's datasets through one
-// gsdf::Reader::ReadBatch, which alone splits them into transfers.
-// Derived-field kernels (viz/pushdown.h) fold their input fields into the
-// same units and run as push-down on each unit as it lands.
+// gsdf::Reader::ReadBatch, which alone splits them into transfers. A unit
+// loads exactly the fields its query names: derived-field kernels
+// (viz/pushdown.h) fold their input fields into the same units and run as
+// push-down on each unit as it lands, and nothing else rides along.
 #ifndef GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 #define GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 
@@ -44,15 +45,16 @@ struct SnapshotExtentsCache {
     std::vector<std::string> fields;
     int block_begin = 0;
     int block_end = -1;
-    // The unit's payload bytes: every dataset of its blocks.
+    // The unit's payload bytes: its blocks' datasets of `fields`.
     int64_t bytes = 0;
   };
   std::map<std::string, Entry> by_path;
 };
 
 struct SnapshotQueryOptions {
-  // Quantity fields to load (mesh x/y/z/conn always ride along; kernel
-  // input fields are folded in automatically).
+  // Block fields to load: any block dataset may be named, quantities and
+  // mesh geometry (x, y, z, conn) alike, and only the named ones (plus
+  // kernel inputs, folded in automatically) are read.
   std::vector<std::string> fields;
 
   // Block range [block_begin, block_end); block_end = -1 means all blocks.
@@ -80,12 +82,19 @@ struct SnapshotQueryOptions {
   SnapshotExtentsCache* extents_cache = nullptr;
 };
 
-// Builds the GboQuery: units carry plan-time payload bytes (for dedup's
-// bytes-saved accounting), per-file read functions, and the file as their
-// quarantine resource. Opens each window file not in the extents cache
-// once to size its unit — directory I/O only, no payloads.
-// INVALID_ARGUMENT on an empty window or an out-of-range snapshot,
-// NOT_FOUND on an unknown dataset name.
+// Builds the GboQuery: units carry plan-time payload bytes of the named
+// fields (for dedup's bytes-saved accounting), per-file read functions,
+// and the file as their quarantine resource. Opens each window file not
+// in the extents cache once to size its unit — directory I/O only, no
+// payloads. INVALID_ARGUMENT on an empty window, an out-of-range snapshot
+// or a query that names no field and no kernel; NOT_FOUND on an unknown
+// dataset name.
+//
+// The query's push-down closure checks every consumed unit: a block record
+// that lacks a named field (a resident unit an earlier query loaded with
+// other fields, which dedup pins by name) fails that unit with
+// FAILED_PRECONDITION naming the unit, the block and the field, and the
+// unit yields no derived values.
 Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
                                     const mesh::SnapshotDataset* dataset,
                                     const SnapshotQueryOptions& options);

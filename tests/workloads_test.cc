@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "common/types.h"
 #include "core/gbo.h"
 #include "core/key_util.h"
@@ -168,12 +169,13 @@ TEST_F(WorkloadIoTest, DirectPassReadMatchesGodivaBuffers) {
                     .ok());
     loaded.push_back(std::move(db));
   }
-  // ...and the query path (one unit per snapshot file, one ReadBatch each)
-  // must all commit exactly what the direct read returns.
+  // ...and the query path (one unit per snapshot file, one ReadBatch each,
+  // naming the mesh beside density) must all commit exactly what the
+  // direct read returns.
   auto query_db = std::make_unique<Gbo>(GboOptions::SingleThread());
   ASSERT_TRUE(DefineBlockSchema(query_db.get()).ok());
   SnapshotQueryOptions query_options;
-  query_options.fields = {"density"};
+  query_options.fields = {kFieldX, kFieldY, kFieldZ, kFieldConn, "density"};
   query_options.snapshot_begin = 2;
   query_options.snapshot_end = 3;
   auto query =
@@ -355,8 +357,8 @@ TEST_F(WorkloadIoTest, WarmExtentsCacheRebuildsAWindowWithoutReads) {
     EXPECT_EQ(warm->units[i].bytes, cold->units[i].bytes);
   }
 
-  // A unit's bytes are the directory sizes of every dataset its blocks
-  // load: x, y, z, conn and the requested fields.
+  // A unit's bytes are the directory sizes of the datasets its blocks
+  // load: the requested fields and nothing else.
   const mesh::DatasetSpec& spec = experiment_->options().spec;
   for (size_t i = 0; i < cold->units.size(); ++i) {
     const int snapshot = 1 + static_cast<int>(i) / spec.files_per_snapshot;
@@ -367,7 +369,7 @@ TEST_F(WorkloadIoTest, WarmExtentsCacheRebuildsAWindowWithoutReads) {
     ASSERT_TRUE(reader.ok()) << reader.status();
     int64_t bytes = 0;
     for (int32_t block_id : mesh::BlocksInFile(spec, file)) {
-      for (const char* field : {"x", "y", "z", "conn", "density", "velx"}) {
+      for (const char* field : {"density", "velx"}) {
         auto info = (*reader)->Find(mesh::BlockDatasetName(block_id, field));
         ASSERT_TRUE(info.ok()) << info.status();
         bytes += (*info)->nbytes;
@@ -375,6 +377,151 @@ TEST_F(WorkloadIoTest, WarmExtentsCacheRebuildsAWindowWithoutReads) {
     }
     EXPECT_EQ(cold->units[i].bytes, bytes) << cold->units[i].name;
   }
+}
+
+// A query reads exactly the fields it names: naming the mesh beside
+// density costs exactly the mesh's payload bytes more, and a density-only
+// load leaves the mesh fields unallocated.
+TEST_F(WorkloadIoTest, QueryReadsOnlyTheFieldsItNames) {
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  // Loads snapshot 2 through one query naming `fields` into `db` and sets
+  // `bytes_read` to what the disk read for it, directories included.
+  auto load = [&](const std::vector<std::string>& fields, Gbo* db,
+                  int64_t* bytes_read) {
+    ASSERT_TRUE(DefineBlockSchema(db).ok());
+    SnapshotQueryOptions options;
+    options.fields = fields;
+    options.limits.max_gap = 0;  // no gap bytes ride along either
+    options.snapshot_begin = 2;
+    options.snapshot_end = 3;
+    experiment_->env()->ResetStats();
+    auto query =
+        BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+    ASSERT_TRUE(query.ok()) << query.status();
+    QueryPlanner planner(db);
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    ASSERT_TRUE((*ticket)->WaitAll().ok());
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+    *bytes_read = experiment_->env()->stats().bytes_read;
+  };
+  Gbo density_db(GboOptions::SingleThread());
+  int64_t density_bytes = 0;
+  ASSERT_NO_FATAL_FAILURE(load({"density"}, &density_db, &density_bytes));
+  Gbo mesh_db(GboOptions::SingleThread());
+  int64_t mesh_bytes = 0;
+  ASSERT_NO_FATAL_FAILURE(
+      load({kFieldX, kFieldY, kFieldZ, kFieldConn, "density"}, &mesh_db,
+           &mesh_bytes));
+
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  int64_t mesh_payload = 0;
+  for (int f = 0; f < spec.files_per_snapshot; ++f) {
+    auto reader = gsdf::Reader::Open(
+        experiment_->env(), experiment_->dataset().SnapshotFiles(2)[f]);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    for (int32_t block_id : mesh::BlocksInFile(spec, f)) {
+      for (const char* field : {kFieldX, kFieldY, kFieldZ, kFieldConn}) {
+        auto info = (*reader)->Find(mesh::BlockDatasetName(block_id, field));
+        ASSERT_TRUE(info.ok()) << info.status();
+        mesh_payload += (*info)->nbytes;
+      }
+    }
+  }
+  EXPECT_GT(mesh_payload, 0);
+  EXPECT_EQ(mesh_bytes - density_bytes, mesh_payload);
+
+  auto plain = ReadPassDirect(&runtime, experiment_->dataset(), 2,
+                              {"density"}, /*include_conn=*/false);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  ASSERT_EQ(plain->size(), static_cast<size_t>(spec.num_blocks));
+  for (const PlainBlock& block : *plain) {
+    const std::vector<std::string> key = BlockKey(block.block_id, 2);
+    auto x = density_db.GetFieldBuffer(kBlockRecordType, kFieldX, key);
+    EXPECT_EQ(x.status().code(), StatusCode::kFailedPrecondition)
+        << x.status();
+    auto buffer = density_db.GetFieldBuffer(kBlockRecordType, "density", key);
+    ASSERT_TRUE(buffer.ok()) << buffer.status();
+    auto size = density_db.GetFieldBufferSize(kBlockRecordType, "density", key);
+    ASSERT_TRUE(size.ok()) << size.status();
+    const std::vector<double>& expected = block.fields.at("density");
+    ASSERT_EQ(static_cast<size_t>(*size), expected.size() * sizeof(double));
+    const double* values = static_cast<const double*>(*buffer);
+    EXPECT_EQ(std::vector<double>(values, values + expected.size()),
+              expected)
+        << block.block_id;
+  }
+}
+
+// Dedup pins a resident unit by name alone: a {velx} query over the units
+// a {density} query left resident must fail them with FAILED_PRECONDITION
+// naming the unit, a block and velx, not settle OK over records that lack
+// velx.
+TEST_F(WorkloadIoTest, QueryFailsResidentUnitsThatLackANamedField) {
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  Gbo db(GboOptions::SingleThread());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  QueryPlanner planner(&db);
+  SnapshotQueryOptions options;
+  options.snapshot_begin = 1;
+  options.snapshot_end = 3;
+  options.fields = {"density"};
+  {
+    auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    ASSERT_TRUE((*ticket)->WaitAll().ok());
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+  }
+  options.fields = {"velx"};
+  {
+    auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    Status waited = (*ticket)->WaitAll();
+    EXPECT_EQ(waited.code(), StatusCode::kFailedPrecondition) << waited;
+    for (int snapshot = 1; snapshot < 3; ++snapshot) {
+      for (int f = 0; f < spec.files_per_snapshot; ++f) {
+        const std::string unit = SnapshotFileUnitName(snapshot, f);
+        auto disposition = (*ticket)->DispositionOf(unit);
+        ASSERT_TRUE(disposition.ok()) << disposition.status();
+        EXPECT_EQ(*disposition, QueryDisposition::kResident) << unit;
+        Status bad = (*ticket)->UnitStatus(unit);
+        EXPECT_EQ(bad.code(), StatusCode::kFailedPrecondition) << bad;
+        const std::string block =
+            StrCat(" block ", mesh::BlocksInFile(spec, f).front(), ":");
+        for (const std::string& part : {unit, block, std::string("velx")}) {
+          EXPECT_NE(bad.message().find(part), std::string::npos)
+              << part << " in " << bad;
+        }
+      }
+    }
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+  }
+  for (int snapshot = 1; snapshot < 3; ++snapshot) {
+    for (int f = 0; f < spec.files_per_snapshot; ++f) {
+      ASSERT_TRUE(db.DeleteUnit(SnapshotFileUnitName(snapshot, f)).ok());
+    }
+  }
+  EXPECT_TRUE(db.CheckInvariants().ok());
+  EXPECT_EQ(db.memory_usage(), 0);
+}
+
+// A query that names no field and no kernel would load nothing.
+TEST_F(WorkloadIoTest, QueryThatNamesNoFieldIsInvalid) {
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  SnapshotQueryOptions options;
+  options.snapshot_begin = 0;
+  options.snapshot_end = 1;
+  auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument)
+      << query.status();
 }
 
 TEST_F(WorkloadIoTest, PartialElementBlockListFailsTheLoad) {
