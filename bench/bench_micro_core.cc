@@ -3,13 +3,15 @@
 // path of every read function and every data-processing query), the
 // serving workloads' synthetic read function, the CRC-32 that verified
 // reads pay per byte, one verified coalesced unit load of the query
-// workload's shape, the feature extraction that each render pass runs
-// over a full-size snapshot, and the generation of one such snapshot.
+// workload's shape, the push-down kernel the query workload runs on each
+// loaded block, the feature extraction that each render pass runs over a
+// full-size snapshot, and the generation of one such snapshot.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,7 @@
 #include "sim/event_scheduler.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
+#include "viz/pushdown.h"
 #include "workloads/block_schema.h"
 #include "workloads/platform_runtime.h"
 #include "workloads/processing.h"
@@ -216,6 +219,29 @@ void BM_Crc32Portable(benchmark::State& state) {
   RunCrc32(state, &detail::PortableCrc32);
 }
 BENCHMARK(BM_Crc32Portable)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// The push-down kernel window_query runs on every block it loads, called
+// as the query's push-down calls it: the displacement magnitude of
+// state.range(0) nodes (1,255 is one block of its mesh, an odd tail after
+// every packed pair).
+void BM_PushdownMagnitude(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<std::vector<double>> components(3, std::vector<double>(n));
+  for (size_t c = 0; c < components.size(); ++c) {
+    for (size_t i = 0; i < n; ++i) {
+      components[c][i] =
+          1e-3 * static_cast<double>((i * 37 + c * 11) % 1000) - 0.5;
+    }
+  }
+  const std::vector<std::span<const double>> inputs(components.begin(),
+                                                    components.end());
+  const viz::DerivedKernel kernel = viz::MagnitudeKernel("disp_mag", "disp");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernel.fn(inputs));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PushdownMagnitude)->Arg(1255);
 
 // One snapshot of window_query's dataset (the TitanIV mesh scaled by 0.5,
 // checksummed), written into its env once per process.

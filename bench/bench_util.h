@@ -139,7 +139,8 @@ class LatencyRecorder {
 // regression in a bench JSON can be traced to the commit that produced it.
 // Sources, in order: the GODIVA_GIT_SHA environment variable (CI sets it
 // from the checkout, which also covers builds from an exported tarball),
-// then `git rev-parse` in the current directory, then "unknown".
+// then `git rev-parse` in the current directory, then "unknown" (which
+// bench_diff refuses to write into a baseline).
 inline std::string CurrentGitSha() {
   if (const char* env = std::getenv("GODIVA_GIT_SHA");
       env != nullptr && *env != '\0') {

@@ -120,6 +120,8 @@ class [[nodiscard]] Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // `*std::move(result)` moves the value out rather than copying it.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -234,7 +234,8 @@ class Gbo {
   // Deletes the unit's records immediately (even if pinned — the caller
   // asserts the data is no longer needed). Fails while the unit's read
   // function is actively running; a unit sleeping out a retry backoff is
-  // cancelled and deleted.
+  // cancelled and deleted. Like eviction, releases the unit's read
+  // function and what it holds: a reload brings its own.
   // lint: holds_on_entry(none)
   Status DeleteUnit(const std::string& unit_name) EXCLUDES(mu_);
 

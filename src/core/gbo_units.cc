@@ -136,6 +136,9 @@ void Gbo::EvictUnitLocked(Shard& s, Unit* unit, bool explicit_delete) {
   // Deleting a superseded unit cancels its pending publish too (the
   // caller asserts the data — any version — is no longer needed).
   unit->stale = false;
+  // No read function runs on a deleted unit (a reload brings its own), so
+  // release what this one holds, such as an open file, now.
+  unit->read_fn = nullptr;
   unit->pending_read_fn = nullptr;
   unit->pending_resources.clear();
   auto pos = std::find(s.evictable.begin(), s.evictable.end(), unit);

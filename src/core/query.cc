@@ -90,6 +90,12 @@ Status QueryTicket::SubmitInternal() {
   for (size_t i = 0; i < query_.units.size(); ++i) {
     QueryUnitSpec& spec = query_.units[i];
     const Gbo::UnitProbe probe = db_->ProbeUnitForPlan(spec.name);
+    if (probe != Gbo::UnitProbe::kAbsent) {
+      // Dedup satisfies the unit and its read function will never run:
+      // release what it holds (a snapshot query's handed reader keeps a
+      // file open) now rather than when the ticket dies.
+      spec.read_fn = nullptr;
+    }
     if (probe == Gbo::UnitProbe::kResident) {
       // ProbeUnitForPlan pinned it for us — one shard lock, no queue
       // round-trip. Fold the pin into the session's accounting so quotas

@@ -1,6 +1,7 @@
 #include "workloads/snapshot_query.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -45,53 +46,74 @@ std::vector<std::string> EffectiveFields(const SnapshotQueryOptions& options) {
   return fields;
 }
 
-// Payload bytes of one (snapshot, file) unit: the directory sizes of the
-// `fields` datasets of its blocks, which is what the unit loads. Opens the
-// file and reads no payload, unless the query's extents cache holds the
-// total for the same fields and block range.
-Result<int64_t> FileUnitBytes(PlatformRuntime* runtime,
-                              const SnapshotQueryOptions& options,
-                              const std::string& path,
-                              const std::vector<int32_t>& blocks,
-                              const std::vector<std::string>& fields) {
+// One (snapshot, file) unit as plan time sized it: its payload bytes and
+// the reader whose directory they came from, which the unit's first load
+// reads through.
+struct SizedUnit {
+  int64_t bytes = 0;
+  std::shared_ptr<const gsdf::Reader> reader;
+};
+
+// Sizes one (snapshot, file) unit: the directory sizes of the `fields`
+// datasets of its blocks, which is what the unit loads. Opens the file and
+// reads no payload, unless the query's extents cache holds the file for
+// the same fields, block range and io env; a fresh open is cached.
+Result<SizedUnit> SizeFileUnit(PlatformRuntime* runtime,
+                               const SnapshotQueryOptions& options,
+                               const std::string& path,
+                               const std::vector<int32_t>& blocks,
+                               const std::vector<std::string>& fields) {
   SnapshotExtentsCache* cache = options.extents_cache;
+  Env* env = runtime->io_env();
   if (cache != nullptr) {
     auto hit = cache->by_path.find(path);
     if (hit != cache->by_path.end() && hit->second.fields == fields &&
         hit->second.block_begin == options.block_begin &&
-        hit->second.block_end == options.block_end) {
-      return hit->second.bytes;
+        hit->second.block_end == options.block_end &&
+        hit->second.env == env) {
+      return SizedUnit{hit->second.bytes, hit->second.reader};
     }
   }
-  GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
-                          gsdf::Reader::Open(runtime->io_env(), path));
-  int64_t bytes = 0;
+  SizedUnit sized;
+  GODIVA_ASSIGN_OR_RETURN(sized.reader, gsdf::Reader::Open(env, path));
   for (int32_t block_id : blocks) {
     for (const std::string& field : fields) {
       GODIVA_ASSIGN_OR_RETURN(
           const gsdf::DatasetInfo* info,
-          reader->Find(mesh::BlockDatasetName(block_id, field)));
-      bytes += info->nbytes;
+          sized.reader->Find(mesh::BlockDatasetName(block_id, field)));
+      sized.bytes += info->nbytes;
     }
   }
   if (cache != nullptr) {
     cache->by_path[path] = {fields, options.block_begin, options.block_end,
-                            bytes};
+                            sized.bytes, sized.reader, env};
   }
-  return bytes;
+  return sized;
 }
 
 // Read function of one (snapshot, file) unit: loads its blocks through one
-// ReadBatch with `batch_options` (LoadFileBatch).
+// ReadBatch with `batch_options` (LoadFileBatch). The first call, by this
+// closure or any copy of it, takes `handed` (the reader that sized the
+// unit) and drops it when the load returns; every later call opens the
+// file again.
 Gbo::ReadFn MakeFileBatchReadFn(PlatformRuntime* runtime, std::string path,
                                 int snapshot, std::vector<int32_t> blocks,
                                 std::vector<std::string> fields,
-                                gsdf::BatchOptions batch_options) {
+                                gsdf::BatchOptions batch_options,
+                                std::shared_ptr<const gsdf::Reader> handed) {
+  auto slot =
+      std::make_shared<std::atomic<std::shared_ptr<const gsdf::Reader>>>(
+          std::move(handed));
   return [runtime, path = std::move(path), snapshot,
           blocks = std::move(blocks), fields = std::move(fields),
-          batch_options](Gbo* db, const std::string&) -> Status {
-    GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<gsdf::Reader> reader,
-                            gsdf::Reader::Open(runtime->io_env(), path));
+          batch_options, slot = std::move(slot)](Gbo* db,
+                                                 const std::string&)
+             -> Status {
+    std::shared_ptr<const gsdf::Reader> reader = slot->exchange(nullptr);
+    if (reader == nullptr) {
+      GODIVA_ASSIGN_OR_RETURN(reader,
+                              gsdf::Reader::Open(runtime->io_env(), path));
+    }
     return LoadFileBatch(runtime, *reader, blocks, snapshot, fields,
                          batch_options, /*counters=*/nullptr, db);
   };
@@ -218,10 +240,13 @@ Result<GboQuery> BuildSnapshotQuery(PlatformRuntime* runtime,
       QueryUnitSpec unit;
       unit.name = SnapshotFileUnitName(snapshot, f);
       GODIVA_ASSIGN_OR_RETURN(
-          unit.bytes, FileUnitBytes(runtime, options, path, blocks, fields));
+          SizedUnit sized,
+          SizeFileUnit(runtime, options, path, blocks, fields));
+      unit.bytes = sized.bytes;
       unit.read_fn = MakeFileBatchReadFn(
           runtime, path, snapshot, std::move(blocks), fields,
-          gsdf::BatchOptions{options.limits, options.verify_checksums});
+          gsdf::BatchOptions{options.limits, options.verify_checksums},
+          std::move(sized.reader));
       unit.resources = {path};
       query.units.push_back(std::move(unit));
     }

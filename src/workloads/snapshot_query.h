@@ -3,14 +3,17 @@
 // one unit per (snapshot, file) whose payload bytes are summed from the
 // file's directory at plan time (no payload I/O), loaded by a read
 // function that pulls all of the unit's datasets through one
-// gsdf::Reader::ReadBatch, which alone splits them into transfers. A unit
-// loads exactly the fields its query names: derived-field kernels
+// gsdf::Reader::ReadBatch, which alone splits them into transfers. The
+// reader that sized a unit at plan time is handed to its first load, so
+// that load issues only ReadBatch's payload transfers. A unit loads
+// exactly the fields its query names: derived-field kernels
 // (viz/pushdown.h) fold their input fields into the same units and run as
 // push-down on each unit as it lands, and nothing else rides along.
 #ifndef GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 #define GODIVA_WORKLOADS_SNAPSHOT_QUERY_H_
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "core/query.h"
 #include "gsdf/reader.h"
 #include "mesh/snapshot_writer.h"
+#include "sim/env.h"
 #include "viz/pushdown.h"
 #include "workloads/platform_runtime.h"
 
@@ -37,9 +41,15 @@ bool ParseSnapshotFileUnit(const std::string& unit_name, int* snapshot,
 // file's unit opens it and reads its directory, and a sliding snapshot
 // window would otherwise re-open the same files W-1 more times. Keyed by
 // file path; an entry is only reused when it was built for the same field
-// set and block range (anything else re-opens and overwrites). The caller
-// owns the cache and must drop a file's entry if the file is rewritten
-// underneath it (live ingest).
+// set and block range through the same io env (anything else re-opens and
+// overwrites). Each entry keeps the file's reader, so later plans and
+// every unit they load read through it without re-opening the file: one
+// open file handle per entry, until the entry is dropped or the cache is
+// destroyed. A cached reader reads through the Env it was opened with,
+// which must outlive the cache's last use. The caller owns the cache and
+// must drop a file's entry if the file is rewritten underneath it (live
+// ingest); that also drops its reader, which would keep serving the old
+// bytes.
 struct SnapshotExtentsCache {
   struct Entry {
     std::vector<std::string> fields;
@@ -47,6 +57,9 @@ struct SnapshotExtentsCache {
     int block_end = -1;
     // The unit's payload bytes: its blocks' datasets of `fields`.
     int64_t bytes = 0;
+    // The reader that sized the unit, opened through `env`.
+    std::shared_ptr<const gsdf::Reader> reader;
+    Env* env = nullptr;
   };
   std::map<std::string, Entry> by_path;
 };
@@ -86,9 +99,17 @@ struct SnapshotQueryOptions {
 // fields (for dedup's bytes-saved accounting), per-file read functions,
 // and the file as their quarantine resource. Opens each window file not
 // in the extents cache once to size its unit — directory I/O only, no
-// payloads. INVALID_ARGUMENT on an empty window, an out-of-range snapshot
-// or a query that names no field and no kernel; NOT_FOUND on an unknown
+// payloads — and fails with that open's status if it fails.
+// INVALID_ARGUMENT on an empty window, an out-of-range snapshot or a
+// query that names no field and no kernel; NOT_FOUND on an unknown
 // dataset name.
+//
+// A unit's read function loads through the reader that sized the unit
+// and drops it after that first call; a later call (a retry, or a reload
+// through a copy of the read function) opens the file again. So without a
+// cache no file handle outlives a unit's first load (or, for a unit that
+// dedup satisfies, the plan; for one deleted unloaded, its deletion), and
+// with one none outlives the cache.
 //
 // The query's push-down closure checks every consumed unit: a block record
 // that lacks a named field (a resident unit an earlier query loaded with

@@ -80,6 +80,9 @@ TEST(ResultTest, MoveOnlyValue) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 7);
+  Result<std::unique_ptr<int>> moved(std::make_unique<int>(8));
+  std::unique_ptr<int> w = *std::move(moved);  // moves, does not copy
+  EXPECT_EQ(*w, 8);
 }
 
 Result<int> ParsePositive(int x) {

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "mesh/dataset_spec.h"
 #include "mesh/fields.h"
 #include "mesh/snapshot_writer.h"
@@ -206,6 +210,93 @@ TEST(DerivedTest, VonMisesUniaxial) {
   std::vector<double> zero = {0.0};
   std::vector<double> vm = VonMises(sxx, zero, zero, zero, zero, zero);
   EXPECT_NEAR(vm[0], 2.0e6, 1.0);
+}
+
+// Scalar references for the derived-field kernels. derived.cc is compiled
+// without errno (src/viz/CMakeLists.txt), so an optimized build packs its
+// square roots into sqrtpd; this file keeps the default flags, so these
+// loops take one scalar square root per value. Sums in the kernels' order.
+std::vector<double> ScalarMagnitude(const std::vector<double>& vx,
+                                    const std::vector<double>& vy,
+                                    const std::vector<double>& vz) {
+  std::vector<double> out(vx.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = std::sqrt(vx[i] * vx[i] + vy[i] * vy[i] + vz[i] * vz[i]);
+  }
+  return out;
+}
+
+std::vector<double> ScalarVonMises(const std::vector<std::vector<double>>& s) {
+  std::vector<double> out(s[0].size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    double dxy = s[0][i] - s[1][i];
+    double dyz = s[1][i] - s[2][i];
+    double dzx = s[2][i] - s[0][i];
+    out[i] = std::sqrt(0.5 * (dxy * dxy + dyz * dyz + dzx * dzx) +
+                       3.0 * (s[3][i] * s[3][i] + s[4][i] * s[4][i] +
+                              s[5][i] * s[5][i]));
+  }
+  return out;
+}
+
+// Component `component` of a kernel input of `n` values: every few values
+// a special one (±0, subnormals, 1e±300, whose squares overflow to inf,
+// ±inf, NaN, negatives), at a different stride per component so they meet
+// each other, and seeded values of mixed sign and magnitude in between,
+// whose squares round differently when summed in another order.
+std::vector<double> KernelInput(size_t n, int component) {
+  const double kSpecial[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -2.5e-310,
+                             1e300,
+                             -1e300,
+                             1e-300,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             -1.5,
+                             -3.0e6};
+  const size_t stride = 3 + static_cast<size_t>(component);
+  Random rng(1000 + static_cast<uint64_t>(component));
+  std::vector<double> values(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (i % stride == 0) {
+      values[i] = kSpecial[(i / stride + static_cast<size_t>(component)) %
+                           std::size(kSpecial)];
+    } else {
+      values[i] = std::ldexp(rng.NextDouble(-1.0, 1.0),
+                             static_cast<int>(rng.NextBounded(80)) - 40);
+    }
+  }
+  return values;
+}
+
+// Byte-for-byte equality, naming the first value that differs.
+void ExpectSameBytes(const std::vector<double>& got,
+                     const std::vector<double>& want, const char* kernel) {
+  ASSERT_EQ(got.size(), want.size()) << kernel;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(double)) != 0) {
+      ADD_FAILURE() << kernel << " of " << got.size() << " values differs at "
+                    << i << ": " << std::hexfloat << got[i] << " vs "
+                    << want[i];
+      return;
+    }
+  }
+}
+
+TEST(DerivedTest, KernelsMatchAScalarLoopBitForBit) {
+  // 1,255 is a window_query block: an odd tail after every packed pair.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{1255}}) {
+    SCOPED_TRACE(n);
+    std::vector<std::vector<double>> in;
+    for (int c = 0; c < 6; ++c) in.push_back(KernelInput(n, c));
+    ExpectSameBytes(Magnitude(in[0], in[1], in[2]),
+                    ScalarMagnitude(in[0], in[1], in[2]), "Magnitude");
+    ExpectSameBytes(VonMises(in[0], in[1], in[2], in[3], in[4], in[5]),
+                    ScalarVonMises(in), "VonMises");
+  }
 }
 
 TEST(DerivedTest, MagnitudeOfUnitAxes) {

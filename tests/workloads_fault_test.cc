@@ -1,22 +1,34 @@
-// Graceful-degradation tests for the Voyager workload: a FaultInjectionEnv
-// interposed on the snapshot read path exercises unit retry (transient
-// faults leave no trace but retry counters), per-snapshot skipping under
-// permanent faults, and checksum verification during a sweep.
+// Graceful-degradation tests for the Voyager workload and the snapshot
+// query path: a FaultInjectionEnv interposed on the read path exercises
+// unit retry (transient faults leave no trace but retry counters),
+// per-snapshot skipping under permanent faults, checksum verification
+// during a sweep, and a query unit's load through the reader its plan
+// opened.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "core/gbo.h"
+#include "core/options.h"
+#include "core/query.h"
 #include "mesh/dataset_spec.h"
+#include "mesh/snapshot_writer.h"
 #include "sim/fault_env.h"
 #include "sim/platform.h"
+#include "workloads/block_schema.h"
 #include "workloads/experiment.h"
 #include "workloads/platform_runtime.h"
 #include "workloads/report.h"
+#include "workloads/snapshot_io.h"
+#include "workloads/snapshot_query.h"
 #include "workloads/test_spec.h"
 #include "workloads/voyager.h"
 
@@ -287,6 +299,173 @@ TEST_F(VoyagerFaultTest, VerifiedCleanSweepMatchesUnverifiedResults) {
   EXPECT_EQ(verified->triangles, plain->triangles);
   EXPECT_EQ(verified->gbo.read_retries, 0);
   EXPECT_TRUE(verified->skipped.empty());
+}
+
+// A snapshot query whose reads go through a FaultInjectionEnv. Rules are
+// added after BuildSnapshotQuery, so the plan-time opens (the readers each
+// unit's first load reads through) see none of them.
+class QueryFaultTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ExperimentOptions options;
+    options.spec = mesh::DatasetSpec::Tiny();
+    options.spec.checksums = true;
+    auto experiment = Experiment::Create(options);
+    ASSERT_TRUE(experiment.ok()) << experiment.status();
+    experiment_ = std::move(*experiment);
+    fault_ = std::make_unique<FaultInjectionEnv>(experiment_->env());
+    runtime_ = std::make_unique<PlatformRuntime>(
+        PlatformProfile::Engle(), 1e-6, experiment_->env());
+    runtime_->SetIoEnv(fault_.get());
+    GboOptions db_options;
+    db_options.io_threads = 2;
+    db_options.retry.initial_backoff = milliseconds(1);
+    db_options.retry.max_backoff = milliseconds(2);
+    db_ = std::make_unique<Gbo>(db_options);
+    ASSERT_TRUE(DefineBlockSchema(db_.get()).ok());
+  }
+
+  // {density} over snapshots [1, 3), verified: 4 units, one per file.
+  SnapshotQueryOptions Window() const {
+    SnapshotQueryOptions options;
+    options.fields = {"density"};
+    options.verify_checksums = true;
+    options.snapshot_begin = 1;
+    options.snapshot_end = 3;
+    return options;
+  }
+
+  // Every read of `path` fails with `code`, from the next one on, for
+  // `max_faults` reads.
+  void FailReads(const std::string& path, StatusCode code, int max_faults) {
+    FaultRule rule;
+    rule.path_glob = path;
+    rule.op = FaultOp::kRead;
+    rule.error_code = code;
+    rule.max_faults = max_faults;
+    fault_->AddRule(rule);
+  }
+
+  // The unit's density buffers equal what a direct, fault-free read of
+  // its blocks returns, byte for byte.
+  void ExpectDirectBytes(int snapshot, int file) {
+    fault_->SetEnabled(false);
+    auto plain = ReadPassDirect(runtime_.get(), experiment_->dataset(),
+                                snapshot, {"density"},
+                                /*include_conn=*/false);
+    fault_->SetEnabled(true);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    const std::vector<int32_t> blocks =
+        mesh::BlocksInFile(experiment_->options().spec, file);
+    for (const PlainBlock& block : *plain) {
+      if (std::find(blocks.begin(), blocks.end(), block.block_id) ==
+          blocks.end()) {
+        continue;
+      }
+      const std::vector<double>& expected = block.fields.at("density");
+      const std::vector<std::string> key = BlockKey(block.block_id, snapshot);
+      auto buffer = db_->GetFieldBuffer(kBlockRecordType, "density", key);
+      ASSERT_TRUE(buffer.ok()) << buffer.status();
+      auto size = db_->GetFieldBufferSize(kBlockRecordType, "density", key);
+      ASSERT_TRUE(size.ok()) << size.status();
+      ASSERT_EQ(*size, static_cast<int64_t>(expected.size() * 8));
+      EXPECT_EQ(std::memcmp(*buffer, expected.data(),
+                            static_cast<size_t>(*size)),
+                0)
+          << block.block_id;
+    }
+  }
+
+  // Deletes the window's units; the database must then be empty.
+  void TearDownWindow() {
+    const mesh::DatasetSpec& spec = experiment_->options().spec;
+    for (int snapshot = 1; snapshot < 3; ++snapshot) {
+      for (int f = 0; f < spec.files_per_snapshot; ++f) {
+        ASSERT_TRUE(db_->DeleteUnit(SnapshotFileUnitName(snapshot, f)).ok());
+      }
+    }
+    EXPECT_TRUE(db_->CheckInvariants().ok());
+    EXPECT_EQ(db_->memory_usage(), 0);
+  }
+
+  std::unique_ptr<Experiment> experiment_;
+  std::unique_ptr<FaultInjectionEnv> fault_;
+  std::unique_ptr<PlatformRuntime> runtime_;
+  std::unique_ptr<Gbo> db_;
+};
+
+// The first payload read through one unit's handed reader fails once: the
+// retry pipeline re-runs the read function, which opens the file again,
+// and the unit settles with the right bytes.
+TEST_F(QueryFaultTest, TransientReadFaultIsRetried) {
+  auto query =
+      BuildSnapshotQuery(runtime_.get(), &experiment_->dataset(), Window());
+  ASSERT_TRUE(query.ok()) << query.status();
+  FailReads(experiment_->dataset().SnapshotFiles(1)[0],
+            StatusCode::kUnavailable, /*max_faults=*/1);
+  QueryPlanner planner(db_.get());
+  {
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    ASSERT_TRUE((*ticket)->WaitAll().ok());
+    EXPECT_EQ(fault_->stats().errors_injected, 1);
+    EXPECT_EQ(db_->stats().read_retries, 1);
+    ExpectDirectBytes(1, 0);
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+  }
+  TearDownWindow();
+}
+
+// Every read of one file fails for good: exactly that unit fails, with the
+// injected code, and the window's other units settle.
+TEST_F(QueryFaultTest, PermanentReadFaultFailsOnlyThatUnit) {
+  auto query =
+      BuildSnapshotQuery(runtime_.get(), &experiment_->dataset(), Window());
+  ASSERT_TRUE(query.ok()) << query.status();
+  FailReads(experiment_->dataset().SnapshotFiles(2)[1],
+            StatusCode::kUnavailable, std::numeric_limits<int>::max());
+  QueryPlanner planner(db_.get());
+  {
+    auto ticket = planner.Submit(*std::move(query));
+    ASSERT_TRUE(ticket.ok()) << ticket.status();
+    EXPECT_EQ((*ticket)->WaitAll().code(), StatusCode::kUnavailable);
+    const mesh::DatasetSpec& spec = experiment_->options().spec;
+    for (int snapshot = 1; snapshot < 3; ++snapshot) {
+      for (int f = 0; f < spec.files_per_snapshot; ++f) {
+        const std::string unit = SnapshotFileUnitName(snapshot, f);
+        Status status = (*ticket)->UnitStatus(unit);
+        if (snapshot == 2 && f == 1) {
+          EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status;
+        } else {
+          EXPECT_TRUE(status.ok()) << unit << ": " << status;
+        }
+      }
+    }
+    EXPECT_EQ(db_->stats().units_failed_permanent, 1);
+    ExpectDirectBytes(2, 0);
+    ASSERT_TRUE((*ticket)->FinishAll().ok());
+  }
+  TearDownWindow();
+}
+
+// An open that fails while the plan sizes a unit fails the whole build
+// with that open's status; nothing is loaded.
+TEST_F(QueryFaultTest, OpenFaultAtPlanTimeFailsTheBuild) {
+  const std::string path = experiment_->dataset().SnapshotFiles(2)[0];
+  FaultRule rule;
+  rule.path_glob = path;
+  rule.op = FaultOp::kOpen;
+  rule.error_code = StatusCode::kIoError;
+  fault_->AddRule(rule);
+  auto direct = fault_->NewRandomAccessFile(path);
+  ASSERT_FALSE(direct.ok());
+  auto query =
+      BuildSnapshotQuery(runtime_.get(), &experiment_->dataset(), Window());
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(query.status().message(), direct.status().message());
+  EXPECT_TRUE(db_->CheckInvariants().ok());
+  EXPECT_EQ(db_->memory_usage(), 0);
 }
 
 }  // namespace

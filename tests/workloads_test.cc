@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -24,6 +26,7 @@
 #include "gsdf/writer.h"
 #include "mesh/dataset_spec.h"
 #include "mesh/snapshot_writer.h"
+#include "sim/env.h"
 #include "sim/event_scheduler.h"
 #include "sim/platform.h"
 #include "sim/sim_env.h"
@@ -522,6 +525,290 @@ TEST_F(WorkloadIoTest, QueryThatNamesNoFieldIsInvalid) {
   auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
   EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument)
       << query.status();
+}
+
+// Counts the read handles opened through the Env it wraps and how many are
+// still alive, so a test can see when a query opens a file and when it
+// lets the handle go. Must outlive every handle it hands out.
+class CountingEnv : public Env {
+ public:
+  explicit CountingEnv(Env* base) : base_(base) {}
+
+  int64_t opens() const { return opens_.load(); }
+  int64_t live() const { return live_.load(); }
+
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    GODIVA_ASSIGN_OR_RETURN(std::unique_ptr<RandomAccessFile> file,
+                            base_->NewRandomAccessFile(path));
+    opens_.fetch_add(1);
+    return std::unique_ptr<RandomAccessFile>(
+        std::make_unique<CountedFile>(std::move(file), &live_));
+  }
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  bool FileExists(const std::string& path) const override {
+    return base_->FileExists(path);
+  }
+  Result<int64_t> GetFileSize(const std::string& path) const override {
+    return base_->GetFileSize(path);
+  }
+  Status DeleteFile(const std::string& path) override {
+    return base_->DeleteFile(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Result<std::vector<std::string>> ListFiles(
+      const std::string& prefix) const override {
+    return base_->ListFiles(prefix);
+  }
+
+ private:
+  class CountedFile : public RandomAccessFile {
+   public:
+    CountedFile(std::unique_ptr<RandomAccessFile> base,
+                std::atomic<int64_t>* live)
+        : base_(std::move(base)), live_(live) {
+      live_->fetch_add(1);
+    }
+    ~CountedFile() override { live_->fetch_sub(1); }
+    Status Read(int64_t offset, int64_t size, void* out) override {
+      return base_->Read(offset, size, out);
+    }
+    int64_t Size() const override { return base_->Size(); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> base_;
+    std::atomic<int64_t>* live_;
+  };
+
+  Env* base_;
+  std::atomic<int64_t> opens_{0};
+  std::atomic<int64_t> live_{0};
+};
+
+// Loads run on two I/O threads, so each handed reader crosses from the
+// planning thread to a pool thread.
+GboOptions TwoIoThreads() {
+  GboOptions options;
+  options.io_threads = 2;
+  return options;
+}
+
+// Submits `query`, waits for every unit and releases the pins.
+void RunQuery(QueryPlanner* planner, Result<GboQuery> query) {
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto ticket = planner->Submit(*std::move(query));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  ASSERT_TRUE((*ticket)->WaitAll().ok());
+  ASSERT_TRUE((*ticket)->FinishAll().ok());
+}
+
+// Deletes every query unit of snapshots [begin, end), then checks the
+// database is empty.
+void DeleteSnapshotUnits(Gbo* db, const mesh::DatasetSpec& spec, int begin,
+                         int end) {
+  for (int snapshot = begin; snapshot < end; ++snapshot) {
+    for (int f = 0; f < spec.files_per_snapshot; ++f) {
+      ASSERT_TRUE(db->DeleteUnit(SnapshotFileUnitName(snapshot, f)).ok());
+    }
+  }
+  EXPECT_TRUE(db->CheckInvariants().ok());
+  EXPECT_EQ(db->memory_usage(), 0);
+}
+
+// Without a cache a query opens each file once, to size its unit, and the
+// unit's load reads through that reader and drops it: no load opens a
+// file, and no handle is left once the window has settled. A unit that
+// dedup satisfies lets its handle go at plan time.
+TEST_F(WorkloadIoTest, ColdQueryOpensEachFileOnceAtPlanTime) {
+  CountingEnv counting(experiment_->env());
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  runtime.SetIoEnv(&counting);
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  Gbo db(TwoIoThreads());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  QueryPlanner planner(&db);
+  SnapshotQueryOptions options;
+  options.fields = {"density"};
+  options.snapshot_begin = 1;
+  options.snapshot_end = 3;
+  auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(query.ok()) << query.status();
+  const int64_t files = 2 * spec.files_per_snapshot;
+  EXPECT_EQ(counting.opens(), files);
+  EXPECT_EQ(counting.live(), files);  // each held by its unit's read fn
+  ASSERT_NO_FATAL_FAILURE(RunQuery(&planner, std::move(query)));
+  EXPECT_EQ(counting.opens(), files);
+  EXPECT_EQ(counting.live(), 0);
+
+  // Slide to [2, 4): snapshot 2's units are resident, so the planner lets
+  // their readers go, and snapshot 3's go with their loads. The ticket,
+  // still alive, holds none.
+  options.snapshot_begin = 2;
+  options.snapshot_end = 4;
+  auto slid = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(slid.ok()) << slid.status();
+  EXPECT_EQ(counting.opens(), 2 * files);
+  auto ticket = planner.Submit(*std::move(slid));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  ASSERT_TRUE((*ticket)->WaitAll().ok());
+  EXPECT_EQ(counting.live(), 0);
+  ASSERT_TRUE((*ticket)->FinishAll().ok());
+  DeleteSnapshotUnits(&db, spec, 1, 4);
+}
+
+// A query cancelled before any unit loaded deletes its queued units, and
+// with them the readers their read functions were handed.
+TEST_F(WorkloadIoTest, CancelledQueryLetsItsHandlesGo) {
+  CountingEnv counting(experiment_->env());
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  runtime.SetIoEnv(&counting);
+  // No I/O thread: a direct load runs only inside WaitAny/WaitAll.
+  Gbo db(GboOptions::SingleThread());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  QueryPlanner planner(&db);
+  SnapshotQueryOptions options;
+  options.fields = {"density"};
+  options.snapshot_begin = 1;
+  options.snapshot_end = 3;
+  auto query = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto ticket = planner.Submit(*std::move(query));
+  ASSERT_TRUE(ticket.ok()) << ticket.status();
+  EXPECT_EQ(counting.live(), 2 * experiment_->options().spec.files_per_snapshot);
+  ASSERT_TRUE((*ticket)->Cancel().ok());
+  EXPECT_EQ(counting.live(), 0);
+  EXPECT_EQ((*ticket)->WaitAll().code(), StatusCode::kAborted);
+  EXPECT_EQ(counting.opens(), 2 * experiment_->options().spec.files_per_snapshot);
+  EXPECT_EQ(db.memory_usage(), 0);
+}
+
+// With an extents cache, each planned file is opened once across every
+// plan of a sliding window, and the cache keeps exactly that handle alive
+// until it is destroyed.
+TEST_F(WorkloadIoTest, ExtentsCacheHoldsOneHandlePerFileUntilDestroyed) {
+  CountingEnv counting(experiment_->env());
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  runtime.SetIoEnv(&counting);
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  Gbo db(TwoIoThreads());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  QueryPlanner planner(&db);
+  {
+    SnapshotExtentsCache cache;
+    SnapshotQueryOptions options;
+    options.fields = {"density"};
+    options.extents_cache = &cache;
+    for (int begin : {0, 1}) {
+      SCOPED_TRACE(begin);
+      options.snapshot_begin = begin;
+      options.snapshot_end = begin + 2;
+      ASSERT_NO_FATAL_FAILURE(RunQuery(
+          &planner,
+          BuildSnapshotQuery(&runtime, &experiment_->dataset(), options)));
+      const int64_t planned = (begin + 2) * spec.files_per_snapshot;
+      EXPECT_EQ(counting.opens(), planned);
+      EXPECT_EQ(counting.live(), planned);
+    }
+    // A plan through another io env does not reuse readers opened through
+    // this one: it re-opens and replaces the entries it plans.
+    runtime.SetIoEnv(nullptr);
+    auto replanned =
+        BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+    ASSERT_TRUE(replanned.ok()) << replanned.status();
+    EXPECT_EQ(counting.opens(), 3 * spec.files_per_snapshot);
+    EXPECT_EQ(counting.live(), spec.files_per_snapshot);  // snapshot 0's
+  }
+  EXPECT_EQ(counting.live(), 0);
+  DeleteSnapshotUnits(&db, spec, 0, 3);
+}
+
+// A unit evicted under a small memory limit and read again through a copy
+// of its read function re-opens its file exactly once (the handed reader
+// went with the first load) and lands what the direct read returns.
+TEST_F(WorkloadIoTest, EvictedUnitReopensItsFileOnceOnReload) {
+  CountingEnv counting(experiment_->env());
+  PlatformRuntime runtime(PlatformProfile::Engle(), 1e-6,
+                          experiment_->env());
+  runtime.SetIoEnv(&counting);
+  const mesh::DatasetSpec& spec = experiment_->options().spec;
+  Gbo db(TwoIoThreads());
+  ASSERT_TRUE(DefineBlockSchema(&db).ok());
+  QueryPlanner planner(&db);
+  SnapshotQueryOptions options;
+  options.fields = {"density"};
+  options.snapshot_begin = 1;
+  options.snapshot_end = 2;
+  auto first = BuildSnapshotQuery(&runtime, &experiment_->dataset(), options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  std::map<std::string, Gbo::ReadFn> read_fns;
+  for (const QueryUnitSpec& unit : first->units) {
+    read_fns[unit.name] = unit.read_fn;
+  }
+  ASSERT_NO_FATAL_FAILURE(RunQuery(&planner, std::move(first)));
+  // Room for one and a half snapshots: loading snapshot 2 evicts some of
+  // snapshot 1's units.
+  const int64_t one_snapshot = db.memory_usage();
+  ASSERT_GT(one_snapshot, 0);
+  ASSERT_TRUE(db.SetMemSpace(one_snapshot * 3 / 2).ok());
+  options.snapshot_begin = 2;
+  options.snapshot_end = 3;
+  ASSERT_NO_FATAL_FAILURE(RunQuery(
+      &planner,
+      BuildSnapshotQuery(&runtime, &experiment_->dataset(), options)));
+  EXPECT_GT(db.stats().units_evicted, 0);
+
+  auto plain = ReadPassDirect(&runtime, experiment_->dataset(), 1,
+                              {"density"}, /*include_conn=*/false);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  int reloaded = 0;
+  for (int f = 0; f < spec.files_per_snapshot; ++f) {
+    const std::string unit = SnapshotFileUnitName(1, f);
+    auto state = db.GetUnitState(unit);
+    ASSERT_TRUE(state.ok()) << state.status();
+    if (*state != UnitState::kDeleted) continue;  // still resident
+    SCOPED_TRACE(unit);
+    const int64_t opens = counting.opens();
+    ASSERT_TRUE(db.ReadUnit(unit, read_fns.at(unit)).ok());
+    EXPECT_EQ(counting.opens(), opens + 1);
+    ++reloaded;
+    const std::vector<int32_t> blocks = mesh::BlocksInFile(spec, f);
+    for (const PlainBlock& block : *plain) {
+      if (std::find(blocks.begin(), blocks.end(), block.block_id) ==
+          blocks.end()) {
+        continue;
+      }
+      const std::vector<double>& expected = block.fields.at("density");
+      const std::vector<std::string> key = BlockKey(block.block_id, 1);
+      auto buffer = db.GetFieldBuffer(kBlockRecordType, "density", key);
+      ASSERT_TRUE(buffer.ok()) << buffer.status();
+      auto size = db.GetFieldBufferSize(kBlockRecordType, "density", key);
+      ASSERT_TRUE(size.ok()) << size.status();
+      ASSERT_EQ(*size, static_cast<int64_t>(expected.size() * 8));
+      EXPECT_EQ(std::memcmp(*buffer, expected.data(),
+                            static_cast<size_t>(*size)),
+                0)
+          << block.block_id;
+    }
+    ASSERT_TRUE(db.FinishUnit(unit).ok());
+  }
+  EXPECT_GT(reloaded, 0);
+  EXPECT_EQ(counting.live(), 0);
+  for (int snapshot = 1; snapshot < 3; ++snapshot) {
+    for (int f = 0; f < spec.files_per_snapshot; ++f) {
+      // NOT_FOUND for a unit that was evicted and not reloaded.
+      (void)db.DeleteUnit(SnapshotFileUnitName(snapshot, f));
+    }
+  }
+  EXPECT_TRUE(db.CheckInvariants().ok());
+  EXPECT_EQ(db.memory_usage(), 0);
 }
 
 TEST_F(WorkloadIoTest, PartialElementBlockListFailsTheLoad) {

@@ -11,6 +11,11 @@
 //       bench's entries are preserved verbatim — so one bench's numbers
 //       can be refreshed without re-running the whole suite.
 //
+//   Both baseline-writing modes refuse (exit 2) a bench file whose
+//   "git_sha" is missing, empty or "unknown": a baseline records which
+//   commit produced each bench's numbers, so set GODIVA_GIT_SHA when a
+//   bench runs outside a git checkout.
+//
 //   bench_diff --baseline=BENCH_baseline.json a.json b.json ...
 //       compares; exits 1 when any metric regresses by more than the
 //       threshold (default 10%, --threshold=0.15 to widen) AND by more
@@ -324,6 +329,16 @@ int Run(int argc, char** argv) {
     if (doc.bench.empty()) {
       std::fprintf(stderr, "bench_diff: %s has no \"bench\" field\n",
                    path.c_str());
+      return 2;
+    }
+    // Writing or updating a baseline records where its numbers came from.
+    if (baseline_path.empty() &&
+        (doc.git_sha.empty() || doc.git_sha == "unknown")) {
+      std::fprintf(stderr,
+                   "bench_diff: %s records no commit (git_sha \"%s\"); "
+                   "rerun the bench in a git checkout or with "
+                   "GODIVA_GIT_SHA set\n",
+                   path.c_str(), doc.git_sha.c_str());
       return 2;
     }
     docs.push_back(std::move(doc));
